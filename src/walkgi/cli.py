@@ -36,12 +36,12 @@ from .isotest import (
     DEFAULT_ORACLE_CAP,
     CertificateError,
     OracleLimitError,
-    _map_pool,
     brute_force_isomorphic,
     distinguish_pair,
+    map_pool,
     partition_group,
 )
-from .linalg import adjacency_matrix, determinant, mat_mul
+from .linalg import adjacency_matrix, determinant, walk_powers
 
 
 class _UsageError(Exception):
@@ -139,7 +139,7 @@ def _info_worker(G: Graph) -> tuple[int, int]:
 def cmd_info(args: argparse.Namespace) -> int:
     cfg = _config(args)
     entries, failed = _read_graphs(args.files, cfg.strict)
-    numeric = _map_pool(_info_worker, [G for _, G in entries], cfg.workers)
+    numeric = map_pool(_info_worker, [G for _, G in entries], cfg.workers)
     for (record_id, G), (det, m) in zip(entries, numeric):
         degrees = _degree_text(G)
         params = srg_parameters(G)
@@ -222,10 +222,15 @@ def cmd_group(args: argparse.Namespace) -> int:
             for rec in catalog_read(cfg.catalog, with_blobs=True):
                 known[rec.id] = rec
             print(f"catalog: {len(known)} cached records", file=sys.stderr)
-        missing = [(record_id, G) for record_id, G in entries if record_id not in known]
+        # a record is reused only for the very graph it was computed from
+        missing = [(record_id, G) for record_id, G in entries
+                   if record_id not in known or known[record_id].g6 != write_graph6(G)]
+        stale = sum(1 for record_id, _ in missing if record_id in known)
+        if stale:
+            print(f"catalog: {stale} stale records (graph changed)", file=sys.stderr)
         if missing:
             print(f"catalog: computing {len(missing)} new records", file=sys.stderr)
-            for rec in _map_pool(_record_worker, missing, cfg.workers):
+            for rec in map_pool(_record_worker, missing, cfg.workers):
                 known[rec.id] = rec
         catalog_write([known[k] for k in sorted(known)], cfg.catalog)
         for record_id in ids:
@@ -306,13 +311,8 @@ def cmd_walks(args: argparse.Namespace) -> int:
     for record_id, G in entries:
         if not (0 <= u < G.n and 0 <= v < G.n):
             raise _UsageError(f"{record_id}: pair ({u},{v}) out of range for n={G.n}")
-        m = default_m(G)
-        A = adjacency_matrix(G)
-        counts = []
-        P = A
-        for _ in range(m):
-            counts.append(P.rows[u][v])
-            P = mat_mul(P, A)
+        m, powers = walk_powers(G)
+        counts = [P[u][v] for P in powers]
         if cfg.format == "text":
             print(f"{record_id}: m={m}, s({u},{v})=({', '.join(str(c) for c in counts)})")
         else:

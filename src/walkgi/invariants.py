@@ -18,10 +18,11 @@ walks longer than that carry no further information.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graph import Graph, local_complement
-from .linalg import adjacency_matrix, determinant, distinct_eigenvalue_count, mat_mul
+from .linalg import adjacency_matrix, determinant, walk_powers
 
 
 def _encode_uint(x: int) -> bytes:
@@ -50,12 +51,23 @@ class WalkSignature:
     def n(self) -> int:
         return len(self.rows)
 
+    @classmethod
+    def from_powers(cls, powers: list[list[list[int]]]) -> WalkSignature:
+        """Signature of the powers A^1..A^m as returned by ``walk_powers``."""
+        rows = [tuple(sorted(zip(*(P[i] for P in powers)))) for i in range(len(powers[0]))]
+        rows.sort()
+        return cls(m=len(powers), rows=tuple(rows))
+
     def encode(self) -> bytes:
         out = [b"WS1", _encode_uint(self.n), _encode_uint(self.m)]
+        # walk-count tuples repeat heavily; encode each distinct one once
+        memo: dict[tuple[int, ...], bytes] = {}
         for row in self.rows:
             for tup in row:
-                for x in tup:
-                    out.append(_encode_int(x))
+                enc = memo.get(tup)
+                if enc is None:
+                    enc = memo[tup] = b"".join(map(_encode_int, tup))
+                out.append(enc)
         return b"".join(out)
 
     def digest(self) -> str:
@@ -89,9 +101,18 @@ class DetProfile:
 
 @dataclass(frozen=True, slots=True)
 class LcWalkSignature:
-    """Sorted multiset of the walk signatures of all n local complements."""
+    """Sorted multiset of the walk signatures of all n local complements.
+
+    ``part_encodings`` holds ``part.encode()`` for each part, in order; it is
+    derived from ``parts`` when not given.
+    """
 
     parts: tuple[WalkSignature, ...]
+    part_encodings: tuple[bytes, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.part_encodings is None:
+            object.__setattr__(self, "part_encodings", tuple(p.encode() for p in self.parts))
 
     @property
     def n(self) -> int:
@@ -99,8 +120,7 @@ class LcWalkSignature:
 
     def encode(self) -> bytes:
         out = [b"LW1", _encode_uint(self.n)]
-        for part in self.parts:
-            enc = part.encode()
+        for enc in self.part_encodings:
             out.append(_encode_uint(len(enc)))
             out.append(enc)
         return b"".join(out)
@@ -109,27 +129,18 @@ class LcWalkSignature:
         return hashlib.sha256(self.encode()).hexdigest()
 
 
-def walk_signature(G: Graph, m: int) -> WalkSignature:
-    """Exact walk-count signature of G for walk lengths 1..m."""
-    if m < 1:
-        raise ValueError(f"walk horizon must be >= 1, got {m}")
-    A = adjacency_matrix(G)
-    powers = [A]
-    for _ in range(m - 1):
-        powers.append(mat_mul(powers[-1], A))
-    n = G.n
-    rows = []
-    for i in range(n):
-        power_rows = [P.rows[i] for P in powers]
-        row = sorted(tuple(pr[j] for pr in power_rows) for j in range(n))
-        rows.append(tuple(row))
-    rows.sort()
-    return WalkSignature(m=m, rows=tuple(rows))
+def walk_signature(G: Graph, m: int | None = None) -> WalkSignature:
+    """Exact walk-count signature of G for walk lengths 1..m.
+
+    ``m`` defaults to G's own horizon, ``default_m(G)``, found from the same
+    powers.
+    """
+    return WalkSignature.from_powers(walk_powers(G, m)[1])
 
 
 def default_m(G: Graph) -> int:
     """Walk horizon for G: the number of distinct adjacency eigenvalues."""
-    return distinct_eigenvalue_count(adjacency_matrix(G))
+    return walk_powers(G)[0]
 
 
 def _profile_order(v: int) -> tuple[int, bool, int]:
@@ -149,9 +160,7 @@ def lc_walk_signature(G: Graph) -> LcWalkSignature:
     Each complement gets its own horizon m_u = default_m of that complement,
     keeping the invariant a property of G alone (cacheable, pair-independent).
     """
-    parts = []
-    for u in range(G.n):
-        L = local_complement(G, u)
-        parts.append(walk_signature(L, default_m(L)))
-    parts.sort(key=WalkSignature.encode)
-    return LcWalkSignature(parts=tuple(parts))
+    parts = [walk_signature(local_complement(G, u)) for u in range(G.n)]
+    keyed = sorted(((p.encode(), p) for p in parts), key=itemgetter(0))
+    return LcWalkSignature(parts=tuple(p for _, p in keyed),
+                           part_encodings=tuple(enc for enc, _ in keyed))

@@ -17,18 +17,12 @@ from __future__ import annotations
 import time
 import warnings
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, degree_sequence
-from .invariants import (
-    default_m,
-    lc_determinant_profile,
-    lc_walk_signature,
-    walk_signature,
-)
-from .linalg import adjacency_matrix, determinant
+from .invariants import WalkSignature, lc_determinant_profile, lc_walk_signature
+from .linalg import adjacency_matrix, determinant, walk_powers
 
 STAGES = (
     "vertex-count",
@@ -82,8 +76,13 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
     if determinant(A) != determinant(B):
         return Verdict(True, "determinant")
     # the larger horizon is safe: extra tuple positions never erase a difference
-    m = max(default_m(G), default_m(H))
-    if walk_signature(G, m) != walk_signature(H, m):
+    (m_G, powers_G), (m_H, powers_H) = walk_powers(G), walk_powers(H)
+    m = max(m_G, m_H)
+    if m_G < m:
+        powers_G = walk_powers(G, m)[1]
+    if m_H < m:
+        powers_H = walk_powers(H, m)[1]
+    if WalkSignature.from_powers(powers_G) != WalkSignature.from_powers(powers_H):
         return Verdict(True, "walk-signature")
     if lc_determinant_profile(G).encode() != lc_determinant_profile(H).encode():
         return Verdict(True, "lc-det-profile")
@@ -143,9 +142,14 @@ def _lc_walk_key(G: Graph) -> bytes:
     return lc_walk_signature(G).encode()
 
 
-def _map_pool(fn, items: Sequence, workers: int) -> list:
+def map_pool(fn, items: Sequence, workers: int) -> list:
+    """``[fn(x) for x in items]``, in a process pool when ``workers`` > 1."""
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: the pool machinery is the costliest import of the
+    # package, and serial runs and the single-graph commands never need it
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
@@ -180,7 +184,7 @@ def partition_group(
     t0 = time.perf_counter()
     profile_keys: list[bytes | None] = [cache.get(i, (None, None))[0] for i in ids]
     missing = [idx for idx, key in enumerate(profile_keys) if key is None]
-    for idx, key in zip(missing, _map_pool(_profile_key, [graphs[i] for i in missing], workers)):
+    for idx, key in zip(missing, map_pool(_profile_key, [graphs[i] for i in missing], workers)):
         profile_keys[idx] = key
     t1 = time.perf_counter()
 
@@ -198,7 +202,7 @@ def partition_group(
             lc_keys[i] = cached
         else:
             to_compute.append(i)
-    for i, key in zip(to_compute, _map_pool(_lc_walk_key, [graphs[i] for i in to_compute], workers)):
+    for i, key in zip(to_compute, map_pool(_lc_walk_key, [graphs[i] for i in to_compute], workers)):
         lc_keys[i] = key
     t2 = time.perf_counter()
 

@@ -3,13 +3,27 @@
 Everything here is overflow-proof by construction: entries are plain Python
 ints, so matrix powers and determinants that break fixed-width machine
 arithmetic (negative "walk counts", nonsense float determinants) come out
-exact.  There is deliberately no fast fixed-width path.
+exact.
+
+``walk_powers`` is the one kernel the pipeline uses for adjacency powers.  It
+packs each row of a power into a single Python int with fixed-width,
+byte-aligned lanes (Kronecker substitution), so one row of A*P is a sum of
+big ints.  The lanes stay exact for two reasons: the packed ints are
+arbitrary precision, so the sum never wraps, and every lane holds at least
+the bit length of Delta**K, where Delta is the maximum degree and K bounds
+the largest power computed (n when the horizon is searched for, else m).  A
+walk count of length k is at most Delta**k and all counts are nonnegative,
+so no lane ever carries into its neighbour.
+``mat_mul``, ``mat_pow`` and ``distinct_eigenvalue_count`` are the plain
+dense reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .graph import Graph
@@ -142,6 +156,53 @@ def determinant(A: IntMatrix) -> int:
                     Mi[j] = (pk * Mi[j]) // prev
         prev = pk
     return sign * M[n - 1][n - 1]
+
+
+def walk_powers(G: Graph, m: int | None = None) -> tuple[int, list[list[list[int]]]]:
+    """Rows of A^1..A^m for the adjacency matrix A of G, as ``(m, powers)``.
+
+    ``powers[k - 1][i][j]`` is the number of walks of length k from vertex i
+    to vertex j.  With ``m`` None the horizon is found along the way: m is
+    the least k such that I, A, ..., A^k are linearly dependent, i.e. the
+    number of distinct eigenvalues of A.  The Frobenius Gram matrix of those
+    powers is the Hankel matrix [tr A^(i+j)], singular exactly when they are
+    dependent; power k adds tr A^(2k) = <A^k, A^k> and
+    tr A^(2k-1) = <A^k, A^(k-1)>, and singularity is an exact determinant.
+    """
+    n = G.n
+    if m is not None and m < 1:
+        raise ValueError(f"walk horizon must be >= 1, got {m}")
+    delta = max(row.bit_count() for row in G.rows)
+    lane = max(1, ((delta ** (n if m is None else m)).bit_length() + 7) // 8)
+    width = n * lane
+    lanes = [slice(k, k + lane) for k in range(0, width, lane)]
+    neighbours = [tuple(G.neighbors(i)) for i in range(n)]
+    packed = [sum(1 << (8 * lane * j) for j in nbrs) for nbrs in neighbours]
+    powers: list[list[list[int]]] = []
+    traces = [n, 0]  # tr A^0, tr A^1 (no loops)
+    while True:
+        rows = []
+        for r in packed:
+            data = r.to_bytes(width, "little")
+            rows.append(list(map(int.from_bytes, map(data.__getitem__, lanes), repeat("little"))))
+        powers.append(rows)
+        k = len(powers)
+        if k == m:
+            return m, powers
+        if m is None:
+            if k > 1:
+                traces.append(_frobenius(rows, powers[-2]))
+            traces.append(_frobenius(rows, rows))
+            hankel = IntMatrix(tuple(tuple(traces[i:i + k + 1]) for i in range(k + 1)))
+            if determinant(hankel) == 0:
+                return k, powers
+            if k == n:
+                raise AssertionError("powers up to n stayed independent; impossible for a square matrix")
+        packed = [sum(map(packed.__getitem__, nbrs)) for nbrs in neighbours]
+
+
+def _frobenius(P: list[list[int]], Q: list[list[int]]) -> int:
+    return sum(sum(map(mul, p, q)) for p, q in zip(P, Q))
 
 
 def distinct_eigenvalue_count(A: IntMatrix) -> int:

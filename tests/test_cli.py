@@ -146,6 +146,29 @@ def test_group_catalog_partial_reuse(tmp_path, capsys):
     assert "computing 1 new records" in err
 
 
+def test_group_catalog_recomputes_changed_graph(tmp_path, capsys):
+    # records are keyed by file:line; a line whose graph changed must not
+    # reuse the old record, or two isomorphic graphs come out "distinguished"
+    f = write_g6(tmp_path, "d.g6", rook(4), shrikhande())
+    cat = tmp_path / "c.tsv"
+    assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 0
+    capsys.readouterr()
+
+    write_g6(tmp_path, "d.g6", rook(4), rook(4))
+    assert main(["group", f, "--workers", "1"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 0
+    cached = capsys.readouterr()
+    assert "unresolved: d.g6:1, d.g6:2" in cached.out
+    assert "all singletons" not in cached.out
+    assert "1 stale records" in cached.err
+    assert _without_timing(cached.out) == _without_timing(fresh)
+
+
+def _without_timing(out: str) -> list[str]:
+    return [line for line in out.splitlines() if not line.startswith("timing:")]
+
+
 def test_group_no_graphs(tmp_path, capsys):
     p = tmp_path / "empty.g6"
     p.write_text("# nothing here\n")

@@ -5,6 +5,7 @@ import pytest
 
 from walkgi import (
     DetProfile,
+    LcWalkSignature,
     WalkSignature,
     adjacency_matrix,
     build_graph,
@@ -17,7 +18,17 @@ from walkgi import (
     parse_graph6,
     walk_signature,
 )
-from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
+from fixture_graphs import (
+    chang_graphs,
+    complete,
+    cycle,
+    empty_graph,
+    path,
+    petersen,
+    rook,
+    shrikhande,
+    triangular,
+)
 from oracles import cofactor_determinant, random_graph, random_permutation, relabeled
 
 
@@ -161,3 +172,43 @@ def test_negative_entries_encode_distinctly():
     assert DetProfile((1,)).encode() != DetProfile((-1,)).encode()
     assert DetProfile((255,)).encode() != DetProfile((-256,)).encode()
     assert DetProfile((0,)).encode() != DetProfile((256,)).encode()
+
+
+# sha256 of the encodings as first published; catalogs store these bytes, so
+# any change to the walk kernel or the encoders must reproduce them exactly
+LC_WALK_DIGESTS = {
+    "T(8)": "e7203fe928cd501d21b4b28f137cb96979e79f90a12604515c226981c2f8049a",
+    "Chang[0]": "96a200cd1edb860445ab2a5bb24d7964dc8c9fa6d92297f30d4863105c5e67eb",
+    "Chang[1]": "d435969ff234cd570aeced20e1b9e1ca83a063be575227b6221491488bb31c88",
+    "Chang[2]": "0563ac23d1acd41d98dfe4be714189d532a0481bb189edf8ed9aeffca2679a52",
+    "rook(4)": "e059771238b01179a022fc3fb23205d7c759549c7ea8e781de3c03b4375fe5f7",
+    "Shrikhande": "1de3a5e93ecb7c90cbbcef82fa3cb7a0a630ac9c1bb517c11be92d83a15af003",
+}
+WALK_3_DIGESTS = {
+    "rook(4)": "282cdab334eba627489802c8c1f1ef2c9ef41c3384489582962f063bb4491dcc",
+    "T(8)": "6c612a0505236c4c33640d31ad09f25036d8fe48954397eba9887b1cc38d0974",
+}
+
+
+def test_golden_encodings_are_byte_identical():
+    c0, c1, c2 = chang_graphs()
+    graphs = {"T(8)": triangular(8), "Chang[0]": c0, "Chang[1]": c1, "Chang[2]": c2,
+              "rook(4)": rook(4), "Shrikhande": shrikhande()}
+    for name, digest in LC_WALK_DIGESTS.items():
+        assert lc_walk_signature(graphs[name]).digest() == digest, name
+    for name, digest in WALK_3_DIGESTS.items():
+        assert walk_signature(graphs[name], 3).digest() == digest, name
+
+
+def test_walk_signature_default_horizon():
+    G = shrikhande()
+    L = local_complement(G, 0)
+    assert walk_signature(L) == walk_signature(L, default_m(L))
+    assert walk_signature(G).m == 3
+
+
+def test_lc_walk_part_encodings():
+    sig = lc_walk_signature(cycle(5))
+    assert sig.part_encodings == tuple(p.encode() for p in sig.parts)
+    rebuilt = LcWalkSignature(parts=sig.parts)
+    assert rebuilt == sig and rebuilt.encode() == sig.encode()

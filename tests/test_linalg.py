@@ -8,10 +8,24 @@ from walkgi import (
     build_graph,
     determinant,
     distinct_eigenvalue_count,
+    local_complement,
     mat_mul,
     mat_pow,
+    walk_powers,
 )
-from fixture_graphs import complete, cycle, empty_graph, path, petersen
+from fixture_graphs import (
+    chang_graphs,
+    complete,
+    cycle,
+    disjoint_union,
+    empty_graph,
+    path,
+    petersen,
+    rook,
+    shrikhande,
+    star,
+    triangular,
+)
 from oracles import (
     bareiss_first_pivot_determinant,
     cofactor_determinant,
@@ -174,3 +188,91 @@ def test_distinct_eigenvalue_count_scaling_invariance():
         G = random_graph(rng, rng.randint(1, 7))
         A = adjacency_matrix(G)
         assert distinct_eigenvalue_count(A) == distinct_eigenvalue_count(3 * A)
+
+
+def _dense_powers(G, m):
+    A = adjacency_matrix(G)
+    return [[list(row) for row in mat_pow(A, k).rows] for k in range(1, m + 1)]
+
+
+EDGE_CASES = [
+    empty_graph(1),
+    empty_graph(5),
+    complete(2),
+    complete(6),
+    path(6),
+    star(5),
+    disjoint_union(complete(3), cycle(5)),
+    disjoint_union(petersen(), empty_graph(2)),
+]
+FIXTURES = EDGE_CASES + [cycle(7), petersen(), rook(4), shrikhande(), triangular(8), *chang_graphs()]
+
+
+@pytest.mark.parametrize("G", EDGE_CASES, ids=lambda G: f"n{G.n}e{G.edge_count()}")
+def test_walk_powers_edge_cases_match_dense(G):
+    m, powers = walk_powers(G)
+    assert m == distinct_eigenvalue_count(adjacency_matrix(G))
+    assert len(powers) == m
+    assert powers == _dense_powers(G, m)
+
+
+def test_walk_powers_horizon_on_fixtures():
+    for G in FIXTURES:
+        m, powers = walk_powers(G)
+        assert m == distinct_eigenvalue_count(adjacency_matrix(G))
+        assert powers[-1] == [list(row) for row in mat_pow(adjacency_matrix(G), m).rows]
+
+
+def test_walk_powers_horizon_on_local_complements():
+    # LC graphs are not strongly regular: their horizons run to 7..17
+    horizons = set()
+    for G in (rook(4), shrikhande(), triangular(8), *chang_graphs()):
+        for u in range(G.n):
+            L = local_complement(G, u)
+            m, _ = walk_powers(L)
+            assert m == distinct_eigenvalue_count(adjacency_matrix(L))
+            horizons.add(m)
+    assert max(horizons) >= 17
+
+
+def test_walk_powers_match_dense_on_local_complements():
+    for G in (shrikhande(), chang_graphs()[1]):
+        L = local_complement(G, 0)
+        m, powers = walk_powers(L)
+        assert powers == _dense_powers(L, m)
+
+
+def test_walk_powers_random_graphs():
+    rng = random.Random(11)
+    for _ in range(60):
+        G = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.5, 0.8)))
+        m, powers = walk_powers(G)
+        assert m == distinct_eigenvalue_count(adjacency_matrix(G))
+        assert powers == _dense_powers(G, m)
+
+
+def test_walk_powers_count_walks():
+    rng = random.Random(12)
+    for _ in range(20):
+        G = random_graph(rng, rng.randint(2, 7))
+        m, powers = walk_powers(G, 4)
+        assert m == 4
+        for _ in range(5):
+            u, v, k = rng.randrange(G.n), rng.randrange(G.n), rng.randint(1, 4)
+            assert powers[k - 1][u][v] == count_walks(G, u, v, k)
+
+
+def test_walk_powers_explicit_m_beyond_horizon():
+    # the distinguish_pair path: a horizon larger than the graph's own; the
+    # lanes must hold Delta**m, not Delta**n
+    for G in (complete(3), petersen(), empty_graph(3), rook(4)):
+        m, powers = walk_powers(G, G.n + 5)
+        assert m == G.n + 5
+        assert powers == _dense_powers(G, m)
+    m, powers = walk_powers(path(3), 1)
+    assert (m, powers) == (1, _dense_powers(path(3), 1))
+
+
+def test_walk_powers_rejects_bad_m():
+    with pytest.raises(ValueError):
+        walk_powers(path(3), 0)
