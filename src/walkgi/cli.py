@@ -201,10 +201,6 @@ def _certificate_text(certificate: tuple[int, ...]) -> str:
     return " ".join(f"{u}->{w}" for u, w in enumerate(certificate))
 
 
-def _record_worker(item: tuple[str, Graph]) -> CatalogRecord:
-    return make_catalog_record(*item)
-
-
 def cmd_group(args: argparse.Namespace) -> int:
     cfg = _config(args)
     entries, failed = _read_graphs(args.files, cfg.strict)
@@ -216,30 +212,38 @@ def cmd_group(args: argparse.Namespace) -> int:
     graphs = [G for _, G in entries]
 
     cache: dict[str, tuple[bytes | None, bytes | None]] = {}
+    known: dict[str, CatalogRecord] = {}
     if cfg.catalog:
-        known: dict[str, CatalogRecord] = {}
         if os.path.exists(cfg.catalog):
-            for rec in catalog_read(cfg.catalog, with_blobs=True):
-                known[rec.id] = rec
+            known = {rec.id: rec for rec in catalog_read(cfg.catalog, with_blobs=True)}
             print(f"catalog: {len(known)} cached records", file=sys.stderr)
         # a record is reused only for the very graph it was computed from
-        missing = [(record_id, G) for record_id, G in entries
-                   if record_id not in known or known[record_id].g6 != write_graph6(G)]
-        stale = sum(1 for record_id, _ in missing if record_id in known)
+        for record_id, G in entries:
+            rec = known.get(record_id)
+            if rec is not None and rec.g6 == write_graph6(G):
+                cache[record_id] = (rec.lc_profile_encoding, rec.lc_walk_encoding)
+        stale = sum(1 for record_id in ids if record_id in known and record_id not in cache)
         if stale:
             print(f"catalog: {stale} stale records (graph changed)", file=sys.stderr)
-        if missing:
-            print(f"catalog: computing {len(missing)} new records", file=sys.stderr)
-            for rec in map_pool(_record_worker, missing, cfg.workers):
-                known[rec.id] = rec
-        catalog_write([known[k] for k in sorted(known)], cfg.catalog)
-        for record_id in ids:
-            rec = known[record_id]
-            cache[record_id] = (rec.lc_profile_encoding, rec.lc_walk_encoding)
+        if len(cache) < len(ids):
+            print(f"catalog: computing {len(ids) - len(cache)} new records", file=sys.stderr)
 
     t0 = time.perf_counter()
     report = partition_group(graphs, ids=ids, workers=cfg.workers, invariant_cache=cache)
     elapsed = time.perf_counter() - t0
+
+    if cfg.catalog:
+        changed = False
+        for (record_id, G), (profile_enc, walk_enc) in zip(entries, report.encodings):
+            cached_profile, cached_walk = cache.get(record_id, (None, None))
+            if cached_profile is not None and (walk_enc is None or cached_walk is not None):
+                continue  # the record holds everything this run used
+            if walk_enc is None:
+                walk_enc = cached_walk
+            known[record_id] = make_catalog_record(record_id, G, profile_enc, walk_enc)
+            changed = True
+        if changed:
+            catalog_write([known[k] for k in sorted(known)], cfg.catalog)
 
     stats = report.stats()
     if cfg.format == "text":
@@ -266,6 +270,8 @@ def cmd_group(args: argparse.Namespace) -> int:
         for members in report.multi_member_final():
             print(f"record=class kind=final size={len(members)} members=" + ",".join(members))
         print(f"timing: {_timing_text(report.timings)}, total {elapsed:.3f}s", file=sys.stderr)
+    print("stages: " + ", ".join(f"{name} computed={computed} cached={cached}"
+                                 for name, computed, cached in report.counts), file=sys.stderr)
     return 1 if failed else 0
 
 

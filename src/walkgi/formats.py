@@ -8,26 +8,33 @@ huge-graph header is rejected.
 
 The catalog is a flat TSV file (header line "walkgi-catalog v1") holding one
 record per graph: its graph6 text, strong-regularity parameters, exact
-determinant as decimal text, and content digests of the two local-complement
-invariant encodings.  The encodings themselves live in a sidecar blob
-directory keyed by hex digest, so equality checks can always fall back to
-full byte comparison.
+determinant as decimal text, and sha256 digests of the two local-complement
+invariant encodings.  The catalog computes neither encoding itself: records
+carry the encodings ``partition_group`` used, so the lc-walk digest is "-"
+for a graph whose coarse class was a singleton.  The encodings themselves live in a
+sidecar blob directory keyed by hex digest, so equality checks can always
+fall back to full byte comparison.  Every blob and then the TSV is written to
+a temp file and renamed into place, so an interrupted write leaves the
+previous catalog readable; digest fields are validated before they name a
+file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .graph import MAX_VERTICES, Graph, SrgParams, srg_parameters
-from .invariants import lc_determinant_profile, lc_walk_signature
 from .linalg import adjacency_matrix, determinant
 
 GRAPH6_HEADER_TOKEN = ">>graph6<<"
 CATALOG_HEADER = "walkgi-catalog v1"
+NO_DIGEST = "-"
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 class Graph6Error(ValueError):
@@ -179,19 +186,21 @@ class CatalogRecord:
     lc_walk_encoding: bytes | None = None
 
 
-def make_catalog_record(record_id: str, G: Graph) -> CatalogRecord:
-    """Compute a full catalog record (both invariant encodings) for one graph."""
-    profile_enc = lc_determinant_profile(G).encode()
-    walk_enc = lc_walk_signature(G).encode()
+def make_catalog_record(
+    record_id: str, G: Graph, lc_profile_encoding: bytes, lc_walk_encoding: bytes | None
+) -> CatalogRecord:
+    """A catalog record for one graph and the invariant encodings computed for
+    it; a None lc-walk encoding is recorded as the digest "-"."""
     return CatalogRecord(
         id=record_id,
         g6=write_graph6(G),
         params=srg_parameters(G),
         det=determinant(adjacency_matrix(G)),
-        lc_profile_digest=hashlib.sha256(profile_enc).hexdigest(),
-        lc_walk_digest=hashlib.sha256(walk_enc).hexdigest(),
-        lc_profile_encoding=profile_enc,
-        lc_walk_encoding=walk_enc,
+        lc_profile_digest=hashlib.sha256(lc_profile_encoding).hexdigest(),
+        lc_walk_digest=(NO_DIGEST if lc_walk_encoding is None
+                        else hashlib.sha256(lc_walk_encoding).hexdigest()),
+        lc_profile_encoding=lc_profile_encoding,
+        lc_walk_encoding=lc_walk_encoding,
     )
 
 
@@ -218,8 +227,22 @@ def _parse_params(text: str, where: str) -> SrgParams | None:
     return SrgParams(n, d, alpha, beta)
 
 
+def _replace_file(target: Path, data: bytes) -> None:
+    """Write ``data`` to ``target`` through a temp file in the same directory,
+    so ``target`` never holds partial bytes."""
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> None:
-    """Write catalog TSV plus sidecar blobs for records carrying encodings."""
+    """Write sidecar blobs for records carrying encodings, then the catalog
+    TSV; each file is replaced atomically, the TSV last."""
     records = list(records)
     lines = [CATALOG_HEADER]
     for rec in records:
@@ -238,7 +261,6 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     blobs = blob_dir(path)
     pending = []
     for rec in records:
@@ -255,7 +277,8 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
         for digest, enc in pending:
             target = blobs / digest
             if not target.exists():
-                target.write_bytes(enc)
+                _replace_file(target, enc)
+    _replace_file(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[CatalogRecord]:
@@ -267,6 +290,7 @@ def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[Catal
         found = lines[0] if lines else "<empty file>"
         raise CatalogError(f"unsupported catalog version: {found!r}")
     blobs = blob_dir(path)
+    loaded: dict[str, bytes | None] = {NO_DIGEST: None}
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -280,15 +304,21 @@ def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[Catal
             det = int(det_text)
         except ValueError as exc:
             raise CatalogError(f"{where}: bad determinant field {det_text!r}") from exc
+        params = _parse_params(params_text, where)
+        # digests name files under the blob directory: nothing else may pass
+        if not _DIGEST.fullmatch(profile_digest):
+            raise CatalogError(f"{where}: bad lc-profile digest {profile_digest!r}")
+        if not (walk_digest == NO_DIGEST or _DIGEST.fullmatch(walk_digest)):
+            raise CatalogError(f"{where}: bad lc-walk digest {walk_digest!r}")
         profile_enc = walk_enc = None
         if with_blobs:
-            profile_enc = _load_blob(blobs, profile_digest, where)
-            walk_enc = _load_blob(blobs, walk_digest, where)
+            profile_enc = _load_blob(blobs, profile_digest, where, loaded)
+            walk_enc = _load_blob(blobs, walk_digest, where, loaded)
         records.append(
             CatalogRecord(
                 id=rec_id,
                 g6=g6,
-                params=_parse_params(params_text, where),
+                params=params,
                 det=det,
                 lc_profile_digest=profile_digest,
                 lc_walk_digest=walk_digest,
@@ -299,11 +329,15 @@ def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[Catal
     return records
 
 
-def _load_blob(blobs: Path, digest: str, where: str) -> bytes | None:
-    target = blobs / digest
-    if not target.is_file():
-        return None
-    data = target.read_bytes()
-    if hashlib.sha256(data).hexdigest() != digest:
-        raise CatalogError(f"{where}: sidecar blob {digest} fails digest check")
-    return data
+def _load_blob(
+    blobs: Path, digest: str, where: str, loaded: dict[str, bytes | None]
+) -> bytes | None:
+    """The verified blob named by ``digest``, or None if there is none.  Records
+    of isomorphic graphs share blobs; ``loaded`` reads each one only once."""
+    if digest not in loaded:
+        target = blobs / digest
+        data = target.read_bytes() if target.is_file() else None
+        if data is not None and hashlib.sha256(data).hexdigest() != digest:
+            raise CatalogError(f"{where}: sidecar blob {digest} fails digest check")
+        loaded[digest] = data
+    return loaded[digest]

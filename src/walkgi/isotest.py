@@ -100,11 +100,17 @@ class PartitionReport:
     walk signature.  Graphs sharing a final class are not distinguished by
     this method.  Class member ids keep dataset order; classes are ordered by
     their sorted invariant encodings, so reports are deterministic.
+
+    ``encodings`` holds, in ``ids`` order, the (profile, lc-walk) encodings the
+    run used; lc-walk is None for a graph whose coarse class is a singleton.
+    ``counts`` holds (stage, computed, cached) graph counts per stage.
     """
 
     ids: tuple[str, ...]
     coarse_classes: tuple[tuple[str, ...], ...]
     final_classes: tuple[tuple[str, ...], ...]
+    encodings: tuple[tuple[bytes, bytes | None], ...] = field(compare=False)
+    counts: tuple[tuple[str, int, int], ...] = field(compare=False)
     timings: tuple[tuple[str, float], ...] = field(default=(), compare=False)
 
     def coarse_size_counts(self) -> dict[int, int]:
@@ -165,9 +171,13 @@ def partition_group(
 
     ``invariant_cache`` optionally maps a graph id to precomputed
     (profile encoding, lc-walk encoding) bytes, e.g. loaded from a catalog;
-    either entry may be None.  Per-graph invariants are computed in a worker
-    pool when ``workers`` > 1; assembly is a deterministic reduce over sorted
-    encodings, so the result does not depend on the worker count.
+    either entry may be None.  Only what the cache lacks is computed, and the
+    lc-walk encoding only for members of ambiguous coarse classes.  The report
+    gives back the encodings the run used and how many of each stage were
+    computed or cached, so a caller can store exactly what was computed.
+    Per-graph invariants are computed in a worker pool when ``workers`` > 1;
+    assembly is a deterministic reduce over sorted encodings, so the result
+    does not depend on the worker count.
     """
     graphs = list(graphs)
     if ids is None:
@@ -223,6 +233,9 @@ def partition_group(
         coarse_classes=tuple(tuple(ids[i] for i in members) for _, members in coarse_sorted),
         final_classes=tuple(tuple(ids[i] for i in members) for _, members in final_entries),
         timings=(("lc-det-profile", t1 - t0), ("lc-walk-signature", t2 - t1)),
+        encodings=tuple((key, lc_keys.get(i)) for i, key in enumerate(profile_keys)),
+        counts=(("lc-det-profile", len(missing), len(graphs) - len(missing)),
+                ("lc-walk-signature", len(to_compute), len(ambiguous) - len(to_compute))),
     )
 
 

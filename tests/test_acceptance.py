@@ -327,10 +327,10 @@ def test_criterion_6_format_fidelity(tmp_path):
 
         # catalog round-trip is lossless
         records = [
-            make_catalog_record("pete", petersen()),
-            make_catalog_record("rook4", rook(4)),
-            make_catalog_record("path5", path(5)),
-            make_catalog_record("c4", cycle(4)),
+            make_catalog_record(name, G, lc_determinant_profile(G).encode(),
+                                lc_walk_signature(G).encode())
+            for name, G in (("pete", petersen()), ("rook4", rook(4)), ("path5", path(5)),
+                            ("c4", cycle(4)))
         ]
         cat = tmp_path / "acceptance.catalog"
         catalog_write(records, cat)

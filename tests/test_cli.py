@@ -1,8 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
-from walkgi import build_graph, write_graph6
+from walkgi import (
+    build_graph,
+    catalog_write,
+    lc_determinant_profile,
+    lc_walk_signature,
+    make_catalog_record,
+    write_graph6,
+)
 from walkgi.cli import main
 from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
 from oracles import random_graph, random_permutation, relabeled
@@ -130,7 +138,7 @@ def test_group_catalog_reuse(tmp_path, capsys):
     second = capsys.readouterr()
     assert "2 cached records" in second.err
     assert "computing" not in second.err
-    assert first.out == second.out
+    assert _without_timing(first.out) == _without_timing(second.out)
 
 
 def test_group_catalog_partial_reuse(tmp_path, capsys):
@@ -167,6 +175,94 @@ def test_group_catalog_recomputes_changed_graph(tmp_path, capsys):
 
 def _without_timing(out: str) -> list[str]:
     return [line for line in out.splitlines() if not line.startswith("timing:")]
+
+
+def _catalog_fields(cat) -> dict[str, list[str]]:
+    rows = [line.split("\t") for line in cat.read_text().splitlines()[1:]]
+    return {row[0]: row for row in rows}
+
+
+def _stages(err: str) -> str:
+    (line,) = [line for line in err.splitlines() if line.startswith("stages: ")]
+    return line
+
+
+def test_group_cold_catalog_skips_lc_walk_for_singletons(tmp_path, capsys):
+    # rook(4) and Shrikhande differ in their lc-det profiles
+    f = write_g6(tmp_path, "srg16.g6", rook(4), shrikhande())
+    cat = tmp_path / "inv.catalog"
+    assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 0
+    err = capsys.readouterr().err
+    assert _stages(err) == (
+        "stages: lc-det-profile computed=2 cached=0, lc-walk-signature computed=0 cached=0"
+    )
+    fields = _catalog_fields(cat)
+    assert [fields[i][5] for i in ("srg16.g6:1", "srg16.g6:2")] == ["-", "-"]
+    blobs = {p.name for p in (tmp_path / "inv.catalog.blobs").iterdir()}
+    assert blobs == {fields[i][4] for i in ("srg16.g6:1", "srg16.g6:2")}
+
+
+def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys):
+    G = rook(4)
+    a = write_g6(tmp_path, "a.g6", G)
+    b = write_g6(tmp_path, "b.g6", relabeled(G, random_permutation(random.Random(84), 16)))
+    cat = tmp_path / "inv.catalog"
+    assert main(["group", a, "--catalog", str(cat), "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert _catalog_fields(cat)["a.g6:1"][5] == "-"
+
+    assert main(["group", a, b, "--workers", "1"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
+    cached = capsys.readouterr()
+    assert _without_timing(cached.out) == _without_timing(fresh)
+    assert "unresolved: a.g6:1, b.g6:1" in cached.out
+    assert _stages(cached.err) == (
+        "stages: lc-det-profile computed=1 cached=1, lc-walk-signature computed=2 cached=0"
+    )
+    walk_digest = hashlib.sha256(lc_walk_signature(G).encode()).hexdigest()
+    fields = _catalog_fields(cat)
+    assert fields["a.g6:1"][5] == fields["b.g6:1"][5] == walk_digest
+    assert (tmp_path / "inv.catalog.blobs" / walk_digest).is_file()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_group_records_identical_with_and_without_catalog(tmp_path, capsys, workers):
+    G = rook(4)
+    f = write_g6(tmp_path, "mix.g6", G, shrikhande(),
+                 relabeled(G, random_permutation(random.Random(85), 16)))
+    cat = tmp_path / "inv.catalog"
+    outputs = []
+    for catalog in ([], ["--catalog", str(cat)], ["--catalog", str(cat)]):
+        assert main(["group", f, "--format", "records", "--workers", workers, *catalog]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out == outputs[1].out == outputs[2].out
+    assert "record=class kind=final size=2 members=mix.g6:1,mix.g6:3" in outputs[0].out
+    assert _stages(outputs[2].err) == (
+        "stages: lc-det-profile computed=0 cached=3, lc-walk-signature computed=0 cached=2"
+    )
+
+
+def test_group_reuses_full_records(tmp_path, capsys):
+    # records holding both encodings for every graph, singletons included
+    graphs = [rook(4), shrikhande(), relabeled(rook(4), random_permutation(random.Random(86), 16))]
+    f = write_g6(tmp_path, "srg16.g6", *graphs)
+    cat = tmp_path / "inv.catalog"
+    catalog_write([
+        make_catalog_record(f"srg16.g6:{i}", G, lc_determinant_profile(G).encode(),
+                            lc_walk_signature(G).encode())
+        for i, G in enumerate(graphs, start=1)
+    ], cat)
+    before = cat.read_bytes()
+    assert main(["group", f, "--workers", "1"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 0
+    cached = capsys.readouterr()
+    assert _without_timing(cached.out) == _without_timing(fresh)
+    assert _stages(cached.err) == (
+        "stages: lc-det-profile computed=0 cached=3, lc-walk-signature computed=0 cached=2"
+    )
+    assert cat.read_bytes() == before
 
 
 def test_group_no_graphs(tmp_path, capsys):

@@ -14,6 +14,8 @@ from walkgi import (
     build_graph,
     catalog_read,
     catalog_write,
+    lc_determinant_profile,
+    lc_walk_signature,
     make_catalog_record,
     parse_graph6,
     read_dataset,
@@ -21,6 +23,10 @@ from walkgi import (
 )
 from fixture_graphs import complete, cycle, empty_graph, path, petersen
 from oracles import random_graph
+
+
+def lc_encodings(G):
+    return lc_determinant_profile(G).encode(), lc_walk_signature(G).encode()
 
 
 def nx_to_graph(nxg):
@@ -170,7 +176,7 @@ def test_read_dataset_strict_raises(tmp_path):
 
 
 def test_make_catalog_record():
-    rec = make_catalog_record("pete", petersen())
+    rec = make_catalog_record("pete", petersen(), *lc_encodings(petersen()))
     assert rec.id == "pete"
     assert parse_graph6(rec.g6) == petersen()
     assert rec.params == SrgParams(10, 3, 0, 1)
@@ -182,9 +188,9 @@ def test_make_catalog_record():
 
 def test_catalog_roundtrip(tmp_path):
     records = [
-        make_catalog_record("pete", petersen()),
-        make_catalog_record("c5", cycle(5)),
-        make_catalog_record("p4", path(4)),
+        make_catalog_record("pete", petersen(), *lc_encodings(petersen())),
+        make_catalog_record("c5", cycle(5), *lc_encodings(cycle(5))),
+        make_catalog_record("p4", path(4), *lc_encodings(path(4))),
     ]
     cat = tmp_path / "test.catalog"
     catalog_write(records, cat)
@@ -195,7 +201,7 @@ def test_catalog_roundtrip(tmp_path):
 
 def test_catalog_read_without_blobs(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("c4", cycle(4))], cat)
+    catalog_write([make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))], cat)
     (rec,) = catalog_read(cat, with_blobs=False)
     assert rec.lc_profile_encoding is None
     assert rec.lc_walk_encoding is None
@@ -205,7 +211,7 @@ def test_catalog_read_without_blobs(tmp_path):
 
 def test_catalog_missing_blobs_read_as_none(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("c4", cycle(4))], cat)
+    catalog_write([make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))], cat)
     for blob in (tmp_path / "test.catalog.blobs").iterdir():
         blob.unlink()
     (rec,) = catalog_read(cat)
@@ -214,7 +220,7 @@ def test_catalog_missing_blobs_read_as_none(tmp_path):
 
 def test_catalog_detects_tampered_blob(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("c4", cycle(4))], cat)
+    catalog_write([make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))], cat)
     blobs = sorted((tmp_path / "test.catalog.blobs").iterdir())
     blobs[0].write_bytes(b"garbage")
     with pytest.raises(CatalogError, match="digest"):
@@ -245,13 +251,102 @@ def test_catalog_rejects_malformed_lines(tmp_path):
 
 
 def test_catalog_rejects_tab_in_id(tmp_path):
-    rec = make_catalog_record("bad\tid", cycle(4))
+    rec = make_catalog_record("bad\tid", cycle(4), *lc_encodings(cycle(4)))
     with pytest.raises(CatalogError, match="tab"):
         catalog_write([rec], tmp_path / "test.catalog")
 
 
 def test_catalog_params_roundtrip_non_srg(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("p4", path(4))], cat)
+    catalog_write([make_catalog_record("p4", path(4), *lc_encodings(path(4)))], cat)
     (rec,) = catalog_read(cat)
     assert rec.params is None
+
+
+def test_catalog_record_without_lc_walk_roundtrip(tmp_path):
+    profile_enc, _ = lc_encodings(petersen())
+    rec = make_catalog_record("pete", petersen(), profile_enc, None)
+    assert rec.lc_walk_digest == "-"
+    cat = tmp_path / "test.catalog"
+    catalog_write([rec], cat)
+    assert cat.read_text().splitlines()[1].endswith("\t-")
+    assert [p.name for p in (tmp_path / "test.catalog.blobs").iterdir()] == [rec.lc_profile_digest]
+    assert catalog_read(cat) == [rec]
+
+
+@pytest.mark.parametrize(
+    "profile_digest, walk_digest, field",
+    [
+        ("../../../etc/hostname", "-", "lc-profile"),
+        ("a" * 63, "-", "lc-profile"),
+        ("-", "-", "lc-profile"),
+        ("a" * 64, "../../../etc/hostname", "lc-walk"),
+        ("a" * 64, "a" * 63, "lc-walk"),
+        ("a" * 64, "A" * 64, "lc-walk"),
+    ],
+)
+def test_catalog_rejects_bad_digest(tmp_path, profile_digest, walk_digest, field):
+    cat = tmp_path / "test.catalog"
+    cat.write_text(f"{CATALOG_HEADER}\nid\tBw\t-\t2\t{profile_digest}\t{walk_digest}\n")
+    with pytest.raises(CatalogError, match=f"test.catalog:2: bad {field} digest"):
+        catalog_read(cat)
+    with pytest.raises(CatalogError, match=f"bad {field} digest"):
+        catalog_read(cat, with_blobs=False)
+
+
+class _CrashingWrite:
+    """A file whose first write stores half its bytes, runs ``at_crash`` on
+    what is then on disk, and fails."""
+
+    def __init__(self, fh, at_crash):
+        self.fh = fh
+        self.at_crash = at_crash
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        self.at_crash()
+        raise OSError("no space left on device")
+
+
+# the new record adds two blobs, then the TSV is written: three files
+@pytest.mark.parametrize("fail_at", [1, 2, 3])
+def test_catalog_write_failure_keeps_previous_catalog(tmp_path, monkeypatch, fail_at):
+    import walkgi.formats
+
+    cat = tmp_path / "test.catalog"
+    blobs = tmp_path / "test.catalog.blobs"
+    old = [make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))]
+    catalog_write(old, cat)
+    new = old + [make_catalog_record("pete", petersen(), *lc_encodings(petersen()))]
+
+    def previous_catalog_intact():
+        assert catalog_read(cat) == old
+        for blob in blobs.iterdir():
+            if len(blob.name) == 64:  # named by a digest
+                assert hashlib.sha256(blob.read_bytes()).hexdigest() == blob.name
+
+    opened = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        opened.append(file)
+        return _CrashingWrite(fh, previous_catalog_intact) if len(opened) == fail_at else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(walkgi.formats, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            catalog_write(new, cat)
+
+    previous_catalog_intact()
+    # the failed write leaves no temp file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["test.catalog", "test.catalog.blobs"]
+    assert all(len(p.name) == 64 for p in blobs.iterdir())
+    catalog_write(new, cat)
+    assert catalog_read(cat) == new
