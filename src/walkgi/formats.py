@@ -16,7 +16,7 @@ sidecar blob directory keyed by hex digest, so equality checks can always
 fall back to full byte comparison.  Every blob and then the TSV is written to
 a temp file and renamed into place, so an interrupted write leaves the
 previous catalog readable; digest fields are validated before they name a
-file.
+file.  Once the new TSV is in place, blobs it no longer names are removed.
 """
 
 from __future__ import annotations
@@ -242,7 +242,9 @@ def _replace_file(target: Path, data: bytes) -> None:
 
 def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> None:
     """Write sidecar blobs for records carrying encodings, then the catalog
-    TSV; each file is replaced atomically, the TSV last."""
+    TSV; each file is replaced atomically, the TSV last.  Then remove every
+    digest-named blob that no record names (a stale record was replaced);
+    temp files and other files in the blob directory are left alone."""
     records = list(records)
     lines = [CATALOG_HEADER]
     for rec in records:
@@ -279,6 +281,11 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
             if not target.exists():
                 _replace_file(target, enc)
     _replace_file(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
+    if blobs.is_dir():
+        named = {d for rec in records for d in (rec.lc_profile_digest, rec.lc_walk_digest)}
+        for blob in blobs.iterdir():
+            if _DIGEST.fullmatch(blob.name) and blob.name not in named:
+                blob.unlink(missing_ok=True)
 
 
 def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[CatalogRecord]:

@@ -53,10 +53,17 @@ class WalkSignature:
 
     @classmethod
     def from_powers(cls, powers: list[list[list[int]]]) -> WalkSignature:
-        """Signature of the powers A^1..A^m as returned by ``walk_powers``."""
-        rows = [tuple(sorted(zip(*(P[i] for P in powers)))) for i in range(len(powers[0]))]
-        rows.sort()
-        return cls(m=len(powers), rows=tuple(rows))
+        """Signature of the powers A^1..A^m as returned by ``walk_powers``.
+
+        The powers hold upper triangles, so one tuple is built per unordered
+        pair {i, j}: row i starts with its pairs j >= i, and each tuple is
+        then appended to row j as well.
+        """
+        rows = [list(zip(*(P[i] for P in powers))) for i in range(len(powers[0]))]
+        for i, row in enumerate(rows):
+            for below, tup in zip(rows[i + 1:], row[1:]):
+                below.append(tup)
+        return cls(m=len(powers), rows=tuple(sorted(tuple(sorted(row)) for row in rows)))
 
     def encode(self) -> bytes:
         out = [b"WS1", _encode_uint(self.n), _encode_uint(self.m)]

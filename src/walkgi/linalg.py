@@ -13,7 +13,12 @@ arbitrary precision, so the sum never wraps, and every lane holds at least
 the bit length of Delta**K, where Delta is the maximum degree and K bounds
 the largest power computed (n when the horizon is searched for, else m).  A
 walk count of length k is at most Delta**k and all counts are nonnegative,
-so no lane ever carries into its neighbour.
+so no lane ever carries into its neighbour.  Every power of A is symmetric,
+so each packed row is unpacked only from the diagonal lane on: the kernel
+returns upper triangles, and its Frobenius traces are twice the upper sum
+less the diagonal.  The horizon test eliminates the Hankel trace matrix one
+row per power, exactly and without pivoting, which a Gram matrix of
+independent powers allows because its leading minors are positive.
 ``mat_mul``, ``mat_pow`` and ``distinct_eigenvalue_count`` are the plain
 dense reference the kernel is tested against.
 """
@@ -159,42 +164,47 @@ def determinant(A: IntMatrix) -> int:
 
 
 def walk_powers(G: Graph, m: int | None = None) -> tuple[int, list[list[list[int]]]]:
-    """Rows of A^1..A^m for the adjacency matrix A of G, as ``(m, powers)``.
+    """Upper triangles of A^1..A^m for the adjacency matrix A of G, as
+    ``(m, powers)``.
 
-    ``powers[k - 1][i][j]`` is the number of walks of length k from vertex i
-    to vertex j.  With ``m`` None the horizon is found along the way: m is
-    the least k such that I, A, ..., A^k are linearly dependent, i.e. the
-    number of distinct eigenvalues of A.  The Frobenius Gram matrix of those
-    powers is the Hankel matrix [tr A^(i+j)], singular exactly when they are
-    dependent; power k adds tr A^(2k) = <A^k, A^k> and
-    tr A^(2k-1) = <A^k, A^(k-1)>, and singularity is an exact determinant.
+    Every power of A is symmetric, so only the upper triangle is unpacked:
+    ``powers[k - 1][i]`` holds columns i..n-1 of row i, and
+    ``powers[k - 1][i][j - i]`` is the number of walks of length k between
+    vertices i and j, for i <= j.  With ``m`` None the horizon is found along
+    the way: m is the least k such that I, A, ..., A^k are linearly
+    dependent, i.e. the number of distinct eigenvalues of A.  The Frobenius
+    Gram matrix of those powers is the Hankel matrix [tr A^(i+j)], singular
+    exactly when they are dependent; power k adds tr A^(2k) = <A^k, A^k> and
+    tr A^(2k-1) = <A^k, A^(k-1)>, each taken as twice the sum over the upper
+    triangle less the diagonal.  Singularity is found by ``_HankelPivots``,
+    one exact elimination step per power.
     """
     n = G.n
     if m is not None and m < 1:
         raise ValueError(f"walk horizon must be >= 1, got {m}")
     delta = max(row.bit_count() for row in G.rows)
     lane = max(1, ((delta ** (n if m is None else m)).bit_length() + 7) // 8)
-    width = n * lane
-    lanes = [slice(k, k + lane) for k in range(0, width, lane)]
+    bits = 8 * lane
+    lanes = [slice(k, k + lane) for k in range(0, n * lane, lane)]
     neighbours = [tuple(G.neighbors(i)) for i in range(n)]
-    packed = [sum(1 << (8 * lane * j) for j in nbrs) for nbrs in neighbours]
+    packed = [sum(1 << (bits * j) for j in nbrs) for nbrs in neighbours]
     powers: list[list[list[int]]] = []
-    traces = [n, 0]  # tr A^0, tr A^1 (no loops)
+    hankel = _HankelPivots(n)  # tr A^0 = n; tr A^1 = 0 (no loops)
+    odd_trace = 0
     while True:
         rows = []
-        for r in packed:
-            data = r.to_bytes(width, "little")
-            rows.append(list(map(int.from_bytes, map(data.__getitem__, lanes), repeat("little"))))
+        for i, r in enumerate(packed):
+            data = (r >> (bits * i)).to_bytes((n - i) * lane, "little")
+            upper = map(data.__getitem__, lanes[:n - i])
+            rows.append(list(map(int.from_bytes, upper, repeat("little"))))
         powers.append(rows)
         k = len(powers)
         if k == m:
             return m, powers
         if m is None:
             if k > 1:
-                traces.append(_frobenius(rows, powers[-2]))
-            traces.append(_frobenius(rows, rows))
-            hankel = IntMatrix(tuple(tuple(traces[i:i + k + 1]) for i in range(k + 1)))
-            if determinant(hankel) == 0:
+                odd_trace = _frobenius(rows, powers[-2])
+            if hankel.add(odd_trace, _frobenius(rows, rows)) == 0:
                 return k, powers
             if k == n:
                 raise AssertionError("powers up to n stayed independent; impossible for a square matrix")
@@ -202,7 +212,49 @@ def walk_powers(G: Graph, m: int | None = None) -> tuple[int, list[list[list[int
 
 
 def _frobenius(P: list[list[int]], Q: list[list[int]]) -> int:
-    return sum(sum(map(mul, p, q)) for p, q in zip(P, Q))
+    """<P, Q> for symmetric P and Q given by their upper triangles."""
+    upper = diagonal = 0
+    for p, q in zip(P, Q):
+        upper += sum(map(mul, p, q))
+        diagonal += p[0] * q[0]
+    return 2 * upper - diagonal
+
+
+class _HankelPivots:
+    """Leading principal minors of the Hankel matrix H = [t_(i+j)], one more
+    per ``add``.
+
+    Fraction-free (Bareiss) elimination without pivoting.  After l steps,
+    row k's entry in column j >= l is the minor of H on rows 0..l-1, k and
+    columns 0..l-1, j, so the last step leaves det H[0..k] as row k's pivot.
+    H is symmetric, so row l's stored entries double as column l's, and a new
+    row costs O(k^2) exact integer steps instead of a fresh O(k^3)
+    determinant.  Every division is exact (Sylvester's identity).  Every
+    divisor is an earlier pivot: a leading minor of the Gram matrix of
+    linearly independent powers, hence positive, so no pivot search is
+    needed as long as the caller stops at the first zero.
+    """
+
+    def __init__(self, t0: int) -> None:
+        self.traces = [t0]
+        self.rows = [[t0]]  # rows[l][j - l] = a_lj after l steps, j >= l
+
+    def add(self, t_odd: int, t_even: int) -> int:
+        """Append t_(2k-1) and t_(2k); return det H[0..k]."""
+        traces = self.traces
+        traces += (t_odd, t_even)
+        k = len(self.rows)
+        row = traces[k:]  # raw row k: t_k .. t_2k
+        prev = 1
+        for l, pivot_row in enumerate(self.rows):
+            a_kl = row[l]
+            pivot_row.append(a_kl)  # a_lk = a_kl by symmetry
+            pivot = pivot_row[0]
+            for j in range(l + 1, k + 1):
+                row[j] = (pivot * row[j] - a_kl * pivot_row[j - l]) // prev
+            prev = pivot
+        self.rows.append(row[k:])
+        return row[k]
 
 
 def distinct_eigenvalue_count(A: IntMatrix) -> int:

@@ -13,7 +13,7 @@ from walkgi import (
 )
 from walkgi.cli import main
 from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
-from oracles import random_graph, random_permutation, relabeled
+from oracles import count_walks, random_graph, random_permutation, relabeled
 
 
 def write_g6(dirpath, name, *graphs):
@@ -300,6 +300,26 @@ def test_walks_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "m=3" in out and "s(0,1)=" in out
     assert main(["walks", f, "0", "99"]) == 1
+
+
+def _walks_record(capsys, f, u, v):
+    assert main(["walks", f, str(u), str(v), "--format", "records"]) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split()[1:])
+    return int(fields["m"]), [int(c) for c in fields["s"].split(",")]
+
+
+def test_walks_command_pair_order_and_diagonal(tmp_path, capsys):
+    # the kernel keeps only the upper triangle of each power: U > V must read
+    # the same counts as V U, and U == V the closed-walk counts
+    G = random_graph(random.Random(31), 7, 0.5)
+    f = write_g6(tmp_path, "g.g6", G)
+    for u in range(G.n):
+        m, closed = _walks_record(capsys, f, u, u)
+        assert closed == [count_walks(G, u, u, k) for k in range(1, m + 1)]
+        for v in range(u):
+            m_uv, counts = _walks_record(capsys, f, u, v)
+            assert (m_uv, counts) == _walks_record(capsys, f, v, u)
+            assert counts == [count_walks(G, u, v, k) for k in range(1, m + 1)]
 
 
 def test_oracle_command(tmp_path, capsys):

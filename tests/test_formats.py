@@ -21,7 +21,7 @@ from walkgi import (
     read_dataset,
     write_graph6,
 )
-from fixture_graphs import complete, cycle, empty_graph, path, petersen
+from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
 from oracles import random_graph
 
 
@@ -225,6 +225,25 @@ def test_catalog_detects_tampered_blob(tmp_path):
     blobs[0].write_bytes(b"garbage")
     with pytest.raises(CatalogError, match="digest"):
         catalog_read(cat)
+
+
+def test_catalog_write_removes_unnamed_blobs(tmp_path):
+    cat = tmp_path / "test.catalog"
+    blobs = tmp_path / "test.catalog.blobs"
+    rook_enc, shrikhande_enc = lc_encodings(rook(4)), lc_encodings(shrikhande())
+    catalog_write([make_catalog_record(i, rook(4), *rook_enc) for i in "ab"], cat)
+    rook_blobs = {p.name for p in blobs.iterdir()}
+    others = [blobs / ".0123.4567.tmp", blobs / "notes.txt", blobs / ("f" * 63)]
+    for other in others:
+        other.write_bytes(b"not a blob")
+    # both stale rook(4) records replaced by Shrikhande
+    catalog_write([make_catalog_record(i, shrikhande(), *shrikhande_enc) for i in "ab"], cat)
+    named = {d for line in cat.read_text().splitlines()[1:] for d in line.split("\t")[4:]}
+    assert len(named) == 2 and not named & rook_blobs
+    assert {p.name for p in blobs.iterdir()} == named | {p.name for p in others}
+    for rec in catalog_read(cat):
+        assert hashlib.sha256(rec.lc_profile_encoding).hexdigest() == rec.lc_profile_digest
+        assert hashlib.sha256(rec.lc_walk_encoding).hexdigest() == rec.lc_walk_digest
 
 
 def test_catalog_rejects_unknown_version(tmp_path):

@@ -23,6 +23,7 @@ from fixture_graphs import (
     complete,
     cycle,
     empty_graph,
+    paley,
     path,
     petersen,
     rook,
@@ -183,6 +184,9 @@ LC_WALK_DIGESTS = {
     "Chang[2]": "0563ac23d1acd41d98dfe4be714189d532a0481bb189edf8ed9aeffca2679a52",
     "rook(4)": "e059771238b01179a022fc3fb23205d7c759549c7ea8e781de3c03b4375fe5f7",
     "Shrikhande": "1de3a5e93ecb7c90cbbcef82fa3cb7a0a630ac9c1bb517c11be92d83a15af003",
+    # LC horizons 9 and 11
+    "Paley(13)": "4c98b212c45657657e1d08d38cad65afb5acafc55e5f59a648870761112382b4",
+    "Paley(17)": "773aabe48870f26651a96801f5fad7e897da86131e1f2a516a59a75f973a04c7",
 }
 WALK_3_DIGESTS = {
     "rook(4)": "282cdab334eba627489802c8c1f1ef2c9ef41c3384489582962f063bb4491dcc",
@@ -193,7 +197,8 @@ WALK_3_DIGESTS = {
 def test_golden_encodings_are_byte_identical():
     c0, c1, c2 = chang_graphs()
     graphs = {"T(8)": triangular(8), "Chang[0]": c0, "Chang[1]": c1, "Chang[2]": c2,
-              "rook(4)": rook(4), "Shrikhande": shrikhande()}
+              "rook(4)": rook(4), "Shrikhande": shrikhande(), "Paley(13)": paley(13),
+              "Paley(17)": paley(17)}
     for name, digest in LC_WALK_DIGESTS.items():
         assert lc_walk_signature(graphs[name]).digest() == digest, name
     for name, digest in WALK_3_DIGESTS.items():

@@ -13,6 +13,7 @@ from walkgi import (
     mat_pow,
     walk_powers,
 )
+from walkgi.linalg import _HankelPivots
 from fixture_graphs import (
     chang_graphs,
     complete,
@@ -190,9 +191,13 @@ def test_distinct_eigenvalue_count_scaling_invariance():
         assert distinct_eigenvalue_count(A) == distinct_eigenvalue_count(3 * A)
 
 
+def _upper(P):
+    return [list(row[i:]) for i, row in enumerate(P.rows)]
+
+
 def _dense_powers(G, m):
     A = adjacency_matrix(G)
-    return [[list(row) for row in mat_pow(A, k).rows] for k in range(1, m + 1)]
+    return [_upper(mat_pow(A, k)) for k in range(1, m + 1)]
 
 
 EDGE_CASES = [
@@ -220,7 +225,7 @@ def test_walk_powers_horizon_on_fixtures():
     for G in FIXTURES:
         m, powers = walk_powers(G)
         assert m == distinct_eigenvalue_count(adjacency_matrix(G))
-        assert powers[-1] == [list(row) for row in mat_pow(adjacency_matrix(G), m).rows]
+        assert powers[-1] == _upper(mat_pow(adjacency_matrix(G), m))
 
 
 def test_walk_powers_horizon_on_local_complements():
@@ -259,7 +264,7 @@ def test_walk_powers_count_walks():
         assert m == 4
         for _ in range(5):
             u, v, k = rng.randrange(G.n), rng.randrange(G.n), rng.randint(1, 4)
-            assert powers[k - 1][u][v] == count_walks(G, u, v, k)
+            assert powers[k - 1][min(u, v)][abs(u - v)] == count_walks(G, u, v, k)
 
 
 def test_walk_powers_explicit_m_beyond_horizon():
@@ -271,6 +276,23 @@ def test_walk_powers_explicit_m_beyond_horizon():
         assert powers == _dense_powers(G, m)
     m, powers = walk_powers(path(3), 1)
     assert (m, powers) == (1, _dense_powers(path(3), 1))
+
+
+def test_hankel_pivots_are_leading_minors():
+    # each add returns det H[0..k] of the trace Hankel matrix, up to the
+    # first zero, where walk_powers stops
+    rng = random.Random(13)
+    for G in [*(random_graph(rng, rng.randint(1, 9)) for _ in range(30)), petersen(), path(6)]:
+        A = adjacency_matrix(G)
+        m = distinct_eigenvalue_count(A)
+        traces = [G.n, 0]
+        traces += [sum(mat_pow(A, k).rows[i][i] for i in range(G.n)) for k in range(2, 2 * m + 1)]
+        pivots = _HankelPivots(G.n)
+        for k in range(1, m + 1):
+            hankel = IntMatrix(tuple(tuple(traces[i:i + k + 1]) for i in range(k + 1)))
+            minor = pivots.add(traces[2 * k - 1], traces[2 * k])
+            assert minor == determinant(hankel)
+            assert (minor == 0) == (k == m)
 
 
 def test_walk_powers_rejects_bad_m():
