@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .formats import (
@@ -24,6 +23,7 @@ from .formats import (
     CatalogRecord,
     DatasetError,
     Graph6Error,
+    catalog_blobs,
     catalog_read,
     catalog_write,
     make_catalog_record,
@@ -55,39 +55,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    format: str = "text"
-    workers: int = 1
-    oracle: bool = False
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    strict: bool = False
-    catalog: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise _UsageError(f"--workers must be >= 1, got {self.workers}")
-        if self.oracle_cap < 1:
-            raise _UsageError(f"--oracle-cap must be >= 1, got {self.oracle_cap}")
-        if self.format not in ("text", "records"):
-            raise _UsageError(f"unknown format {self.format!r}")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    workers = getattr(args, "workers", None)
-    oracle_cap = getattr(args, "oracle_cap", None)
-    return RunConfig(
-        format=getattr(args, "format", "text"),
-        workers=_default_workers() if workers is None else workers,
-        oracle=getattr(args, "oracle", False),
-        oracle_cap=DEFAULT_ORACLE_CAP if oracle_cap is None else oracle_cap,
-        strict=getattr(args, "strict", False),
-        catalog=getattr(args, "catalog", None),
-    )
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _read_graphs(paths, strict: bool) -> tuple[list[tuple[str, Graph]], bool]:
@@ -137,13 +109,12 @@ def _info_worker(G: Graph) -> tuple[int, int]:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    entries, failed = _read_graphs(args.files, cfg.strict)
-    numeric = map_pool(_info_worker, [G for _, G in entries], cfg.workers)
+    entries, failed = _read_graphs(args.files, args.strict)
+    numeric = map_pool(_info_worker, [G for _, G in entries], args.workers)
     for (record_id, G), (det, m) in zip(entries, numeric):
         degrees = _degree_text(G)
         params = srg_parameters(G)
-        if cfg.format == "text":
+        if args.format == "text":
             print(
                 f"{record_id}: n={G.n}, edges={G.edge_count()}, degrees={degrees}, "
                 f"{_srg_text(G)}, det={det}, m={m}"
@@ -158,27 +129,26 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    G = _single_graph(args.file_a, cfg.strict)
-    H = _single_graph(args.file_b, cfg.strict)
+    G = _single_graph(args.file_a, args.strict)
+    H = _single_graph(args.file_b, args.strict)
     verdict = distinguish_pair(G, H)
 
     if verdict.distinguished:
-        if cfg.format == "text":
+        if args.format == "text":
             print(f"Distinguished: {verdict.stage}")
         else:
             print(f"record=pair distinguished=true stage={verdict.stage}")
         return 0
 
     oracle_result = None  # None = not run, else (isomorphic, certificate|None)
-    if cfg.oracle:
-        if G.n <= cfg.oracle_cap:
-            certificate = brute_force_isomorphic(G, H, limit=cfg.oracle_cap)
+    if args.oracle:
+        if G.n <= args.oracle_cap:
+            certificate = brute_force_isomorphic(G, H, limit=args.oracle_cap)
             oracle_result = (certificate is not None, certificate)
         else:
-            print(f"oracle skipped: n={G.n} exceeds cap {cfg.oracle_cap}", file=sys.stderr)
+            print(f"oracle skipped: n={G.n} exceeds cap {args.oracle_cap}", file=sys.stderr)
 
-    if cfg.format == "text":
+    if args.format == "text":
         if oracle_result is None:
             print("NotDistinguished")
         elif oracle_result[0]:
@@ -202,8 +172,7 @@ def _certificate_text(certificate: tuple[int, ...]) -> str:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    entries, failed = _read_graphs(args.files, cfg.strict)
+    entries, failed = _read_graphs(args.files, args.strict)
     if not entries:
         raise _UsageError("no graphs to partition")
     ids = [record_id for record_id, _ in entries]
@@ -213,15 +182,17 @@ def cmd_group(args: argparse.Namespace) -> int:
 
     cache: dict[str, tuple[bytes | None, bytes | None]] = {}
     known: dict[str, CatalogRecord] = {}
-    if cfg.catalog:
-        if os.path.exists(cfg.catalog):
-            known = {rec.id: rec for rec in catalog_read(cfg.catalog, with_blobs=True)}
+    if args.catalog:
+        if os.path.exists(args.catalog):
+            known = {rec.id: rec for rec in catalog_read(args.catalog, with_blobs=False)}
             print(f"catalog: {len(known)} cached records", file=sys.stderr)
-        # a record is reused only for the very graph it was computed from
-        for record_id, G in entries:
-            rec = known.get(record_id)
-            if rec is not None and rec.g6 == write_graph6(G):
-                cache[record_id] = (rec.lc_profile_encoding, rec.lc_walk_encoding)
+        # a record is reused only for the very graph it was computed from, and
+        # only the blobs of reused records are read
+        reused = [known[record_id] for record_id, G in entries
+                  if record_id in known and known[record_id].g6 == write_graph6(G)]
+        blobs = catalog_blobs(args.catalog, [d for rec in reused
+                                             for d in (rec.lc_profile_digest, rec.lc_walk_digest)])
+        cache = {rec.id: (blobs[rec.lc_profile_digest], blobs[rec.lc_walk_digest]) for rec in reused}
         stale = sum(1 for record_id in ids if record_id in known and record_id not in cache)
         if stale:
             print(f"catalog: {stale} stale records (graph changed)", file=sys.stderr)
@@ -229,10 +200,10 @@ def cmd_group(args: argparse.Namespace) -> int:
             print(f"catalog: computing {len(ids) - len(cache)} new records", file=sys.stderr)
 
     t0 = time.perf_counter()
-    report = partition_group(graphs, ids=ids, workers=cfg.workers, invariant_cache=cache)
+    report = partition_group(graphs, ids=ids, workers=args.workers, invariant_cache=cache)
     elapsed = time.perf_counter() - t0
 
-    if cfg.catalog:
+    if args.catalog:
         changed = False
         for (record_id, G), (profile_enc, walk_enc) in zip(entries, report.encodings):
             cached_profile, cached_walk = cache.get(record_id, (None, None))
@@ -243,10 +214,10 @@ def cmd_group(args: argparse.Namespace) -> int:
             known[record_id] = make_catalog_record(record_id, G, profile_enc, walk_enc)
             changed = True
         if changed:
-            catalog_write([known[k] for k in sorted(known)], cfg.catalog)
+            catalog_write([known[k] for k in sorted(known)], args.catalog)
 
     stats = report.stats()
-    if cfg.format == "text":
+    if args.format == "text":
         print(f"graphs: {stats['graphs']}")
         print(f"coarse: {stats['coarse_classes']} classes ({_hist_text(report.coarse_size_counts())})")
         final_line = f"final: {stats['final_classes']} classes ({_hist_text(report.final_size_counts())})"
@@ -284,14 +255,13 @@ def _timing_text(timings) -> str:
 
 
 def cmd_lc(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    entries, failed = _read_graphs(args.files, cfg.strict)
+    entries, failed = _read_graphs(args.files, args.strict)
     u = args.vertex
     for record_id, G in entries:
         if not 0 <= u < G.n:
             raise _UsageError(f"{record_id}: vertex {u} out of range for n={G.n}")
         g6 = write_graph6(local_complement(G, u))
-        if cfg.format == "text":
+        if args.format == "text":
             print(f"{record_id}: {g6}")
         else:
             print(f"record=lc id={record_id} u={u} g6={g6}")
@@ -299,11 +269,10 @@ def cmd_lc(args: argparse.Namespace) -> int:
 
 
 def cmd_det(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    entries, failed = _read_graphs(args.files, cfg.strict)
+    entries, failed = _read_graphs(args.files, args.strict)
     for record_id, G in entries:
         det = determinant(adjacency_matrix(G))
-        if cfg.format == "text":
+        if args.format == "text":
             print(f"{record_id}: det={det}")
         else:
             print(f"record=det id={record_id} det={det}")
@@ -311,15 +280,14 @@ def cmd_det(args: argparse.Namespace) -> int:
 
 
 def cmd_walks(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    entries, failed = _read_graphs(args.files, cfg.strict)
+    entries, failed = _read_graphs(args.files, args.strict)
     u, v = args.u, args.v
     for record_id, G in entries:
         if not (0 <= u < G.n and 0 <= v < G.n):
             raise _UsageError(f"{record_id}: pair ({u},{v}) out of range for n={G.n}")
         m, powers = walk_powers(G)
         counts = [P[min(u, v)][abs(u - v)] for P in powers]
-        if cfg.format == "text":
+        if args.format == "text":
             print(f"{record_id}: m={m}, s({u},{v})=({', '.join(str(c) for c in counts)})")
         else:
             print(
@@ -330,14 +298,13 @@ def cmd_walks(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    G = _single_graph(args.file_a, cfg.strict)
-    H = _single_graph(args.file_b, cfg.strict)
+    G = _single_graph(args.file_a, args.strict)
+    H = _single_graph(args.file_b, args.strict)
     try:
-        certificate = brute_force_isomorphic(G, H, limit=cfg.oracle_cap)
+        certificate = brute_force_isomorphic(G, H, limit=args.oracle_cap)
     except OracleLimitError as exc:
         raise _UsageError(f"{exc}; raise --oracle-cap to override") from exc
-    if cfg.format == "text":
+    if args.format == "text":
         if certificate is None:
             print("non-isomorphic")
         else:
@@ -357,7 +324,7 @@ def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     p.add_argument("--strict", action="store_true",
                    help="abort on the first dataset parse error")
     if workers:
-        p.add_argument("--workers", type=int, default=None, metavar="N",
+        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1, metavar="N",
                        help="worker processes (default: CPU count)")
 
 
@@ -377,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b", metavar="FILE_B")
     p.add_argument("--oracle", action="store_true",
                    help="on NotDistinguished, run the brute-force oracle (n <= cap)")
-    p.add_argument("--oracle-cap", type=int, default=None, metavar="N",
+    p.add_argument("--oracle-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP, metavar="N",
                    help=f"oracle vertex cap (default: {DEFAULT_ORACLE_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_pair)
@@ -410,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force isomorphism test of two graphs")
     p.add_argument("file_a", metavar="FILE_A")
     p.add_argument("file_b", metavar="FILE_B")
-    p.add_argument("--oracle-cap", type=int, default=None, metavar="N",
+    p.add_argument("--oracle-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP, metavar="N",
                    help=f"oracle vertex cap (default: {DEFAULT_ORACLE_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)

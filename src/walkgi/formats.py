@@ -13,7 +13,8 @@ invariant encodings.  The catalog computes neither encoding itself: records
 carry the encodings ``partition_group`` used, so the lc-walk digest is "-"
 for a graph whose coarse class was a singleton.  The encodings themselves live in a
 sidecar blob directory keyed by hex digest, so equality checks can always
-fall back to full byte comparison.  Every blob and then the TSV is written to
+fall back to full byte comparison; ``catalog_blobs`` reads only the blobs of
+the records a caller reuses.  Every blob and then the TSV is written to
 a temp file and renamed into place, so an interrupted write leaves the
 previous catalog readable; digest fields are validated before they name a
 file.  Once the new TSV is in place, blobs it no longer names are removed.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -289,15 +290,13 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
 
 
 def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[CatalogRecord]:
-    """Read a catalog; blob contents are verified against their digests."""
+    """Read a catalog; ``with_blobs`` attaches each record's verified blobs."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != CATALOG_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise CatalogError(f"unsupported catalog version: {found!r}")
-    blobs = blob_dir(path)
-    loaded: dict[str, bytes | None] = {NO_DIGEST: None}
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -317,10 +316,6 @@ def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[Catal
             raise CatalogError(f"{where}: bad lc-profile digest {profile_digest!r}")
         if not (walk_digest == NO_DIGEST or _DIGEST.fullmatch(walk_digest)):
             raise CatalogError(f"{where}: bad lc-walk digest {walk_digest!r}")
-        profile_enc = walk_enc = None
-        if with_blobs:
-            profile_enc = _load_blob(blobs, profile_digest, where, loaded)
-            walk_enc = _load_blob(blobs, walk_digest, where, loaded)
         records.append(
             CatalogRecord(
                 id=rec_id,
@@ -329,22 +324,28 @@ def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[Catal
                 det=det,
                 lc_profile_digest=profile_digest,
                 lc_walk_digest=walk_digest,
-                lc_profile_encoding=profile_enc,
-                lc_walk_encoding=walk_enc,
             )
         )
+    if with_blobs:
+        blobs = catalog_blobs(path, [d for rec in records
+                                     for d in (rec.lc_profile_digest, rec.lc_walk_digest)])
+        records = [replace(rec, lc_profile_encoding=blobs[rec.lc_profile_digest],
+                           lc_walk_encoding=blobs[rec.lc_walk_digest]) for rec in records]
     return records
 
 
-def _load_blob(
-    blobs: Path, digest: str, where: str, loaded: dict[str, bytes | None]
-) -> bytes | None:
-    """The verified blob named by ``digest``, or None if there is none.  Records
-    of isomorphic graphs share blobs; ``loaded`` reads each one only once."""
-    if digest not in loaded:
-        target = blobs / digest
-        data = target.read_bytes() if target.is_file() else None
-        if data is not None and hashlib.sha256(data).hexdigest() != digest:
-            raise CatalogError(f"{where}: sidecar blob {digest} fails digest check")
-        loaded[digest] = data
-    return loaded[digest]
+def catalog_blobs(path: str | os.PathLike, digests: Iterable[str]) -> dict[str, bytes | None]:
+    """The verified blob of each digest in ``digests`` (digest fields of records
+    ``catalog_read`` returned), None for a missing blob or the digest "-".
+    Records of isomorphic graphs share blobs; each distinct digest is read
+    once."""
+    blobs = blob_dir(path)
+    loaded: dict[str, bytes | None] = {NO_DIGEST: None}
+    for digest in digests:
+        if digest not in loaded:
+            target = blobs / digest
+            data = target.read_bytes() if target.is_file() else None
+            if data is not None and hashlib.sha256(data).hexdigest() != digest:
+                raise CatalogError(f"{path}: sidecar blob {digest} fails digest check")
+            loaded[digest] = data
+    return loaded

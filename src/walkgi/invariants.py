@@ -110,16 +110,18 @@ class DetProfile:
 class LcWalkSignature:
     """Sorted multiset of the walk signatures of all n local complements.
 
-    ``part_encodings`` holds ``part.encode()`` for each part, in order; it is
-    derived from ``parts`` when not given.
+    ``parts`` may be given in any order; they are sorted by their encodings,
+    and ``part_encodings`` keeps those encodings in the same order, so each
+    part is encoded once.
     """
 
     parts: tuple[WalkSignature, ...]
-    part_encodings: tuple[bytes, ...] | None = field(default=None, compare=False, repr=False)
+    part_encodings: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.part_encodings is None:
-            object.__setattr__(self, "part_encodings", tuple(p.encode() for p in self.parts))
+        keyed = sorted(((p.encode(), p) for p in self.parts), key=itemgetter(0))
+        object.__setattr__(self, "parts", tuple(p for _, p in keyed))
+        object.__setattr__(self, "part_encodings", tuple(enc for enc, _ in keyed))
 
     @property
     def n(self) -> int:
@@ -167,7 +169,4 @@ def lc_walk_signature(G: Graph) -> LcWalkSignature:
     Each complement gets its own horizon m_u = default_m of that complement,
     keeping the invariant a property of G alone (cacheable, pair-independent).
     """
-    parts = [walk_signature(local_complement(G, u)) for u in range(G.n)]
-    keyed = sorted(((p.encode(), p) for p in parts), key=itemgetter(0))
-    return LcWalkSignature(parts=tuple(p for _, p in keyed),
-                           part_encodings=tuple(enc for enc, _ in keyed))
+    return LcWalkSignature(tuple(walk_signature(local_complement(G, u)) for u in range(G.n)))

@@ -65,6 +65,10 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
 
     Returns Distinguished at the first stage whose value differs, else
     NotDistinguished.  NotDistinguished never asserts isomorphism.
+
+    Differing horizons m_G != m_H count as a walk-signature difference: equal
+    signatures at max(m_G, m_H) would give equal traces tr A^0..tr A^(2m),
+    hence equal Hankel leading minors and equal horizons.
     """
     if G.n != H.n:
         return Verdict(True, "vertex-count")
@@ -75,14 +79,8 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
     A, B = adjacency_matrix(G), adjacency_matrix(H)
     if determinant(A) != determinant(B):
         return Verdict(True, "determinant")
-    # the larger horizon is safe: extra tuple positions never erase a difference
     (m_G, powers_G), (m_H, powers_H) = walk_powers(G), walk_powers(H)
-    m = max(m_G, m_H)
-    if m_G < m:
-        powers_G = walk_powers(G, m)[1]
-    if m_H < m:
-        powers_H = walk_powers(H, m)[1]
-    if WalkSignature.from_powers(powers_G) != WalkSignature.from_powers(powers_H):
+    if m_G != m_H or WalkSignature.from_powers(powers_G) != WalkSignature.from_powers(powers_H):
         return Verdict(True, "walk-signature")
     if lc_determinant_profile(G).encode() != lc_determinant_profile(H).encode():
         return Verdict(True, "lc-det-profile")
@@ -103,7 +101,8 @@ class PartitionReport:
 
     ``encodings`` holds, in ``ids`` order, the (profile, lc-walk) encodings the
     run used; lc-walk is None for a graph whose coarse class is a singleton.
-    ``counts`` holds (stage, computed, cached) graph counts per stage.
+    ``counts`` holds (stage, computed, cached) graph counts per stage, and
+    ``timings`` (stage, seconds).
     """
 
     ids: tuple[str, ...]
@@ -111,7 +110,7 @@ class PartitionReport:
     final_classes: tuple[tuple[str, ...], ...]
     encodings: tuple[tuple[bytes, bytes | None], ...] = field(compare=False)
     counts: tuple[tuple[str, int, int], ...] = field(compare=False)
-    timings: tuple[tuple[str, float], ...] = field(default=(), compare=False)
+    timings: tuple[tuple[str, float], ...] = field(compare=False)
 
     def coarse_size_counts(self) -> dict[int, int]:
         return dict(Counter(len(c) for c in self.coarse_classes))

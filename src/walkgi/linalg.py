@@ -57,40 +57,13 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def ones(cls, n: int) -> IntMatrix:
-        """All-ones matrix J."""
-        return cls(tuple(tuple(1 for _ in range(n)) for _ in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(tuple(zip(*self.rows)))
-
     def is_symmetric(self) -> bool:
         rows = self.rows
         return all(rows[i][j] == rows[j][i] for i in range(self.n) for j in range(i + 1, self.n))
-
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        self._check_same_dim(other)
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: IntMatrix) -> IntMatrix:
-        self._check_same_dim(other)
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
-
-    def __rmul__(self, scalar: int) -> IntMatrix:
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return IntMatrix(tuple(tuple(scalar * v for v in row) for row in self.rows))
-
-    def _check_same_dim(self, other: IntMatrix) -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
 
 def adjacency_matrix(G: Graph) -> IntMatrix:
@@ -101,7 +74,8 @@ def adjacency_matrix(G: Graph) -> IntMatrix:
 
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
-    A._check_same_dim(B)
+    if A.n != B.n:
+        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
     cols = tuple(zip(*B.rows))
     return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                            for row in A.rows))

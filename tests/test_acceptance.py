@@ -267,7 +267,8 @@ def test_criterion_5_soundness_suite():
             )
             assert determinant(M) == cofactor_determinant(M.rows)
 
-        # (e) A^2 = dI + alpha A + beta (J - I - A) for every ingested SRG
+        # (e) A^2 = dI + alpha A + beta (J - I - A) for every ingested SRG:
+        # entry (i, j) of A^2 is d on the diagonal, alpha on edges, beta otherwise
         srgs = [
             petersen(),
             cycle(4),
@@ -288,9 +289,11 @@ def test_criterion_5_soundness_suite():
             p = srg_parameters(G)
             assert p is not None
             A = adjacency_matrix(G)
-            I = IntMatrix.identity(G.n)
-            J = IntMatrix.ones(G.n)
-            assert mat_mul(A, A) == p.d * I + p.alpha * A + p.beta * (J - I - A)
+            square = mat_mul(A, A).rows
+            for i in range(G.n):
+                for j in range(G.n):
+                    expected = p.d if i == j else p.alpha if A.rows[i][j] else p.beta
+                    assert square[i][j] == expected
 
         # (f) local complementation is an involution
         for _ in range(1000):

@@ -12,7 +12,7 @@ from walkgi import (
     write_graph6,
 )
 from walkgi.cli import main
-from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
+from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande, star
 from oracles import count_walks, random_graph, random_permutation, relabeled
 
 
@@ -226,6 +226,37 @@ def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys):
     assert (tmp_path / "inv.catalog.blobs" / walk_digest).is_file()
 
 
+def test_group_catalog_reads_only_reused_blobs(tmp_path, capsys):
+    files = [write_g6(tmp_path, f"{name}.g6", G)
+             for name, G in (("a", cycle(6)), ("b", path(6)), ("c", complete(6)))]
+    cat = tmp_path / "inv.catalog"
+    assert main(["group", *files, "--catalog", str(cat), "--workers", "1"]) == 0
+    capsys.readouterr()
+    before = _catalog_fields(cat)
+    blobs = tmp_path / "inv.catalog.blobs"
+    profile_digests = [before[f"{name}.g6:1"][4] for name in "abc"]
+    assert len(set(profile_digests)) == 3
+
+    # a corrupt blob of a record outside the run is never read
+    (blobs / profile_digests[2]).write_bytes(b"garbage")
+    assert main(["group", *files[:2], "--catalog", str(cat), "--workers", "1"]) == 0
+    capsys.readouterr()
+    # nor rewritten or dropped when the run adds a record
+    d = write_g6(tmp_path, "d.g6", star(5))
+    assert main(["group", *files[:2], d, "--catalog", str(cat), "--workers", "1"]) == 0
+    capsys.readouterr()
+    after = _catalog_fields(cat)
+    assert set(after) == set(before) | {"d.g6:1"}
+    assert after["c.g6:1"] == before["c.g6:1"]
+    assert (blobs / profile_digests[2]).read_bytes() == b"garbage"
+
+    # a corrupt blob of a reused record still fails the run, naming the digest
+    (blobs / profile_digests[0]).write_bytes(b"garbage")
+    assert main(["group", *files[:2], "--catalog", str(cat), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert profile_digests[0] in err and "fails digest check" in err
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_group_records_identical_with_and_without_catalog(tmp_path, capsys, workers):
     G = rook(4)
@@ -377,6 +408,17 @@ def test_invalid_worker_count(tmp_path, capsys):
     f = write_g6(tmp_path, "k3.g6", complete(3))
     assert main(["info", f, "--workers", "0"]) == 1
     assert "--workers" in capsys.readouterr().err
+    assert main(["group", f, "--workers", "abc"]) == 1
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pair", "oracle"])
+def test_invalid_oracle_cap(tmp_path, capsys, command):
+    f = write_g6(tmp_path, "c6.g6", cycle(6))
+    assert main([command, f, f, "--oracle-cap", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle-cap" in captured.err
 
 
 def test_version_exits_zero(capsys):

@@ -217,3 +217,8 @@ def test_lc_walk_part_encodings():
     assert sig.part_encodings == tuple(p.encode() for p in sig.parts)
     rebuilt = LcWalkSignature(parts=sig.parts)
     assert rebuilt == sig and rebuilt.encode() == sig.encode()
+    # parts given in any order are sorted by their encodings
+    L = lc_walk_signature(path(4))
+    assert L.part_encodings == tuple(sorted(L.part_encodings))
+    reordered = LcWalkSignature(parts=L.parts[::-1])
+    assert reordered == L and reordered.encode() == L.encode()

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,12 +17,14 @@ from walkgi import (
     distinguish_pair,
     lc_determinant_profile,
     lc_walk_signature,
+    local_complement,
     parse_graph6,
     partition_group,
     walk_signature,
 )
 from walkgi.isotest import _verify_certificate
 from fixture_graphs import (
+    chang_graphs,
     complete,
     cycle,
     disjoint_union,
@@ -30,6 +33,7 @@ from fixture_graphs import (
     rook,
     shrikhande,
     star,
+    triangular,
 )
 from oracles import exhaustive_isomorphic, random_graph, random_permutation, relabeled
 
@@ -131,6 +135,32 @@ def test_determinant_stage_subsumed_by_walk_signature():
             assert walk_signature(G, m) != walk_signature(H, m)
             hits += 1
     assert hits > 50
+
+
+def test_differing_horizons_imply_differing_walk_signatures():
+    # distinguish_pair stops at walk-signature when m_G != m_H; the
+    # signatures at the common horizon max(m_G, m_H) must differ as well
+    rng = random.Random(64)
+    families = [[random_graph(rng, n), random_graph(rng, n)]
+                for n in (rng.randint(2, 9) for _ in range(300))]
+    families += [[local_complement(G, u) for G in group for u in range(G.n)]
+                 for group in ((triangular(8), *chang_graphs()), (rook(4), shrikhande()))]
+    hits = 0
+    for graphs in families:
+        horizons = [default_m(G) for G in graphs]
+        signatures = {}
+
+        def signature(i, m):
+            if (i, m) not in signatures:
+                signatures[i, m] = walk_signature(graphs[i], m)
+            return signatures[i, m]
+
+        for i, j in combinations(range(len(graphs)), 2):
+            if horizons[i] != horizons[j]:
+                m = max(horizons[i], horizons[j])
+                assert signature(i, m) != signature(j, m)
+                hits += 1
+    assert hits > 4000
 
 
 def test_partition_single_graph():
