@@ -12,15 +12,7 @@ from .graph import (
     local_complement,
     srg_parameters,
 )
-from .linalg import (
-    IntMatrix,
-    adjacency_matrix,
-    determinant,
-    distinct_eigenvalue_count,
-    mat_mul,
-    mat_pow,
-    walk_powers,
-)
+from .linalg import determinant, walk_powers
 from .invariants import (
     DetProfile,
     LcWalkSignature,
@@ -66,12 +58,7 @@ __all__ = [
     "degree_sequence",
     "local_complement",
     "srg_parameters",
-    "IntMatrix",
-    "adjacency_matrix",
     "determinant",
-    "distinct_eigenvalue_count",
-    "mat_mul",
-    "mat_pow",
     "walk_powers",
     "DetProfile",
     "LcWalkSignature",

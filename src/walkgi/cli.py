@@ -41,7 +41,7 @@ from .isotest import (
     map_pool,
     partition_group,
 )
-from .linalg import adjacency_matrix, determinant, walk_powers
+from .linalg import determinant, walk_powers
 
 
 class _UsageError(Exception):
@@ -105,7 +105,7 @@ def _srg_text(G: Graph) -> str:
 
 
 def _info_worker(G: Graph) -> tuple[int, int]:
-    return determinant(adjacency_matrix(G)), default_m(G)
+    return determinant(G), default_m(G)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -184,7 +184,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     known: dict[str, CatalogRecord] = {}
     if args.catalog:
         if os.path.exists(args.catalog):
-            known = {rec.id: rec for rec in catalog_read(args.catalog, with_blobs=False)}
+            known = {rec.id: rec for rec in catalog_read(args.catalog)}
             print(f"catalog: {len(known)} cached records", file=sys.stderr)
         # a record is reused only for the very graph it was computed from, and
         # only the blobs of reused records are read
@@ -271,7 +271,7 @@ def cmd_lc(args: argparse.Namespace) -> int:
 def cmd_det(args: argparse.Namespace) -> int:
     entries, failed = _read_graphs(args.files, args.strict)
     for record_id, G in entries:
-        det = determinant(adjacency_matrix(G))
+        det = determinant(G)
         if args.format == "text":
             print(f"{record_id}: det={det}")
         else:

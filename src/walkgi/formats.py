@@ -25,12 +25,12 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .graph import MAX_VERTICES, Graph, SrgParams, srg_parameters
-from .linalg import adjacency_matrix, determinant
+from .linalg import determinant
 
 GRAPH6_HEADER_TOKEN = ">>graph6<<"
 CATALOG_HEADER = "walkgi-catalog v1"
@@ -175,7 +175,9 @@ def read_dataset(
 
 @dataclass(frozen=True, slots=True)
 class CatalogRecord:
-    """One catalog line plus (optionally) the sidecar invariant encodings."""
+    """One catalog line.  Records built by ``make_catalog_record`` also carry
+    the invariant encodings ``catalog_write`` stores as sidecar blobs; records
+    ``catalog_read`` returns leave them unset."""
 
     id: str
     g6: str
@@ -196,7 +198,7 @@ def make_catalog_record(
         id=record_id,
         g6=write_graph6(G),
         params=srg_parameters(G),
-        det=determinant(adjacency_matrix(G)),
+        det=determinant(G),
         lc_profile_digest=hashlib.sha256(lc_profile_encoding).hexdigest(),
         lc_walk_digest=(NO_DIGEST if lc_walk_encoding is None
                         else hashlib.sha256(lc_walk_encoding).hexdigest()),
@@ -289,8 +291,9 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
                 blob.unlink(missing_ok=True)
 
 
-def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[CatalogRecord]:
-    """Read a catalog; ``with_blobs`` attaches each record's verified blobs."""
+def catalog_read(path: str | os.PathLike) -> list[CatalogRecord]:
+    """Read a catalog's TSV records; their encodings are left unset, and
+    ``catalog_blobs`` loads the blobs their digests name."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -326,11 +329,6 @@ def catalog_read(path: str | os.PathLike, with_blobs: bool = True) -> list[Catal
                 lc_walk_digest=walk_digest,
             )
         )
-    if with_blobs:
-        blobs = catalog_blobs(path, [d for rec in records
-                                     for d in (rec.lc_profile_digest, rec.lc_walk_digest)])
-        records = [replace(rec, lc_profile_encoding=blobs[rec.lc_profile_digest],
-                           lc_walk_encoding=blobs[rec.lc_walk_digest]) for rec in records]
     return records
 
 

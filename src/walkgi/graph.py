@@ -23,10 +23,6 @@ class SrgParams:
     alpha: int
     beta: int
 
-    def identity_holds(self) -> bool:
-        """d(d - alpha - 1) = (n - d - 1) beta, the standard feasibility identity."""
-        return self.d * (self.d - self.alpha - 1) == (self.n - self.d - 1) * self.beta
-
 
 @dataclass(frozen=True, slots=True)
 class Graph:

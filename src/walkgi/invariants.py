@@ -11,18 +11,18 @@ equality is exactly byte equality:
 * local-complement walk signature: the sorted multiset of walk signatures of
   the n local complements, each at its own eigenvalue-count horizon.
 
-The horizon m defaults to the number of distinct adjacency eigenvalues;
-walks longer than that carry no further information.
+The horizon m of a graph is the number of distinct adjacency eigenvalues;
+walks longer than that carry no further information.  ``walk_powers``
+finds it from the same powers the walk signature is built from.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .graph import Graph, local_complement
-from .linalg import adjacency_matrix, determinant, walk_powers
+from .linalg import determinant, walk_powers
 
 
 def _encode_uint(x: int) -> bytes:
@@ -77,9 +77,6 @@ class WalkSignature:
                 out.append(enc)
         return b"".join(out)
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.encode()).hexdigest()
-
 
 @dataclass(frozen=True, slots=True)
 class DetProfile:
@@ -101,9 +98,6 @@ class DetProfile:
         for v in self.values:
             out.append(_encode_int(v))
         return b"".join(out)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.encode()).hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,17 +128,11 @@ class LcWalkSignature:
             out.append(enc)
         return b"".join(out)
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.encode()).hexdigest()
 
-
-def walk_signature(G: Graph, m: int | None = None) -> WalkSignature:
-    """Exact walk-count signature of G for walk lengths 1..m.
-
-    ``m`` defaults to G's own horizon, ``default_m(G)``, found from the same
-    powers.
-    """
-    return WalkSignature.from_powers(walk_powers(G, m)[1])
+def walk_signature(G: Graph) -> WalkSignature:
+    """Exact walk-count signature of G for walk lengths 1..m, where m is G's
+    horizon, ``default_m(G)``, found from the same powers."""
+    return WalkSignature.from_powers(walk_powers(G)[1])
 
 
 def default_m(G: Graph) -> int:
@@ -158,7 +146,7 @@ def _profile_order(v: int) -> tuple[int, bool, int]:
 
 def lc_determinant_profile(G: Graph) -> DetProfile:
     """Determinants of the adjacency matrices of all n local complements."""
-    values = [determinant(adjacency_matrix(local_complement(G, u))) for u in range(G.n)]
+    values = [determinant(local_complement(G, u)) for u in range(G.n)]
     values.sort(key=_profile_order)
     return DetProfile(values=tuple(values))
 

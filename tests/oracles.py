@@ -2,15 +2,161 @@
 
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: cofactor expansion instead of fraction-free
-elimination, walk enumeration instead of matrix powers, permutation
-enumeration instead of pruned backtracking.
+elimination, walk enumeration and dense matrix products instead of packed
+lanes, an echelon rank test on flattened powers instead of Hankel trace
+minors, permutation enumeration instead of pruned backtracking.  The one
+exception is ``dense_walk_signature``, which hands dense powers to the
+package's own canonical sorting (``WalkSignature.from_powers``) so that a
+signature can be had at any chosen horizon.
 """
+
+from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Iterable, Sequence
 
-from walkgi import Graph, build_graph
+from walkgi import Graph, WalkSignature, build_graph
+
+
+@dataclass(frozen=True, slots=True)
+class IntMatrix:
+    """Dense square matrix of arbitrary-precision signed integers."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
+        n = len(rows)
+        if n == 0:
+            raise ValueError("empty matrix")
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"matrix is not square: {n} rows, row of length {len(row)}")
+            for v in row:
+                if not isinstance(v, int):
+                    raise ValueError(f"non-integer entry {v!r}")
+
+    @classmethod
+    def identity(cls, n: int) -> IntMatrix:
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def is_symmetric(self) -> bool:
+        rows = self.rows
+        return all(rows[i][j] == rows[j][i] for i in range(self.n) for j in range(i + 1, self.n))
+
+
+def adjacency_matrix(G: Graph) -> IntMatrix:
+    """Symmetric 0/1 matrix with zero diagonal mirroring G's adjacency."""
+    n = G.n
+    return IntMatrix(tuple(tuple((row >> j) & 1 for j in range(n)) for row in G.rows))
+
+
+def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """Exact matrix product."""
+    if A.n != B.n:
+        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
+    cols = tuple(zip(*B.rows))
+    return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                           for row in A.rows))
+
+
+def mat_pow(A: IntMatrix, k: int) -> IntMatrix:
+    """Exact k-th power, k >= 1.
+
+    Entry (i, j) of adjacency_matrix(G)**k counts the walks of length k from
+    vertex i to vertex j.  Iterated multiplication: the exponents this
+    pipeline needs are tiny, so clarity beats squaring tricks.
+    """
+    if k < 1:
+        raise ValueError(f"exponent must be >= 1, got {k}")
+    P = A
+    for _ in range(k - 1):
+        P = mat_mul(P, A)
+    return P
+
+
+def distinct_eigenvalue_count(A: IntMatrix) -> int:
+    """Number of distinct eigenvalues of a symmetric integer matrix.
+
+    Equals the degree of the minimal polynomial over the rationals, found as
+    the least k such that I, A, ..., A^k are linearly dependent when each
+    power is flattened to an n^2-vector.  The rank test is exact: vectors are
+    reduced against an integer echelon basis by cross-multiplication, with
+    content GCDs stripped to keep entries small.
+    """
+    if not A.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    n = A.n
+    basis: list[tuple[int, list[int]]] = []  # (leading index, primitive vector)
+
+    def try_insert(vec: Sequence[int]) -> bool:
+        """Reduce vec against the basis; insert if independent.
+
+        Returns True when vec is linearly dependent on the basis.
+        """
+        v = list(vec)
+        for lead, b in basis:
+            c = v[lead]
+            if c:
+                p = b[lead]
+                v = [p * x - c * y for x, y in zip(v, b)]
+        for lead, x in enumerate(v):
+            if x:
+                v = _primitive(v)
+                if v[lead] < 0:
+                    v = [-y for y in v]
+                basis.append((lead, v))
+                basis.sort(key=lambda item: item[0])
+                return False
+        return True
+
+    try_insert([1 if i == j else 0 for i in range(n) for j in range(n)])
+    P = A
+    for k in range(1, n + 1):
+        if try_insert([x for row in P.rows for x in row]):
+            return k
+        if k < n:
+            P = mat_mul(P, A)
+    raise AssertionError("powers up to n stayed independent; impossible for a square matrix")
+
+
+def _primitive(v: Iterable[int]) -> list[int]:
+    v = list(v)
+    g = 0
+    for x in v:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return v
+    if g > 1:
+        v = [x // g for x in v]
+    return v
+
+
+def dense_upper_powers(G: Graph, m: int):
+    """Upper triangles of A^1..A^m, in the layout ``walk_powers`` returns."""
+    A = adjacency_matrix(G)
+    P = A
+    powers = []
+    for k in range(1, m + 1):
+        if k > 1:
+            P = mat_mul(P, A)
+        powers.append([list(row[i:]) for i, row in enumerate(P.rows)])
+    return powers
+
+
+def dense_walk_signature(G: Graph, m: int) -> WalkSignature:
+    """G's walk signature at a chosen horizon m, from dense powers."""
+    return WalkSignature.from_powers(dense_upper_powers(G, m))
 
 
 def cofactor_determinant(rows):

@@ -11,6 +11,7 @@ data/srg/ (or the directory WALKGI_SRG_DATA points at).
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -19,7 +20,6 @@ from acceptance_report import announce
 
 from walkgi import (
     SrgParams,
-    adjacency_matrix,
     brute_force_isomorphic,
     build_graph,
     catalog_read,
@@ -31,15 +31,13 @@ from walkgi import (
     lc_walk_signature,
     local_complement,
     make_catalog_record,
-    mat_mul,
-    mat_pow,
     parse_graph6,
     partition_group,
     srg_parameters,
     walk_signature,
     write_graph6,
 )
-from walkgi.linalg import IntMatrix
+from walkgi.formats import catalog_blobs
 from datasets import load_srg_group, srg_path
 from fixture_graphs import (
     chang_graphs,
@@ -54,10 +52,13 @@ from fixture_graphs import (
     triangular,
 )
 from oracles import (
+    adjacency_matrix,
     bareiss_first_pivot_determinant,
     cofactor_determinant,
     count_walks,
     exhaustive_isomorphic,
+    mat_mul,
+    mat_pow,
     random_graph,
     random_permutation,
     relabeled,
@@ -98,7 +99,7 @@ def test_criterion_1_exact_power_and_determinant():
         P = mat_pow(A, 17)
         assert all(v > 2**31 for row in P.rows for v in row)
 
-        det = determinant(A)
+        det = determinant(G)
         assert isinstance(det, int)
         assert det == ROOK6_DET
         assert det != ROOK6_FLOAT_ARTIFACT
@@ -190,10 +191,9 @@ def test_criterion_4_petersen_fixture():
         G = petersen()
         assert srg_parameters(G) == SrgParams(10, 3, 0, 1)
 
-        A = adjacency_matrix(G)
-        det = determinant(A)
+        det = determinant(G)
         assert det == 48
-        assert det == cofactor_determinant(A.rows)
+        assert det == cofactor_determinant(adjacency_matrix(G).rows)
         assert det == 3 * 1**5 * (-2) ** 4  # spectral product
 
         profile = lc_determinant_profile(G)
@@ -240,8 +240,7 @@ def test_criterion_5_soundness_suite():
             n = rng.randint(2, 8)
             G = random_graph(rng, n)
             H = relabeled(G, random_permutation(rng, n))
-            m = default_m(G)
-            assert walk_signature(G, m).encode() == walk_signature(H, m).encode()
+            assert walk_signature(G).encode() == walk_signature(H).encode()
             assert (
                 lc_determinant_profile(G).encode() == lc_determinant_profile(H).encode()
             )
@@ -261,11 +260,8 @@ def test_criterion_5_soundness_suite():
 
         # (d) elimination matches cofactor expansion
         for _ in range(200):
-            n = rng.randint(1, 7)
-            M = IntMatrix(
-                tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-            )
-            assert determinant(M) == cofactor_determinant(M.rows)
+            G = random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8]))
+            assert determinant(G) == cofactor_determinant(adjacency_matrix(G).rows)
 
         # (e) A^2 = dI + alpha A + beta (J - I - A) for every ingested SRG:
         # entry (i, j) of A^2 is d on the diagonal, alpha on edges, beta otherwise
@@ -337,4 +333,10 @@ def test_criterion_6_format_fidelity(tmp_path):
         ]
         cat = tmp_path / "acceptance.catalog"
         catalog_write(records, cat)
-        assert catalog_read(cat) == records
+        assert catalog_read(cat) == [
+            replace(r, lc_profile_encoding=None, lc_walk_encoding=None) for r in records]
+        blobs = catalog_blobs(cat, [d for r in records
+                                    for d in (r.lc_profile_digest, r.lc_walk_digest)])
+        for r in records:
+            assert blobs[r.lc_profile_digest] == r.lc_profile_encoding
+            assert blobs[r.lc_walk_digest] == r.lc_walk_encoding

@@ -96,10 +96,17 @@ def test_edges_iteration_matches_has_edge():
                 assert ((u, v) in listed) == G.has_edge(u, v)
 
 
+def identity_holds(p):
+    """d(d - alpha - 1) = (n - d - 1) beta, the standard feasibility identity."""
+    return p.d * (p.d - p.alpha - 1) == (p.n - p.d - 1) * p.beta
+
+
 def test_srg_params_identity():
-    assert SrgParams(10, 3, 0, 1).identity_holds()
-    assert SrgParams(16, 6, 2, 2).identity_holds()
-    assert not SrgParams(10, 3, 0, 2).identity_holds()
+    assert identity_holds(SrgParams(10, 3, 0, 1))
+    assert identity_holds(SrgParams(16, 6, 2, 2))
+    assert not identity_holds(SrgParams(10, 3, 0, 2))
+    for G in (petersen(), cycle(5), rook(4), shrikhande()):
+        assert identity_holds(srg_parameters(G))
 
 
 def test_srg_parameters_known_graphs():

@@ -1,20 +1,16 @@
 import hashlib
 import random
 
-import pytest
-
 from walkgi import (
     DetProfile,
     LcWalkSignature,
     WalkSignature,
-    adjacency_matrix,
     build_graph,
     default_m,
     determinant,
     lc_determinant_profile,
     lc_walk_signature,
     local_complement,
-    mat_pow,
     parse_graph6,
     walk_signature,
 )
@@ -30,24 +26,33 @@ from fixture_graphs import (
     shrikhande,
     triangular,
 )
-from oracles import cofactor_determinant, random_graph, random_permutation, relabeled
+from oracles import (
+    adjacency_matrix,
+    cofactor_determinant,
+    dense_walk_signature,
+    mat_pow,
+    random_graph,
+    random_permutation,
+    relabeled,
+)
 
 
 def test_walk_signature_shape_and_sorting():
-    sig = walk_signature(path(3), 2)
-    assert sig.n == 3 and sig.m == 2
-    assert len(sig.rows) == 3
+    sig = walk_signature(path(4))
+    assert sig.n == 4 and sig.m == 4
+    assert len(sig.rows) == 4
     for row in sig.rows:
-        assert len(row) == 3
+        assert len(row) == 4
         assert list(row) == sorted(row)
         for tup in row:
-            assert len(tup) == 2
+            assert len(tup) == 4
     assert list(sig.rows) == sorted(sig.rows)
 
 
 def test_walk_signature_entries_match_matrix_powers():
     G = cycle(5)
-    sig = walk_signature(G, 3)
+    sig = walk_signature(G)
+    assert sig.m == 3
     A = adjacency_matrix(G)
     powers = [mat_pow(A, k) for k in (1, 2, 3)]
     expected = sorted(
@@ -57,22 +62,17 @@ def test_walk_signature_entries_match_matrix_powers():
     assert list(sig.rows) == expected
 
 
-def test_walk_signature_m_validation():
-    with pytest.raises(ValueError):
-        walk_signature(path(3), 0)
-
-
 def test_walk_signature_relabeling_invariant():
     rng = random.Random(41)
     for _ in range(60):
         G = random_graph(rng, rng.randint(1, 9))
         H = relabeled(G, random_permutation(rng, G.n))
-        m = default_m(G)
-        assert walk_signature(G, m).encode() == walk_signature(H, m).encode()
+        assert walk_signature(G).encode() == walk_signature(H).encode()
 
 
 def test_walk_signature_detects_different_graphs():
-    assert walk_signature(path(4), 2) != walk_signature(cycle(4), 2)
+    assert walk_signature(path(4)) != walk_signature(cycle(4))
+    assert dense_walk_signature(path(4), 2) != dense_walk_signature(cycle(4), 2)
 
 
 def test_default_m_known_values():
@@ -105,7 +105,7 @@ def test_lc_determinant_profile_values():
     assert len(set(prof.values)) == 1
     # each entry is literally the determinant of one local complement
     expected = sorted(
-        (determinant(adjacency_matrix(local_complement(G, u))) for u in range(10)),
+        (determinant(local_complement(G, u)) for u in range(10)),
         key=lambda v: (abs(v), v >= 0, v),
     )
     assert list(prof.values) == expected
@@ -136,7 +136,7 @@ def test_lc_walk_signature_parts_sorted():
 
 def test_lc_walk_signature_splits_same_parameter_srgs():
     a, b = rook(4), shrikhande()
-    assert walk_signature(a, 3).encode() == walk_signature(b, 3).encode()
+    assert walk_signature(a).encode() == walk_signature(b).encode()
     assert lc_walk_signature(a).encode() != lc_walk_signature(b).encode()
 
 
@@ -146,7 +146,7 @@ def test_encodings_are_injective_on_small_sample():
     seen = {}
     for _ in range(200):
         G = random_graph(rng, rng.randint(1, 6))
-        sig = walk_signature(G, 2)
+        sig = dense_walk_signature(G, 2)
         enc = sig.encode()
         if enc in seen:
             assert seen[enc] == sig
@@ -155,18 +155,9 @@ def test_encodings_are_injective_on_small_sample():
 
 def test_encoding_embeds_dimensions():
     # same flattened numbers (all zeros), different shapes, must not collide
-    a = walk_signature(empty_graph(4), 1).encode()
-    b = walk_signature(empty_graph(2), 2).encode()
+    a = walk_signature(empty_graph(4)).encode()
+    b = dense_walk_signature(empty_graph(2), 2).encode()
     assert a != b
-
-
-def test_digest_is_sha256_of_encoding():
-    sig = walk_signature(petersen(), 3)
-    assert sig.digest() == hashlib.sha256(sig.encode()).hexdigest()
-    prof = lc_determinant_profile(path(4))
-    assert prof.digest() == hashlib.sha256(prof.encode()).hexdigest()
-    lw = lc_walk_signature(path(4))
-    assert lw.digest() == hashlib.sha256(lw.encode()).hexdigest()
 
 
 def test_negative_entries_encode_distinctly():
@@ -188,6 +179,7 @@ LC_WALK_DIGESTS = {
     "Paley(13)": "4c98b212c45657657e1d08d38cad65afb5acafc55e5f59a648870761112382b4",
     "Paley(17)": "773aabe48870f26651a96801f5fad7e897da86131e1f2a516a59a75f973a04c7",
 }
+# rook(4) and T(8) have horizon 3
 WALK_3_DIGESTS = {
     "rook(4)": "282cdab334eba627489802c8c1f1ef2c9ef41c3384489582962f063bb4491dcc",
     "T(8)": "6c612a0505236c4c33640d31ad09f25036d8fe48954397eba9887b1cc38d0974",
@@ -200,15 +192,18 @@ def test_golden_encodings_are_byte_identical():
               "rook(4)": rook(4), "Shrikhande": shrikhande(), "Paley(13)": paley(13),
               "Paley(17)": paley(17)}
     for name, digest in LC_WALK_DIGESTS.items():
-        assert lc_walk_signature(graphs[name]).digest() == digest, name
+        assert hashlib.sha256(lc_walk_signature(graphs[name]).encode()).hexdigest() == digest, name
     for name, digest in WALK_3_DIGESTS.items():
-        assert walk_signature(graphs[name], 3).digest() == digest, name
+        sig = walk_signature(graphs[name])
+        assert sig.m == 3, name
+        assert hashlib.sha256(sig.encode()).hexdigest() == digest, name
+        assert dense_walk_signature(graphs[name], 3) == sig, name
 
 
 def test_walk_signature_default_horizon():
     G = shrikhande()
     L = local_complement(G, 0)
-    assert walk_signature(L) == walk_signature(L, default_m(L))
+    assert walk_signature(L) == dense_walk_signature(L, default_m(L))
     assert walk_signature(G).m == 3
 
 

@@ -2,17 +2,7 @@ import random
 
 import pytest
 
-from walkgi import (
-    IntMatrix,
-    adjacency_matrix,
-    build_graph,
-    determinant,
-    distinct_eigenvalue_count,
-    local_complement,
-    mat_mul,
-    mat_pow,
-    walk_powers,
-)
+from walkgi import build_graph, determinant, local_complement, walk_powers
 from walkgi.linalg import _HankelPivots
 from fixture_graphs import (
     chang_graphs,
@@ -20,6 +10,7 @@ from fixture_graphs import (
     cycle,
     disjoint_union,
     empty_graph,
+    paley,
     path,
     petersen,
     rook,
@@ -28,10 +19,16 @@ from fixture_graphs import (
     triangular,
 )
 from oracles import (
+    IntMatrix,
+    adjacency_matrix,
     bareiss_first_pivot_determinant,
     cofactor_determinant,
     count_walks,
+    dense_upper_powers,
+    distinct_eigenvalue_count,
     fraction_gauss_determinant,
+    mat_mul,
+    mat_pow,
     random_graph,
 )
 
@@ -103,42 +100,64 @@ def test_mat_pow_counts_walks():
 
 
 def test_determinant_known_values():
-    assert determinant(IntMatrix(((7,),))) == 7
-    assert determinant(IntMatrix.identity(5)) == 1
-    assert determinant(ones(3)) == 0
-    assert determinant(IntMatrix(((2, 0), (0, 3)))) == 6
-    assert determinant(IntMatrix(((0, 1), (1, 0)))) == -1
-    assert determinant(adjacency_matrix(complete(3))) == 2
-    assert determinant(adjacency_matrix(path(3))) == 0
-    assert determinant(adjacency_matrix(petersen())) == 48
+    assert determinant(empty_graph(1)) == 0
+    assert determinant(complete(2)) == -1
+    assert determinant(complete(3)) == 2
+    assert determinant(disjoint_union(complete(2), complete(2))) == 1
+    assert determinant(cycle(4)) == 0
+    assert determinant(path(3)) == 0
+    assert determinant(petersen()) == 48
 
 
 def test_determinant_row_swap_sign():
-    A = IntMatrix(((0, 0, 1), (0, 2, 0), (3, 0, 0)))
-    assert determinant(A) == -6
+    # the diagonal is zero, so the first pivot always comes from a row swap;
+    # K_n has the spectrum n-1, -1^(n-1)
+    for n in range(2, 9):
+        assert determinant(complete(n)) == (-1) ** (n - 1) * (n - 1)
 
 
 def test_determinant_zero_column_early():
-    A = IntMatrix(((0, 1, 2), (0, 3, 4), (0, 5, 6)))
-    assert determinant(A) == 0
+    # an isolated vertex leaves its column without a pivot
+    assert determinant(disjoint_union(empty_graph(1), complete(4))) == 0
+    assert determinant(disjoint_union(complete(3), empty_graph(2))) == 0
 
 
 def test_determinant_against_cofactor_oracle():
     rng = random.Random(7)
     for _ in range(150):
-        n = rng.randint(1, 6)
-        A = random_matrix(rng, n)
-        assert determinant(A) == cofactor_determinant(A.rows)
+        G = random_graph(rng, rng.randint(1, 7), rng.choice((0.2, 0.5, 0.8)))
+        assert determinant(G) == cofactor_determinant(adjacency_matrix(G).rows)
 
 
 def test_determinant_against_independent_eliminations():
     rng = random.Random(8)
     for _ in range(80):
-        n = rng.randint(1, 7)
-        A = random_matrix(rng, n, -20, 20)
-        d = determinant(A)
-        assert d == bareiss_first_pivot_determinant(A.rows)
-        assert d == fraction_gauss_determinant(A.rows)
+        G = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+        rows = adjacency_matrix(G).rows
+        d = determinant(G)
+        assert d == bareiss_first_pivot_determinant(rows)
+        assert d == fraction_gauss_determinant(rows)
+
+
+LC_DETERMINANT_GRAPHS = {
+    "rook4": rook(4), "shrikhande": shrikhande(), "T8": triangular(8),
+    **{f"chang{i}": G for i, G in enumerate(chang_graphs())},
+    "C7": cycle(7), "P6": path(6), "star5": star(5),
+}
+
+
+@pytest.mark.parametrize("name", LC_DETERMINANT_GRAPHS)
+def test_determinant_of_local_complements(name):
+    # every graph lc_determinant_profile feeds the kernel for this family
+    G = LC_DETERMINANT_GRAPHS[name]
+    for u in range(G.n):
+        L = local_complement(G, u)
+        rows = adjacency_matrix(L).rows
+        d = determinant(L)
+        assert d == bareiss_first_pivot_determinant(rows)
+        assert d == fraction_gauss_determinant(rows)
+        if L.n <= 7:
+            assert d == cofactor_determinant(rows)
 
 
 def test_determinant_is_relabeling_invariant():
@@ -146,18 +165,19 @@ def test_determinant_is_relabeling_invariant():
     rng = random.Random(9)
     for _ in range(30):
         G = random_graph(rng, rng.randint(2, 8))
-        d = determinant(adjacency_matrix(G))
+        d = determinant(G)
         perm = list(range(G.n))
         rng.shuffle(perm)
         H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
-        assert determinant(adjacency_matrix(H)) == d
+        assert determinant(H) == d
 
 
 def test_determinant_large_entries_exact():
-    # entries big enough that float arithmetic would lose the low digits
-    big = 10**25
-    A = IntMatrix(((big, 1), (1, big)))
-    assert determinant(A) == big * big - 1
+    # a value far beyond float precision: Paley(q) has the spectrum
+    # (q-1)/2 and (-1 +- sqrt q)/2, each of the last two (q-1)/2 times
+    d = determinant(paley(61))
+    assert d == 30 * ((1 - 61) // 4) ** 30
+    assert d > 2**120
 
 
 def test_distinct_eigenvalue_count_known():
@@ -187,15 +207,6 @@ def test_distinct_eigenvalue_count_scaling_invariance():
         assert distinct_eigenvalue_count(A) == distinct_eigenvalue_count(triple)
 
 
-def _upper(P):
-    return [list(row[i:]) for i, row in enumerate(P.rows)]
-
-
-def _dense_powers(G, m):
-    A = adjacency_matrix(G)
-    return [_upper(mat_pow(A, k)) for k in range(1, m + 1)]
-
-
 EDGE_CASES = [
     empty_graph(1),
     empty_graph(5),
@@ -214,14 +225,14 @@ def test_walk_powers_edge_cases_match_dense(G):
     m, powers = walk_powers(G)
     assert m == distinct_eigenvalue_count(adjacency_matrix(G))
     assert len(powers) == m
-    assert powers == _dense_powers(G, m)
+    assert powers == dense_upper_powers(G, m)
 
 
 def test_walk_powers_horizon_on_fixtures():
     for G in FIXTURES:
         m, powers = walk_powers(G)
         assert m == distinct_eigenvalue_count(adjacency_matrix(G))
-        assert powers[-1] == _upper(mat_pow(adjacency_matrix(G), m))
+        assert powers[-1] == dense_upper_powers(G, m)[-1]
 
 
 def test_walk_powers_horizon_on_local_complements():
@@ -240,7 +251,7 @@ def test_walk_powers_match_dense_on_local_complements():
     for G in (shrikhande(), chang_graphs()[1]):
         L = local_complement(G, 0)
         m, powers = walk_powers(L)
-        assert powers == _dense_powers(L, m)
+        assert powers == dense_upper_powers(L, m)
 
 
 def test_walk_powers_random_graphs():
@@ -249,29 +260,17 @@ def test_walk_powers_random_graphs():
         G = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.5, 0.8)))
         m, powers = walk_powers(G)
         assert m == distinct_eigenvalue_count(adjacency_matrix(G))
-        assert powers == _dense_powers(G, m)
+        assert powers == dense_upper_powers(G, m)
 
 
 def test_walk_powers_count_walks():
     rng = random.Random(12)
     for _ in range(20):
         G = random_graph(rng, rng.randint(2, 7))
-        m, powers = walk_powers(G, 4)
-        assert m == 4
+        m, powers = walk_powers(G)
         for _ in range(5):
-            u, v, k = rng.randrange(G.n), rng.randrange(G.n), rng.randint(1, 4)
+            u, v, k = rng.randrange(G.n), rng.randrange(G.n), rng.randint(1, m)
             assert powers[k - 1][min(u, v)][abs(u - v)] == count_walks(G, u, v, k)
-
-
-def test_walk_powers_explicit_m_beyond_horizon():
-    # walk_signature(G, m) with a horizon larger than the graph's own; the
-    # lanes must hold Delta**m, not Delta**n
-    for G in (complete(3), petersen(), empty_graph(3), rook(4)):
-        m, powers = walk_powers(G, G.n + 5)
-        assert m == G.n + 5
-        assert powers == _dense_powers(G, m)
-    m, powers = walk_powers(path(3), 1)
-    assert (m, powers) == (1, _dense_powers(path(3), 1))
 
 
 def test_hankel_pivots_are_leading_minors():
@@ -285,12 +284,8 @@ def test_hankel_pivots_are_leading_minors():
         traces += [sum(mat_pow(A, k).rows[i][i] for i in range(G.n)) for k in range(2, 2 * m + 1)]
         pivots = _HankelPivots(G.n)
         for k in range(1, m + 1):
-            hankel = IntMatrix(tuple(tuple(traces[i:i + k + 1]) for i in range(k + 1)))
+            hankel = [traces[i:i + k + 1] for i in range(k + 1)]
             minor = pivots.add(traces[2 * k - 1], traces[2 * k])
-            assert minor == determinant(hankel)
+            assert minor == fraction_gauss_determinant(hankel)
             assert (minor == 0) == (k == m)
 
-
-def test_walk_powers_rejects_bad_m():
-    with pytest.raises(ValueError):
-        walk_powers(path(3), 0)
