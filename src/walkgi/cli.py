@@ -285,7 +285,8 @@ def cmd_walks(args: argparse.Namespace) -> int:
     for record_id, G in entries:
         if not (0 <= u < G.n and 0 <= v < G.n):
             raise _UsageError(f"{record_id}: pair ({u},{v}) out of range for n={G.n}")
-        m, powers = walk_powers(G)
+        powers = walk_powers(G)
+        m = len(powers)
         counts = [P[min(u, v)][abs(u - v)] for P in powers]
         if args.format == "text":
             print(f"{record_id}: m={m}, s({u},{v})=({', '.join(str(c) for c in counts)})")

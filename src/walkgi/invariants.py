@@ -132,12 +132,12 @@ class LcWalkSignature:
 def walk_signature(G: Graph) -> WalkSignature:
     """Exact walk-count signature of G for walk lengths 1..m, where m is G's
     horizon, ``default_m(G)``, found from the same powers."""
-    return WalkSignature.from_powers(walk_powers(G)[1])
+    return WalkSignature.from_powers(walk_powers(G))
 
 
 def default_m(G: Graph) -> int:
     """Walk horizon for G: the number of distinct adjacency eigenvalues."""
-    return walk_powers(G)[0]
+    return len(walk_powers(G))
 
 
 def _profile_order(v: int) -> tuple[int, bool, int]:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, degree_sequence
-from .invariants import WalkSignature, lc_determinant_profile, lc_walk_signature
-from .linalg import determinant, walk_powers
+from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
+from .linalg import determinant
 
 STAGES = (
     "vertex-count",
@@ -66,9 +66,10 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
     Returns Distinguished at the first stage whose value differs, else
     NotDistinguished.  NotDistinguished never asserts isomorphism.
 
-    Differing horizons m_G != m_H count as a walk-signature difference: equal
-    signatures at max(m_G, m_H) would give equal traces tr A^0..tr A^(2m),
-    hence equal Hankel leading minors and equal horizons.
+    Differing horizons m_G != m_H count as a walk-signature difference, as
+    each signature carries its m: equal signatures at max(m_G, m_H) would
+    give equal traces tr A^0..tr A^(2m), hence equal Hankel leading minors
+    and equal horizons.
     """
     if G.n != H.n:
         return Verdict(True, "vertex-count")
@@ -78,8 +79,7 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
         return Verdict(True, "degree-sequence")
     if determinant(G) != determinant(H):
         return Verdict(True, "determinant")
-    (m_G, powers_G), (m_H, powers_H) = walk_powers(G), walk_powers(H)
-    if m_G != m_H or WalkSignature.from_powers(powers_G) != WalkSignature.from_powers(powers_H):
+    if walk_signature(G) != walk_signature(H):
         return Verdict(True, "walk-signature")
     if lc_determinant_profile(G).encode() != lc_determinant_profile(H).encode():
         return Verdict(True, "lc-det-profile")

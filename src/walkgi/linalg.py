@@ -6,26 +6,37 @@ ints, so matrix powers and determinants that break fixed-width machine
 arithmetic (negative "walk counts", nonsense float determinants) come out
 exact.
 
-``determinant`` runs Bareiss elimination on the 0/1 rows of A, built
-straight from the graph's bit rows.  ``walk_powers`` packs each row of a
-power into a single Python int with fixed-width, byte-aligned lanes
-(Kronecker substitution), so one row of A*P is a sum of big ints.  The lanes
-stay exact for two reasons: the packed ints are arbitrary precision, so the
-sum never wraps, and every lane holds at least the bit length of Delta**n,
-where Delta is the maximum degree and n bounds the horizon.  A walk count of
-length k is at most Delta**k and all counts are nonnegative, so no lane ever
-carries into its neighbour.  Every power of A is symmetric, so each packed
-row is unpacked only from the diagonal lane on: the kernel returns upper
-triangles, and its Frobenius traces are twice the upper sum less the
-diagonal.  The horizon test eliminates the Hankel trace matrix one row per
-power, exactly and without pivoting, which a Gram matrix of independent
-powers allows because its leading minors are positive.  The dense
-reference both kernels are tested against lives in ``tests/oracles.py``.
+Both kernels pack each matrix row into a single Python int with fixed-width,
+byte-aligned lanes (Kronecker substitution): lane j of a row holds its entry
+in column j, and the row is the integer sum of v_j * X**j with X = 2**bits.
+A row operation is then one big-int expression instead of a loop over
+entries.  The packed ints are arbitrary precision, so no sum or product
+wraps; what keeps the lanes apart is a width that holds every value a lane
+can take.
+
+``determinant`` runs Bareiss elimination on the packed rows of A, pivoting
+on the first nonzero entry of each column.  Its divisions are exact for a
+whole row at once, its entries are signed minors of A, so a lane holds the
+Hadamard bound plus a sign bit, and each step leaves the eliminated column
+zero and drops that lane.
+
+``walk_powers`` computes each row of A*P as a sum of packed rows of P.  Every
+lane holds at least the bit length of Delta**n, where Delta is the maximum
+degree and n bounds the horizon.  A walk count of length k is at most
+Delta**k and all counts are nonnegative, so no lane ever carries into its
+neighbour.  Every power of A is symmetric, so each packed row is unpacked
+only from the diagonal lane on: the kernel returns upper triangles, and its
+Frobenius traces are twice the upper sum less the diagonal.  The horizon
+test eliminates the Hankel trace matrix one row per power, exactly and
+without pivoting, which a Gram matrix of independent powers allows because
+its leading minors are positive.  The dense reference both kernels are
+tested against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from math import isqrt, prod
 from operator import mul
 
 from .graph import Graph
@@ -33,49 +44,78 @@ from .graph import Graph
 
 def determinant(G: Graph) -> int:
     """Exact determinant of G's adjacency matrix via Bareiss fraction-free
-    elimination.
+    elimination on packed rows.
 
-    Every division is an exact integer division and intermediate entries are
-    minors of the input, so their sizes stay polynomially bounded.  Pivots
-    are chosen by a full search of the eliminating column (smallest nonzero
-    magnitude); row swaps flip the tracked sign.
+    Each row is one int with a fixed-width, byte-aligned signed lane per
+    remaining column: the integer sum of v_j * X**j, X = 2**bits.  Step k
+    takes as pivot row Q the first row whose entry pk in column k is
+    nonzero; moving it to the top is one row swap, which flips the sign, and
+    any nonzero pivot gives the same determinant.  Every other row P, with
+    entry t in column k, becomes (pk * P - t * Q) // prev, where prev is the
+    previous pivot: one big-int expression per row, O(n^2) of them instead
+    of O(n^3) entry updates.  As integers, pk * P - t * Q is the sum of
+    (pk * v_j - t * w_j) * X**j, and each of those coefficients is divisible
+    by prev (Sylvester's identity), so the division is exact for the whole
+    row at once; it is skipped when prev is 1, which it often is on a 0/1
+    matrix.  No lane is read while it holds an undivided product.
+
+    After the division every entry is a minor of the row-permuted A.  By
+    Hadamard's inequality its size is at most the square root of the product
+    of the row popcounts r_i, since a row of zeros returns 0 at once and so
+    every r_i >= 1.  Lanes of (isqrt(prod r_i) + 1).bit_length() + 1 bits,
+    rounded up to whole bytes, hold every entry with its sign.  Column k is
+    then zero in every updated row, so each row drops that lane with an
+    exact shift, and the column a step eliminates is always the low lane:
+    the masked low bits, less X when they are at least X / 2.  Rows shrink by
+    one lane per step; the one entry left at the end is the determinant of
+    the row-permuted A.
     """
-    n = G.n
-    M = [[(row >> j) & 1 for j in range(n)] for row in G.rows]
+    if not all(G.rows):
+        return 0
+    lane = ((isqrt(prod(row.bit_count() for row in G.rows)) + 1).bit_length() + 8) // 8
+    bits = 8 * lane
+    X = 1 << bits
+    mask, half = X - 1, X >> 1
+    M = _packed(G.rows, lane)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        pivot_row = -1
-        pivot_abs = 0
-        for i in range(k, n):
-            v = M[i][k]
-            if v and (pivot_row < 0 or abs(v) < pivot_abs):
-                pivot_row = i
-                pivot_abs = abs(v)
-        if pivot_row < 0:
+    while len(M) > 1:
+        for i, Mk in enumerate(M):
+            if Mk & mask:
+                break
+        else:
             return 0
-        if pivot_row != k:
-            M[k], M[pivot_row] = M[pivot_row], M[k]
+        if i:
+            M[i] = M[0]
             sign = -sign
-        Mk = M[k]
-        pk = Mk[k]
-        for i in range(k + 1, n):
-            Mi = M[i]
-            mik = Mi[k]
-            if mik:
-                for j in range(k + 1, n):
-                    Mi[j] = (pk * Mi[j] - mik * Mk[j]) // prev
-                Mi[k] = 0
-            elif pk != prev:
-                for j in range(k + 1, n):
-                    Mi[j] = (pk * Mi[j]) // prev
+        pk = Mk & mask
+        if pk >= half:
+            pk -= X
+        rows = []
+        for Mi in M[1:]:
+            t = Mi & mask
+            if t >= half:
+                t -= X
+            num = pk * Mi - t * Mk
+            rows.append((num if prev == 1 else num // prev) >> bits)
+        M = rows
         prev = pk
-    return sign * M[n - 1][n - 1]
+    return sign * M[0]
 
 
-def walk_powers(G: Graph) -> tuple[int, list[list[list[int]]]]:
-    """The horizon m of G and the upper triangles of A^1..A^m for the
-    adjacency matrix A of G, as ``(m, powers)``.
+def _packed(rows: tuple[int, ...], lane: int) -> list[int]:
+    """Each bit row as one int with a ``lane``-byte lane per column, lane j
+    holding bit j.  The binary digits, most significant first, become
+    big-endian lanes by two byte replacements, so no Python loop runs per
+    bit or per neighbour."""
+    zero, one = bytes(lane), bytes(lane - 1) + b"\1"
+    return [int.from_bytes(f"{row:b}".encode().replace(b"0", zero).replace(b"1", one), "big")
+            for row in rows]
+
+
+def walk_powers(G: Graph) -> list[list[list[int]]]:
+    """The upper triangles of A^1..A^m for the adjacency matrix A of G, up to
+    G's horizon m, which is the length of the returned list.
 
     m is the least k such that I, A, ..., A^k are linearly dependent, i.e.
     the number of distinct eigenvalues of A; walks longer than m carry no
@@ -95,7 +135,7 @@ def walk_powers(G: Graph) -> tuple[int, list[list[list[int]]]]:
     bits = 8 * lane
     lanes = [slice(k, k + lane) for k in range(0, n * lane, lane)]
     neighbours = [tuple(G.neighbors(i)) for i in range(n)]
-    packed = [sum(1 << (bits * j) for j in nbrs) for nbrs in neighbours]
+    packed = _packed(G.rows, lane)
     powers: list[list[list[int]]] = []
     hankel = _HankelPivots(n)  # tr A^0 = n; tr A^1 = 0 (no loops)
     odd_trace = 0
@@ -110,7 +150,7 @@ def walk_powers(G: Graph) -> tuple[int, list[list[list[int]]]]:
         if k > 1:
             odd_trace = _frobenius(rows, powers[-2])
         if hankel.add(odd_trace, _frobenius(rows, rows)) == 0:
-            return k, powers
+            return powers
         if k == n:
             raise AssertionError("powers up to n stayed independent; impossible for a square matrix")
         packed = [sum(map(packed.__getitem__, nbrs)) for nbrs in neighbours]

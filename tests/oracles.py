@@ -175,11 +175,11 @@ def cofactor_determinant(rows):
 
 
 def bareiss_first_pivot_determinant(rows):
-    """Fraction-free elimination with first-nonzero pivoting.
+    """Fraction-free elimination with first-nonzero pivoting, one entry at a
+    time.
 
-    Same algorithm family as the package determinant but a different pivot
-    rule (the package searches for the smallest-magnitude pivot), so shared
-    pivoting bugs cannot hide.
+    The same algorithm and pivot rule as the package determinant, on plain
+    entries instead of packed rows, so a lane-packing bug cannot hide.
     """
     n = len(rows)
     m = [list(row) for row in rows]
@@ -204,8 +204,8 @@ def bareiss_first_pivot_determinant(rows):
 def fraction_gauss_determinant(rows):
     """Plain Gaussian elimination over Fraction with first-nonzero pivoting.
 
-    A different algorithm family and a different pivot rule than the
-    package's integer-preserving elimination.
+    A different algorithm family than the package's integer-preserving
+    elimination.
     """
     n = len(rows)
     m = [[Fraction(x) for x in row] for row in rows]

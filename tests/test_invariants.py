@@ -184,13 +184,30 @@ WALK_3_DIGESTS = {
     "rook(4)": "282cdab334eba627489802c8c1f1ef2c9ef41c3384489582962f063bb4491dcc",
     "T(8)": "6c612a0505236c4c33640d31ad09f25036d8fe48954397eba9887b1cc38d0974",
 }
+# lc_determinant_profile encodings (DP1)
+DET_PROFILE_DIGESTS = {
+    "rook(4)": "75a4c85a925c978cefb5382701d63c45fa34f62fb6891fef133417689c36388a",
+    "Shrikhande": "7a68a05f0eaec888fc4bf83ca991308bbeb6073aeaf4979745ae1dd275c2fecc",
+    "T(8)": "796c712681df346816404c96a049b3707142732cb4f5668baf3455117dfdde0b",
+    "Chang[0]": "186c63b55cfc05f6d68bee564f139c0864a58bf5bd0fa193e4a399cdd7bdb628",
+    "Chang[1]": "e5f4c9cd737e418e55370b89e6e0e82b9e1715428f1fda7e940ddd64617bc26e",
+    "Chang[2]": "ea25b2ca2ddcae127e6e65ab9614c8ae6e7345e285e08b03e4f2125b5dc5f37c",
+    "Paley(13)": "f4aa5f3c9c792f1aab265c72471b6709031639ba85b25a242cc1e248d6f7795d",
+    "Paley(17)": "8b1ff2ee8ab2714323fd8ce8141ada953e15a985dc81091fdeaa356c138b90a5",
+    "Paley(37)": "de1aded48bb153401078b3b7d0db336cb4c2eb5a856d5a11625b601aade22ee2",
+    "rook(6)": "c08ea92afc014d94e711758162f82807c4a0fe8d739bfba2cdc7a1795e5217f8",
+}
+
+
+def golden_graphs():
+    c0, c1, c2 = chang_graphs()
+    return {"T(8)": triangular(8), "Chang[0]": c0, "Chang[1]": c1, "Chang[2]": c2,
+            "rook(4)": rook(4), "Shrikhande": shrikhande(), "Paley(13)": paley(13),
+            "Paley(17)": paley(17), "Paley(37)": paley(37), "rook(6)": rook(6)}
 
 
 def test_golden_encodings_are_byte_identical():
-    c0, c1, c2 = chang_graphs()
-    graphs = {"T(8)": triangular(8), "Chang[0]": c0, "Chang[1]": c1, "Chang[2]": c2,
-              "rook(4)": rook(4), "Shrikhande": shrikhande(), "Paley(13)": paley(13),
-              "Paley(17)": paley(17)}
+    graphs = golden_graphs()
     for name, digest in LC_WALK_DIGESTS.items():
         assert hashlib.sha256(lc_walk_signature(graphs[name]).encode()).hexdigest() == digest, name
     for name, digest in WALK_3_DIGESTS.items():
@@ -198,6 +215,13 @@ def test_golden_encodings_are_byte_identical():
         assert sig.m == 3, name
         assert hashlib.sha256(sig.encode()).hexdigest() == digest, name
         assert dense_walk_signature(graphs[name], 3) == sig, name
+
+
+def test_golden_det_profile_encodings_are_byte_identical():
+    graphs = golden_graphs()
+    for name, digest in DET_PROFILE_DIGESTS.items():
+        encoding = lc_determinant_profile(graphs[name]).encode()
+        assert hashlib.sha256(encoding).hexdigest() == digest, name
 
 
 def test_walk_signature_default_horizon():

@@ -143,6 +143,7 @@ LC_DETERMINANT_GRAPHS = {
     "rook4": rook(4), "shrikhande": shrikhande(), "T8": triangular(8),
     **{f"chang{i}": G for i, G in enumerate(chang_graphs())},
     "C7": cycle(7), "P6": path(6), "star5": star(5),
+    "paley37": paley(37), "rook6": rook(6),
 }
 
 
@@ -158,6 +159,22 @@ def test_determinant_of_local_complements(name):
         assert d == fraction_gauss_determinant(rows)
         if L.n <= 7:
             assert d == cofactor_determinant(rows)
+
+
+def test_determinant_of_dense_random_graphs():
+    # dense rows have the largest popcounts, and their minors come closest
+    # to the Hadamard bound the lanes are sized by
+    rng = random.Random(14)
+    for _ in range(60):
+        G = random_graph(rng, rng.randint(2, 30), rng.choice((0.8, 0.9, 0.95)))
+        assert determinant(G) == fraction_gauss_determinant(adjacency_matrix(G).rows)
+
+
+def test_determinant_of_complete_graphs():
+    # J - I: every pivot after the first is negative, so the signed lane
+    # decoding is exercised at every step
+    for n in range(2, 41):
+        assert determinant(complete(n)) == (-1) ** (n - 1) * (n - 1)
 
 
 def test_determinant_is_relabeling_invariant():
@@ -222,15 +239,16 @@ FIXTURES = EDGE_CASES + [cycle(7), petersen(), rook(4), shrikhande(), triangular
 
 @pytest.mark.parametrize("G", EDGE_CASES, ids=lambda G: f"n{G.n}e{G.edge_count()}")
 def test_walk_powers_edge_cases_match_dense(G):
-    m, powers = walk_powers(G)
+    powers = walk_powers(G)
+    m = len(powers)
     assert m == distinct_eigenvalue_count(adjacency_matrix(G))
-    assert len(powers) == m
     assert powers == dense_upper_powers(G, m)
 
 
 def test_walk_powers_horizon_on_fixtures():
     for G in FIXTURES:
-        m, powers = walk_powers(G)
+        powers = walk_powers(G)
+        m = len(powers)
         assert m == distinct_eigenvalue_count(adjacency_matrix(G))
         assert powers[-1] == dense_upper_powers(G, m)[-1]
 
@@ -241,7 +259,7 @@ def test_walk_powers_horizon_on_local_complements():
     for G in (rook(4), shrikhande(), triangular(8), *chang_graphs()):
         for u in range(G.n):
             L = local_complement(G, u)
-            m, _ = walk_powers(L)
+            m = len(walk_powers(L))
             assert m == distinct_eigenvalue_count(adjacency_matrix(L))
             horizons.add(m)
     assert max(horizons) >= 17
@@ -250,7 +268,8 @@ def test_walk_powers_horizon_on_local_complements():
 def test_walk_powers_match_dense_on_local_complements():
     for G in (shrikhande(), chang_graphs()[1]):
         L = local_complement(G, 0)
-        m, powers = walk_powers(L)
+        powers = walk_powers(L)
+        m = len(powers)
         assert powers == dense_upper_powers(L, m)
 
 
@@ -258,7 +277,8 @@ def test_walk_powers_random_graphs():
     rng = random.Random(11)
     for _ in range(60):
         G = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.5, 0.8)))
-        m, powers = walk_powers(G)
+        powers = walk_powers(G)
+        m = len(powers)
         assert m == distinct_eigenvalue_count(adjacency_matrix(G))
         assert powers == dense_upper_powers(G, m)
 
@@ -267,7 +287,8 @@ def test_walk_powers_count_walks():
     rng = random.Random(12)
     for _ in range(20):
         G = random_graph(rng, rng.randint(2, 7))
-        m, powers = walk_powers(G)
+        powers = walk_powers(G)
+        m = len(powers)
         for _ in range(5):
             u, v, k = rng.randrange(G.n), rng.randrange(G.n), rng.randint(1, m)
             assert powers[k - 1][min(u, v)][abs(u - v)] == count_walks(G, u, v, k)
