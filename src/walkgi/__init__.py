@@ -12,7 +12,7 @@ from .graph import (
     local_complement,
     srg_parameters,
 )
-from .linalg import determinant, walk_powers
+from .linalg import determinant, lc_determinants, walk_powers
 from .invariants import (
     DetProfile,
     LcWalkSignature,
@@ -59,6 +59,7 @@ __all__ = [
     "local_complement",
     "srg_parameters",
     "determinant",
+    "lc_determinants",
     "walk_powers",
     "DetProfile",
     "LcWalkSignature",

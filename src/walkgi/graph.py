@@ -36,22 +36,26 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
+        rows = self.rows
+        n = len(rows)
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        full = (1 << n) - 1
-        for i, row in enumerate(self.rows):
-            if row < 0 or row & ~full:
-                raise ValueError(f"adjacency row {i} references vertices outside 0..{n - 1}")
-            if (row >> i) & 1:
-                raise ValueError(f"loop at vertex {i}")
-        for i, row in enumerate(self.rows):
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
-                if not (self.rows[j] >> i) & 1:
-                    raise ValueError(f"asymmetric adjacency between vertices {i} and {j}")
-                m &= m - 1
+        if min(rows) < 0 or max(rows) >> n:
+            i = next(i for i, row in enumerate(rows) if row < 0 or row >> n)
+            raise ValueError(f"adjacency row {i} references vertices outside 0..{n - 1}")
+        # The n x n 0/1 text of the matrix with both axes reversed (row n-1-r
+        # as its binary digits, column n-1-c first): a relabelling, so it is
+        # loop-free and symmetric exactly when the adjacency is.  Both checks
+        # are string operations, with no Python step per edge.
+        spec = f"0{n}b"
+        text = "".join([format(row, spec) for row in reversed(rows)])
+        diagonal = text[::n + 1]
+        if "1" in diagonal:
+            raise ValueError(f"loop at vertex {n - 1 - diagonal.rindex('1')}")
+        transpose = "".join([text[c::n] for c in range(n)])
+        if text != transpose:
+            r, c = divmod(next(k for k, (a, b) in enumerate(zip(text, transpose)) if a != b), n)
+            raise ValueError(f"asymmetric adjacency between vertices {n - 1 - r} and {n - 1 - c}")
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .graph import Graph, local_complement
-from .linalg import determinant, walk_powers
+from .linalg import lc_determinants, walk_powers
 
 
 def _encode_uint(x: int) -> bytes:
@@ -146,7 +146,7 @@ def _profile_order(v: int) -> tuple[int, bool, int]:
 
 def lc_determinant_profile(G: Graph) -> DetProfile:
     """Determinants of the adjacency matrices of all n local complements."""
-    values = [determinant(local_complement(G, u)) for u in range(G.n)]
+    values = lc_determinants(G)
     values.sort(key=_profile_order)
     return DetProfile(values=tuple(values))
 

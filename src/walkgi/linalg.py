@@ -1,5 +1,6 @@
-"""The two exact computations the pipeline runs on a graph's adjacency
-matrix A: its determinant and its walk counts up to the horizon.
+"""The exact computations the pipeline runs on a graph's adjacency matrix A:
+its determinant, the determinants of its n local complements, and its walk
+counts up to the horizon.
 
 Everything here is overflow-proof by construction: entries are plain Python
 ints, so matrix powers and determinants that break fixed-width machine
@@ -16,9 +17,22 @@ can take.
 
 ``determinant`` runs Bareiss elimination on the packed rows of A, pivoting
 on the first nonzero entry of each column.  Its divisions are exact for a
-whole row at once, its entries are signed minors of A, so a lane holds the
-Hadamard bound plus a sign bit, and each step leaves the eliminated column
-zero and drops that lane.
+whole row at once, its entries are signed minors of A, and each step leaves
+the eliminated column zero and drops that lane.  A lane holds the smaller
+of two bounds on a minor of an n x n 0/1 matrix, plus a sign bit: the 0/1
+Hadamard bound (n+1)^((n+1)/2) / 2^n, and Hadamard's inequality on the row
+popcounts, sqrt(prod r_i).
+
+``lc_determinants`` runs the same elimination on each local complement G_u
+without packing it.  G_u differs from G only in the rows v in N(u), which
+become row_v ^ row_u ^ {v}.  Each lane of a packed 0/1 row is 0 or 1, a
+single bit, so packing commutes with XOR, and G_u's packed rows are G's,
+with P[v] ^ P[u] ^ E[v] in row v (E[v] the unit in lane v): G is packed
+once.  That needs one lane width for all n complements.  The 0/1 bound
+depends on n alone, so it holds for every one of them.  The popcount bound
+of each complement follows from bit counts of G, since |row_v ^ row_u ^
+{v}| = r_v + r_u - 1 - 2 |row_v & row_u|, and the largest of them holds
+for all.  The lane holds the smaller of the two.
 
 ``walk_powers`` computes each row of A*P as a sum of packed rows of P.  Every
 lane holds at least the bit length of Delta**n, where Delta is the maximum
@@ -39,12 +53,73 @@ from itertools import repeat
 from math import isqrt, prod
 from operator import mul
 
-from .graph import Graph
+from .graph import Graph, local_complement
 
 
 def determinant(G: Graph) -> int:
     """Exact determinant of G's adjacency matrix via Bareiss fraction-free
-    elimination on packed rows.
+    elimination on packed rows (see ``_bareiss``)."""
+    if not all(G.rows):
+        return 0
+    lane = _lane(G.n, prod(row.bit_count() for row in G.rows))
+    return _bareiss(_packed(G.rows, lane), lane)
+
+
+def lc_determinants(G: Graph) -> list[int]:
+    """Exact determinants of the adjacency matrices of the n local
+    complements of G, in vertex order: entry u is det(G_u).
+
+    G is packed once, with one lane width for all n complements, and each
+    G_u's packed rows are derived from it by XOR (see the module
+    docstring).  Each G_u is still built by ``local_complement``, so its bit
+    rows pass the same validation as every ``Graph``.
+    """
+    n, rows = G.n, G.rows
+    neighbours = [tuple(G.neighbors(u)) for u in range(n)]
+    degrees = [len(nbrs) for nbrs in neighbours]
+    largest = 0
+    for u, nbrs in enumerate(neighbours):
+        counts = degrees.copy()
+        for v in nbrs:
+            counts[v] += degrees[u] - 1 - 2 * (rows[v] & rows[u]).bit_count()
+        largest = max(largest, prod(counts))
+    lane = _lane(n, largest)
+    bits = 8 * lane
+    packed = _packed(rows, lane)
+    dets = []
+    for u, nbrs in enumerate(neighbours):
+        local_complement(G, u)  # validates G_u's bit rows; the result is not needed
+        M = packed.copy()
+        Pu = packed[u]
+        for v in nbrs:
+            M[v] ^= Pu ^ (1 << bits * v)
+        dets.append(_bareiss(M, lane))
+    return dets
+
+
+def _lane(n: int, popcount_product: int) -> int:
+    """Bytes per signed lane that hold every minor of an n x n 0/1 matrix
+    whose row popcounts multiply to at most ``popcount_product``.
+
+    Two bounds hold for every k x k minor, k <= n.  The 0/1 Hadamard bound
+    (n+1)^((n+1)/2) / 2^n grows with n, and it is reached whenever a
+    Hadamard matrix of order n+1 exists.  The popcount bound is
+    Hadamard's inequality, sqrt of the product of the row popcounts, valid
+    when no row is zero: a minor's rows are parts of the matrix's rows, and
+    every factor is at least 1.  A product of 0 stands for a zero row, where
+    only the first bound holds.  A lane holds the smaller bound B with its
+    sign in B.bit_length() + 1 bits, rounded up to whole bytes.
+    """
+    bound = isqrt((n + 1) ** (n + 1)) >> n
+    if popcount_product:
+        bound = min(bound, isqrt(popcount_product))
+    return (bound.bit_length() + 8) // 8
+
+
+def _bareiss(M: list[int], lane: int) -> int:
+    """Determinant of the 0/1 matrix whose packed rows are M (consumed),
+    by Bareiss fraction-free elimination, with lanes of ``lane`` bytes that
+    ``_lane`` sized for it.
 
     Each row is one int with a fixed-width, byte-aligned signed lane per
     remaining column: the integer sum of v_j * X**j, X = 2**bits.  Step k
@@ -59,24 +134,17 @@ def determinant(G: Graph) -> int:
     row at once; it is skipped when prev is 1, which it often is on a 0/1
     matrix.  No lane is read while it holds an undivided product.
 
-    After the division every entry is a minor of the row-permuted A.  By
-    Hadamard's inequality its size is at most the square root of the product
-    of the row popcounts r_i, since a row of zeros returns 0 at once and so
-    every r_i >= 1.  Lanes of (isqrt(prod r_i) + 1).bit_length() + 1 bits,
-    rounded up to whole bytes, hold every entry with its sign.  Column k is
-    then zero in every updated row, so each row drops that lane with an
-    exact shift, and the column a step eliminates is always the low lane:
-    the masked low bits, less X when they are at least X / 2.  Rows shrink by
-    one lane per step; the one entry left at the end is the determinant of
-    the row-permuted A.
+    After the division every entry is a minor of the row-permuted matrix,
+    so its lane holds it with its sign.  Column k is then zero in every
+    updated row, so each row drops that lane with an exact shift, and the
+    column a step eliminates is always the low lane: the masked low bits,
+    less X when they are at least X / 2.  Rows shrink by one lane per step;
+    the one entry left at the end is the determinant of the row-permuted
+    matrix.
     """
-    if not all(G.rows):
-        return 0
-    lane = ((isqrt(prod(row.bit_count() for row in G.rows)) + 1).bit_length() + 8) // 8
     bits = 8 * lane
     X = 1 << bits
     mask, half = X - 1, X >> 1
-    M = _packed(G.rows, lane)
     sign = 1
     prev = 1
     while len(M) > 1:

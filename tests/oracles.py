@@ -273,6 +273,26 @@ def naive_srg(G: Graph):
     return (n, d, alphas.pop(), betas.pop())
 
 
+def loop_validate(rows) -> None:
+    """The graph invariants checked one edge at a time: raise ValueError
+    for a row outside 0..n-1, a loop or an asymmetric pair, naming it.
+    Plain Python over every row and every set bit, with no string tricks."""
+    n = len(rows)
+    full = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row < 0 or row & ~full:
+            raise ValueError(f"adjacency row {i} references vertices outside 0..{n - 1}")
+        if (row >> i) & 1:
+            raise ValueError(f"loop at vertex {i}")
+    for i, row in enumerate(rows):
+        m = row
+        while m:
+            j = (m & -m).bit_length() - 1
+            if not (rows[j] >> i) & 1:
+                raise ValueError(f"asymmetric adjacency between vertices {i} and {j}")
+            m &= m - 1
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return build_graph(n, edges)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from fixture_graphs import (
     shrikhande,
     star,
 )
-from oracles import naive_srg, random_graph
+from oracles import loop_validate, naive_srg, random_graph
 
 
 def test_build_graph_basic():
@@ -70,6 +71,55 @@ def test_graph_rejects_diagonal_bits():
 def test_graph_rejects_out_of_range_bits():
     with pytest.raises(ValueError):
         Graph((0b100, 0b000))
+
+
+def validation_error(validate, rows):
+    """None if ``validate`` accepts rows, else the numbers its error names."""
+    try:
+        validate(rows)
+    except ValueError as exc:
+        return sorted(map(int, re.findall(r"\d+", str(exc))))
+    return None
+
+
+def corruptions(rows):
+    """Every single-bit corruption of valid rows: each adjacency bit flipped
+    on one side only, each diagonal bit set, each out-of-range bit up to
+    n + 1 set, each row made negative."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n + 2):
+            yield rows[:i] + (rows[i] ^ (1 << j),) + rows[i + 1:]
+        yield rows[:i] + (-1 - rows[i],) + rows[i + 1:]
+        yield rows[:i] + (-(1 << i),) + rows[i + 1:]
+
+
+def test_validation_matches_loop_oracle_on_corruptions():
+    # every corruption breaks one invariant: the string-based checks reject
+    # it as the edge loop does, and name the same vertex or pair
+    rng = random.Random(41)
+    cases = [random_graph(rng, n, p) for n in range(1, 9) for p in (0.2, 0.5, 0.9) for _ in range(3)]
+    cases += [complete(8), empty_graph(8), star(7), path(8)]
+    for G in cases:
+        assert validation_error(Graph, G.rows) is None
+        for rows in corruptions(G.rows):
+            expected = validation_error(loop_validate, rows)
+            assert expected is not None
+            assert validation_error(Graph, rows) == expected, rows
+
+
+def test_validation_matches_loop_oracle_on_random_rows():
+    # random graphs, and random rows with several violations at once
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        rows = random_graph(rng, n, rng.random()).rows
+        assert validation_error(Graph, rows) is None
+        noisy = list(rows)
+        for _ in range(rng.randint(1, 3)):
+            noisy[rng.randrange(n)] ^= 1 << rng.randrange(n + 1)
+        noisy = tuple(noisy)
+        assert (validation_error(Graph, noisy) is None) == (validation_error(loop_validate, noisy) is None)
 
 
 def test_neighbors_and_degree():

@@ -1,9 +1,10 @@
 import random
+from math import isqrt, prod
 
 import pytest
 
-from walkgi import build_graph, determinant, local_complement, walk_powers
-from walkgi.linalg import _HankelPivots
+from walkgi import build_graph, determinant, lc_determinants, local_complement, walk_powers
+from walkgi.linalg import _HankelPivots, _bareiss, _lane, _packed
 from fixture_graphs import (
     chang_graphs,
     complete,
@@ -159,6 +160,68 @@ def test_determinant_of_local_complements(name):
         assert d == fraction_gauss_determinant(rows)
         if L.n <= 7:
             assert d == cofactor_determinant(rows)
+    assert lc_determinants(G) == [determinant(local_complement(G, u)) for u in range(G.n)]
+
+
+def graph_with_isolated_vertices(rng, n, p):
+    """A random graph whose vertices outside a random subset have no edges."""
+    live = set(rng.sample(range(n), rng.randint(0, n - 1)))
+    return build_graph(n, [(u, v) for u in live for v in live if u < v and rng.random() < p])
+
+
+def test_lc_determinants_match_per_complement_determinants():
+    # G is packed once and every complement's rows are derived by XOR, with
+    # one lane width for all of them; zero rows must still give 0
+    rng = random.Random(15)
+    graphs = [empty_graph(1), *(empty_graph(n) for n in (2, 5, 9)), *(star(k) for k in range(1, 12)),
+              *(complete(n) for n in range(2, 21)), path(9), cycle(8), petersen()]
+    graphs += [random_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.3, 0.5, 0.8, 0.95)))
+               for _ in range(60)]
+    graphs += [graph_with_isolated_vertices(rng, rng.randint(2, 20), rng.choice((0.2, 0.5, 0.9)))
+               for _ in range(60)]
+    for G in graphs:
+        assert lc_determinants(G) == [determinant(local_complement(G, u)) for u in range(G.n)]
+
+
+def sylvester_core(m):
+    """Rows of the (m-1) x (m-1) 0/1 matrix that is 1 where the Sylvester
+    Hadamard matrix of order m, with its first row and column removed, is
+    -1.  Its |det| is m^(m/2) / 2^(m-1), the 0/1 Hadamard bound for order
+    m - 1."""
+    return [sum(1 << (j - 1) for j in range(1, m) if (i & j).bit_count() % 2) for i in range(1, m)]
+
+
+@pytest.mark.parametrize("m, expected", [(4, 2), (8, 32), (16, 131072)])
+def test_bareiss_on_extremal_01_matrices(m, expected):
+    # these matrices reach the 0/1 Hadamard bound; they are not adjacency
+    # matrices, so _bareiss takes them packed directly.  The determinant
+    # itself is never read from a lane, so the core is also bordered by a
+    # unit row and column: its determinant is then the pivot of the last
+    # step but one, decoded from the low lane of a lane sized for order m
+    core = sylvester_core(m)
+    n = m - 1
+    assert isqrt((n + 1) ** (n + 1)) >> n == expected
+    bordered = core + [1 << n]
+    for rows in (core, bordered):
+        lane = _lane(len(rows), prod(row.bit_count() for row in rows))
+        det = _bareiss(_packed(rows, lane), lane)
+        assert abs(det) == expected
+        dense = tuple(tuple((row >> j) & 1 for j in range(len(rows))) for row in rows)
+        assert det == fraction_gauss_determinant(dense)
+
+
+# OEIS A003432: the largest determinant of an n x n 0/1 matrix, n = 1..15
+MAX_01_DETERMINANTS = (1, 1, 2, 3, 5, 9, 32, 56, 144, 320, 1458, 3645, 9477, 25515, 131072)
+
+
+def test_lane_bound_dominates_maximal_01_determinants():
+    # with all rows full the popcount bound n^(n/2) is the weaker one, and a
+    # 0 product (a zero row) leaves only the 0/1 Hadamard bound: either way
+    # the lane must hold the largest determinant of any 0/1 matrix of order n
+    for n, largest in enumerate(MAX_01_DETERMINANTS, 1):
+        assert largest <= isqrt((n + 1) ** (n + 1)) >> n
+        assert largest < 1 << 8 * _lane(n, n ** n) - 1
+        assert largest < 1 << 8 * _lane(n, 0) - 1
 
 
 def test_determinant_of_dense_random_graphs():
