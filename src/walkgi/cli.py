@@ -41,7 +41,7 @@ from .isotest import (
     map_pool,
     partition_group,
 )
-from .linalg import determinant, walk_powers
+from .linalg import _row_starts, determinant, walk_powers
 
 
 class _UsageError(Exception):
@@ -287,7 +287,9 @@ def cmd_walks(args: argparse.Namespace) -> int:
             raise _UsageError(f"{record_id}: pair ({u},{v}) out of range for n={G.n}")
         powers = walk_powers(G)
         m = len(powers)
-        counts = [P[min(u, v)][abs(u - v)] for P in powers]
+        i, j = min(u, v), max(u, v)
+        index = _row_starts(G.n)[i] + j - i
+        counts = [P[index] for P in powers]
         if args.format == "text":
             print(f"{record_id}: m={m}, s({u},{v})=({', '.join(str(c) for c in counts)})")
         else:
@@ -319,14 +321,22 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     p.add_argument("--format", choices=("text", "records"), default="text",
                    help="output style (default: text)")
     p.add_argument("--strict", action="store_true",
                    help="abort on the first dataset parse error")
     if workers:
-        p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1, metavar="N",
-                       help="worker processes (default: CPU count)")
+        p.add_argument("--workers", type=_positive_int, default=_usable_cpus(), metavar="N",
+                       help="worker processes (default: CPUs this process may run on)")
 
 
 def build_parser() -> argparse.ArgumentParser:

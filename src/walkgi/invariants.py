@@ -19,10 +19,12 @@ finds it from the same powers the walk signature is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import isqrt
 from operator import itemgetter
 
 from .graph import Graph, local_complement
-from .linalg import lc_determinants, walk_powers
+from .linalg import _row_starts, lc_determinants, walk_powers
 
 
 def _encode_uint(x: int) -> bytes:
@@ -52,23 +54,26 @@ class WalkSignature:
         return len(self.rows)
 
     @classmethod
-    def from_powers(cls, powers: list[list[list[int]]]) -> WalkSignature:
+    def from_powers(cls, powers: list[list[int]]) -> WalkSignature:
         """Signature of the powers A^1..A^m as returned by ``walk_powers``.
 
-        The powers hold upper triangles, so one tuple is built per unordered
-        pair {i, j}: row i starts with its pairs j >= i, and each tuple is
-        then appended to row j as well.
+        The powers hold flat upper triangles, so one ``zip`` builds the tuple
+        of every unordered pair {i, j}, in the same flat order, and row i
+        gathers its n tuples, from pairs {j, i} with j < i and then {i, j}
+        with j >= i, through one precomputed getter.
         """
-        rows = [list(zip(*(P[i] for P in powers))) for i in range(len(powers[0]))]
-        for i, row in enumerate(rows):
-            for below, tup in zip(rows[i + 1:], row[1:]):
-                below.append(tup)
-        return cls(m=len(powers), rows=tuple(sorted(tuple(sorted(row)) for row in rows)))
+        pairs = list(zip(*powers))
+        getters = _row_getters((isqrt(8 * len(pairs) + 1) - 1) // 2)
+        return cls(m=len(powers), rows=tuple(sorted(tuple(sorted(row(pairs))) for row in getters)))
 
     def encode(self) -> bytes:
+        return self._encode({})
+
+    def _encode(self, memo: dict[tuple[int, ...], bytes]) -> bytes:
+        """The WS1 bytes, with each walk-count tuple's bytes taken from or
+        added to ``memo``: tuples repeat heavily, within a signature and
+        across the local complements of one graph."""
         out = [b"WS1", _encode_uint(self.n), _encode_uint(self.m)]
-        # walk-count tuples repeat heavily; encode each distinct one once
-        memo: dict[tuple[int, ...], bytes] = {}
         for row in self.rows:
             for tup in row:
                 enc = memo.get(tup)
@@ -76,6 +81,17 @@ class WalkSignature:
                     enc = memo[tup] = b"".join(map(_encode_int, tup))
                 out.append(enc)
         return b"".join(out)
+
+
+@lru_cache(maxsize=8)
+def _row_getters(n: int) -> tuple[itemgetter, ...]:
+    """Per vertex i, a getter of the n pair entries of row i from a flat
+    row-major upper triangle, in column order."""
+    if n == 1:
+        return (itemgetter(slice(None)),)  # the one entry, as a list
+    start = _row_starts(n)
+    return tuple(itemgetter(*(start[j] + i - j for j in range(i)), *range(start[i], start[i] + n - i))
+                 for i in range(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,14 +122,17 @@ class LcWalkSignature:
 
     ``parts`` may be given in any order; they are sorted by their encodings,
     and ``part_encodings`` keeps those encodings in the same order, so each
-    part is encoded once.
+    part is encoded once.  The parts share one memo of tuple bytes, since
+    the local complements of one graph share most of their walk-count
+    tuples.
     """
 
     parts: tuple[WalkSignature, ...]
     part_encodings: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        keyed = sorted(((p.encode(), p) for p in self.parts), key=itemgetter(0))
+        memo: dict[tuple[int, ...], bytes] = {}
+        keyed = sorted(((p._encode(memo), p) for p in self.parts), key=itemgetter(0))
         object.__setattr__(self, "parts", tuple(p for _, p in keyed))
         object.__setattr__(self, "part_encodings", tuple(enc for enc, _ in keyed))
 

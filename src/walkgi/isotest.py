@@ -146,17 +146,39 @@ def _lc_walk_key(G: Graph) -> bytes:
     return lc_walk_signature(G).encode()
 
 
+class _Pool:
+    """``map`` in one process pool of ``workers`` processes, started on the
+    first call that has more than one item, and shut down on exit."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.executor = None
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.executor is not None:
+            self.executor.shutdown()
+
+    def map(self, fn, items: Sequence) -> list:
+        if self.workers <= 1 or len(items) <= 1:
+            return [fn(x) for x in items]
+        if self.executor is None:
+            # imported here: the pool machinery is the costliest import of
+            # the package, and serial runs and the single-graph commands
+            # never need it
+            from concurrent.futures import ProcessPoolExecutor
+
+            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        chunk = max(1, len(items) // (self.workers * 8))
+        return list(self.executor.map(fn, items, chunksize=chunk))
+
+
 def map_pool(fn, items: Sequence, workers: int) -> list:
     """``[fn(x) for x in items]``, in a process pool when ``workers`` > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    # imported here: the pool machinery is the costliest import of the
-    # package, and serial runs and the single-graph commands never need it
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    with _Pool(workers) as pool:
+        return pool.map(fn, items)
 
 
 def partition_group(
@@ -173,9 +195,9 @@ def partition_group(
     lc-walk encoding only for members of ambiguous coarse classes.  The report
     gives back the encodings the run used and how many of each stage were
     computed or cached, so a caller can store exactly what was computed.
-    Per-graph invariants are computed in a worker pool when ``workers`` > 1;
-    assembly is a deterministic reduce over sorted encodings, so the result
-    does not depend on the worker count.
+    Per-graph invariants are computed in one worker pool, shared by both
+    stages, when ``workers`` > 1; assembly is a deterministic reduce over
+    sorted encodings, so the result does not depend on the worker count.
     """
     graphs = list(graphs)
     if ids is None:
@@ -189,30 +211,31 @@ def partition_group(
     if len({g.n for g in graphs}) > 1:
         warnings.warn("graphs have mixed vertex counts; they separate trivially", stacklevel=2)
 
-    t0 = time.perf_counter()
-    profile_keys: list[bytes | None] = [cache.get(i, (None, None))[0] for i in ids]
-    missing = [idx for idx, key in enumerate(profile_keys) if key is None]
-    for idx, key in zip(missing, map_pool(_profile_key, [graphs[i] for i in missing], workers)):
-        profile_keys[idx] = key
-    t1 = time.perf_counter()
+    with _Pool(workers) as pool:
+        t0 = time.perf_counter()
+        profile_keys: list[bytes | None] = [cache.get(i, (None, None))[0] for i in ids]
+        missing = [idx for idx, key in enumerate(profile_keys) if key is None]
+        for idx, key in zip(missing, pool.map(_profile_key, [graphs[i] for i in missing])):
+            profile_keys[idx] = key
+        t1 = time.perf_counter()
 
-    coarse: dict[bytes, list[int]] = defaultdict(list)
-    for idx, key in enumerate(profile_keys):
-        coarse[key].append(idx)
-    coarse_sorted = sorted(coarse.items())
+        coarse: dict[bytes, list[int]] = defaultdict(list)
+        for idx, key in enumerate(profile_keys):
+            coarse[key].append(idx)
+        coarse_sorted = sorted(coarse.items())
 
-    ambiguous = [i for _, members in coarse_sorted if len(members) > 1 for i in members]
-    lc_keys: dict[int, bytes] = {}
-    to_compute = []
-    for i in ambiguous:
-        cached = cache.get(ids[i], (None, None))[1]
-        if cached is not None:
-            lc_keys[i] = cached
-        else:
-            to_compute.append(i)
-    for i, key in zip(to_compute, map_pool(_lc_walk_key, [graphs[i] for i in to_compute], workers)):
-        lc_keys[i] = key
-    t2 = time.perf_counter()
+        ambiguous = [i for _, members in coarse_sorted if len(members) > 1 for i in members]
+        lc_keys: dict[int, bytes] = {}
+        to_compute = []
+        for i in ambiguous:
+            cached = cache.get(ids[i], (None, None))[1]
+            if cached is not None:
+                lc_keys[i] = cached
+            else:
+                to_compute.append(i)
+        for i, key in zip(to_compute, pool.map(_lc_walk_key, [graphs[i] for i in to_compute])):
+            lc_keys[i] = key
+        t2 = time.perf_counter()
 
     final_entries: list[tuple[tuple[bytes, bytes], list[int]]] = []
     for key, members in coarse_sorted:

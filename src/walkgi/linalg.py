@@ -34,24 +34,34 @@ of each complement follows from bit counts of G, since |row_v ^ row_u ^
 {v}| = r_v + r_u - 1 - 2 |row_v & row_u|, and the largest of them holds
 for all.  The lane holds the smaller of the two.
 
-``walk_powers`` computes each row of A*P as a sum of packed rows of P.  Every
-lane holds at least the bit length of Delta**n, where Delta is the maximum
-degree and n bounds the horizon.  A walk count of length k is at most
-Delta**k and all counts are nonnegative, so no lane ever carries into its
-neighbour.  Every power of A is symmetric, so each packed row is unpacked
-only from the diagonal lane on: the kernel returns upper triangles, and its
-Frobenius traces are twice the upper sum less the diagonal.  The horizon
-test eliminates the Hankel trace matrix one row per power, exactly and
-without pivoting, which a Gram matrix of independent powers allows because
-its leading minors are positive.  The dense reference both kernels are
-tested against lives in ``tests/oracles.py``.
+``walk_powers`` computes each row of A*P as a sum of packed rows of P, in
+lanes of whole 64-bit words.  Walk counts are nonnegative, and an entry of
+A^k is at most Delta**(k-1), Delta the maximum degree: the first k-1 steps
+of a walk have at most Delta choices each, and the last is forced.  So
+lanes are sized by the powers actually formed: one word while the next
+power's bound Delta**k fits in 64 bits.  Before the first power that would
+not fit, the rows are repacked once to the word count of Delta**n, which
+covers every power up to the horizon m <= n, so a graph repacks at most
+once and no lane ever carries into its neighbour.  Every power of A is
+symmetric, so only the upper triangle is unpacked: each packed row is
+shifted past its lanes below the diagonal and written little-endian, and
+the whole triangle is read back by one ``array("Q", ...)`` call, with
+``byteswap`` on a big-endian machine.  A lane of w > 1 words is rebuilt
+from its w strided word lists.  The triangle is one flat row-major list,
+and the Frobenius traces are twice its products' sum less the diagonal's.
+The horizon test eliminates the Hankel trace matrix one row per power,
+exactly and without pivoting, which a Gram matrix of independent powers
+allows because its leading minors are positive.  The dense reference both
+kernels are tested against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import repeat
 from math import isqrt, prod
-from operator import mul
+from operator import lshift, mul, or_
 
 from .graph import Graph, local_complement
 
@@ -181,56 +191,92 @@ def _packed(rows: tuple[int, ...], lane: int) -> list[int]:
             for row in rows]
 
 
-def walk_powers(G: Graph) -> list[list[list[int]]]:
+def walk_powers(G: Graph) -> list[list[int]]:
     """The upper triangles of A^1..A^m for the adjacency matrix A of G, up to
     G's horizon m, which is the length of the returned list.
 
     m is the least k such that I, A, ..., A^k are linearly dependent, i.e.
     the number of distinct eigenvalues of A; walks longer than m carry no
     further information.  Every power of A is symmetric, so only the upper
-    triangle is unpacked: ``powers[k - 1][i]`` holds columns i..n-1 of row i,
-    and ``powers[k - 1][i][j - i]`` is the number of walks of length k
-    between vertices i and j, for i <= j.  The horizon is found along the
-    way.  The Frobenius Gram matrix of the powers is the Hankel matrix
-    [tr A^(i+j)], singular exactly when they are dependent; power k adds
-    tr A^(2k) = <A^k, A^k> and tr A^(2k-1) = <A^k, A^(k-1)>, each taken as
-    twice the sum over the upper triangle less the diagonal.  Singularity is
-    found by ``_HankelPivots``, one exact elimination step per power.
+    triangle is unpacked, as one flat row-major list: row i holds columns
+    i..n-1 and starts at ``_row_starts(n)[i]``, so
+    ``powers[k - 1][_row_starts(n)[i] + j - i]`` is the number of walks of
+    length k between vertices i and j, for i <= j.  The horizon is found
+    along the way.  The Frobenius Gram matrix of the powers is the Hankel
+    matrix [tr A^(i+j)], singular exactly when they are dependent; power k
+    adds tr A^(2k) = <A^k, A^k> and tr A^(2k-1) = <A^k, A^(k-1)>, each taken
+    as twice the sum over the upper triangle less the diagonal.  Singularity
+    is found by ``_HankelPivots``, one exact elimination step per power.
     """
     n = G.n
     delta = max(row.bit_count() for row in G.rows)
-    lane = max(1, ((delta ** n).bit_length() + 7) // 8)
-    bits = 8 * lane
-    lanes = [slice(k, k + lane) for k in range(0, n * lane, lane)]
+    words = 1
     neighbours = [tuple(G.neighbors(i)) for i in range(n)]
-    packed = _packed(G.rows, lane)
-    powers: list[list[list[int]]] = []
+    diagonal = _row_starts(n)
+    packed = _packed(G.rows, 8)
+    powers: list[list[int]] = []
     hankel = _HankelPivots(n)  # tr A^0 = n; tr A^1 = 0 (no loops)
     odd_trace = 0
     while True:
-        rows = []
-        for i, r in enumerate(packed):
-            data = (r >> (bits * i)).to_bytes((n - i) * lane, "little")
-            upper = map(data.__getitem__, lanes[:n - i])
-            rows.append(list(map(int.from_bytes, upper, repeat("little"))))
-        powers.append(rows)
+        flat = _upper(packed, words)
+        powers.append(flat)
         k = len(powers)
         if k > 1:
-            odd_trace = _frobenius(rows, powers[-2])
-        if hankel.add(odd_trace, _frobenius(rows, rows)) == 0:
+            odd_trace = _frobenius(flat, powers[-2], diagonal)
+        if hankel.add(odd_trace, _frobenius(flat, flat, diagonal)) == 0:
             return powers
         if k == n:
             raise AssertionError("powers up to n stayed independent; impossible for a square matrix")
+        if (delta ** k).bit_length() > 64 * words:  # A^(k+1) has entries up to delta**k
+            words = ((delta ** n).bit_length() + 63) // 64
+            packed = _widened(packed, words)
         packed = [sum(map(packed.__getitem__, nbrs)) for nbrs in neighbours]
 
 
-def _frobenius(P: list[list[int]], Q: list[list[int]]) -> int:
-    """<P, Q> for symmetric P and Q given by their upper triangles."""
-    upper = diagonal = 0
-    for p, q in zip(P, Q):
-        upper += sum(map(mul, p, q))
-        diagonal += p[0] * q[0]
-    return 2 * upper - diagonal
+def _row_starts(n: int) -> list[int]:
+    """Index of entry (i, i) in the flat row-major upper triangle of an
+    n x n matrix, for each i: rows 0..i-1 hold n, n-1, ..., n-i+1 entries."""
+    return [i * n - i * (i - 1) // 2 for i in range(n)]
+
+
+def _upper(packed: list[int], words: int) -> list[int]:
+    """The upper triangle of the symmetric matrix whose rows are ``packed``,
+    with ``words`` 64-bit words per lane, as one flat row-major list.
+
+    Row i is shifted past its first i lanes and written little-endian, and
+    all rows go to one ``array`` of words.  A lane of w > 1 words is rebuilt
+    from its w strided word lists, the most significant first."""
+    bits = 64 * words
+    n = len(packed)
+    data = b"".join((r >> (bits * i)).to_bytes(8 * words * (n - i), "little")
+                    for i, r in enumerate(packed))
+    lanes = array("Q", data)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    flat = lanes[words - 1::words].tolist()
+    for t in range(words - 2, -1, -1):
+        flat = list(map(or_, map(lshift, flat, repeat(64)), lanes[t::words]))
+    return flat
+
+
+def _widened(packed: list[int], words: int) -> list[int]:
+    """Rows packed with one-word lanes, repacked with ``words``-word lanes:
+    each word moves to the low word of its new lane, which is the same
+    whichever byte order the words are read in."""
+    n = len(packed)
+    rows = []
+    for r in packed:
+        wide = array("Q", bytes(8 * words * n))
+        wide[::words] = array("Q", r.to_bytes(8 * n, "little"))
+        rows.append(int.from_bytes(wide, "little"))
+    return rows
+
+
+def _frobenius(P: list[int], Q: list[int], diagonal: list[int]) -> int:
+    """<P, Q> for symmetric P and Q given by their flat upper triangles,
+    whose diagonal entries sit at the indices ``diagonal``."""
+    on_diagonal = sum(map(mul, map(P.__getitem__, diagonal), map(Q.__getitem__, diagonal)))
+    return 2 * sum(map(mul, P, Q)) - on_diagonal
 
 
 class _HankelPivots:

@@ -150,7 +150,7 @@ def dense_upper_powers(G: Graph, m: int):
     for k in range(1, m + 1):
         if k > 1:
             P = mat_mul(P, A)
-        powers.append([list(row[i:]) for i, row in enumerate(P.rows)])
+        powers.append([x for i, row in enumerate(P.rows) for x in row[i:]])
     return powers
 
 

@@ -426,3 +426,19 @@ def test_version_exits_zero(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "walkgi" in capsys.readouterr().out
+
+
+def test_workers_default_follows_cpu_affinity(monkeypatch):
+    from walkgi.cli import build_parser
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert build_parser().parse_args(["group", "x.g6"]).workers == 1
+    assert build_parser().parse_args(["info", "x.g6"]).workers == 1
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+    assert build_parser().parse_args(["group", "x.g6"]).workers == 3
+    # platforms without an affinity call fall back to the CPU count
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    assert build_parser().parse_args(["group", "x.g6"]).workers == 8
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert build_parser().parse_args(["group", "x.g6"]).workers == 1

@@ -178,6 +178,8 @@ LC_WALK_DIGESTS = {
     # LC horizons 9 and 11
     "Paley(13)": "4c98b212c45657657e1d08d38cad65afb5acafc55e5f59a648870761112382b4",
     "Paley(17)": "773aabe48870f26651a96801f5fad7e897da86131e1f2a516a59a75f973a04c7",
+    # max LC degree 19 and LC horizons 19: entries outgrow one 64-bit word
+    "Paley(37)": "a9459afd8247558dc1bc74ac816d83a41e5513f3590cede10a9cf0dfd88be55d",
 }
 # rook(4) and T(8) have horizon 3
 WALK_3_DIGESTS = {

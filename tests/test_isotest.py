@@ -226,6 +226,30 @@ def test_partition_worker_count_does_not_change_result():
     assert serial.final_classes == parallel.final_classes
 
 
+def test_partition_starts_one_pool_for_both_stages(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    rng = random.Random(67)
+    graphs = [rook(4), shrikhande(), relabeled(rook(4), random_permutation(rng, 16))]
+    report = partition_group(graphs, ids=list("abc"), workers=2)
+    assert dict((stage, computed) for stage, computed, _ in report.counts) == {
+        "lc-det-profile": 3, "lc-walk-signature": 2}
+    assert report.final_classes == (("b",), ("a", "c"))
+    assert started == [2]
+    # a serial run, or a run with nothing to hand out, starts none
+    partition_group(graphs, ids=list("abc"), workers=1)
+    partition_group(graphs[:1], ids=["a"], workers=2)
+    assert started == [2]
+
+
 def test_partition_uses_invariant_cache():
     graphs = [rook(4), shrikhande(), rook(4)]
     ids = ["a", "b", "c"]

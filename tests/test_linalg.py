@@ -338,12 +338,21 @@ def test_walk_powers_match_dense_on_local_complements():
 
 def test_walk_powers_random_graphs():
     rng = random.Random(11)
-    for _ in range(60):
-        G = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.5, 0.8)))
+    graphs = [random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.5, 0.8)))
+              for _ in range(60)]
+    # dense graphs with n distinct eigenvalues run the powers to A^n, whose
+    # entries outgrow one 64-bit word: one repack, then multi-word lanes
+    dense = []
+    while len(dense) < 6:
+        G = random_graph(rng, rng.randint(20, 22), 0.75)
+        if distinct_eigenvalue_count(adjacency_matrix(G)) == G.n:
+            dense.append(G)
+    for G in graphs + dense:
         powers = walk_powers(G)
         m = len(powers)
         assert m == distinct_eigenvalue_count(adjacency_matrix(G))
         assert powers == dense_upper_powers(G, m)
+    assert all(max(walk_powers(G)[-1]) >= 2**64 for G in dense)
 
 
 def test_walk_powers_count_walks():
@@ -354,7 +363,8 @@ def test_walk_powers_count_walks():
         m = len(powers)
         for _ in range(5):
             u, v, k = rng.randrange(G.n), rng.randrange(G.n), rng.randint(1, m)
-            assert powers[k - 1][min(u, v)][abs(u - v)] == count_walks(G, u, v, k)
+            i, j = min(u, v), max(u, v)
+            assert powers[k - 1][i * G.n - i * (i - 1) // 2 + j - i] == count_walks(G, u, v, k)
 
 
 def test_hankel_pivots_are_leading_minors():
