@@ -97,13 +97,6 @@ def _degree_text(G: Graph) -> str:
     return ",".join(runs)
 
 
-def _srg_text(G: Graph) -> str:
-    params = srg_parameters(G)
-    if params is None:
-        return "not SRG"
-    return f"SRG({params.n},{params.d},{params.alpha},{params.beta})"
-
-
 def _info_worker(G: Graph) -> tuple[int, int]:
     return determinant(G), default_m(G)
 
@@ -114,16 +107,17 @@ def cmd_info(args: argparse.Namespace) -> int:
     for (record_id, G), (det, m) in zip(entries, numeric):
         degrees = _degree_text(G)
         params = srg_parameters(G)
+        srg = None if params is None else f"{params.n},{params.d},{params.alpha},{params.beta}"
         if args.format == "text":
+            srg_text = "not SRG" if srg is None else f"SRG({srg})"
             print(
                 f"{record_id}: n={G.n}, edges={G.edge_count()}, degrees={degrees}, "
-                f"{_srg_text(G)}, det={det}, m={m}"
+                f"{srg_text}, det={det}, m={m}"
             )
         else:
-            srg_field = "-" if params is None else f"{params.n},{params.d},{params.alpha},{params.beta}"
             print(
                 f"record=info id={record_id} n={G.n} edges={G.edge_count()} "
-                f"degrees={degrees} srg={srg_field} det={det} m={m}"
+                f"degrees={degrees} srg={srg or '-'} det={det} m={m}"
             )
     return 1 if failed else 0
 
@@ -234,10 +228,9 @@ def cmd_group(args: argparse.Namespace) -> int:
             f"final_classes={stats['final_classes']} "
             f"all_singletons={'true' if report.all_singletons() else 'false'}"
         )
-        for size in sorted(report.coarse_size_counts()):
-            print(f"record=coarse-hist size={size} count={report.coarse_size_counts()[size]}")
-        for size in sorted(report.final_size_counts()):
-            print(f"record=final-hist size={size} count={report.final_size_counts()[size]}")
+        for kind, counts in (("coarse", report.coarse_size_counts()), ("final", report.final_size_counts())):
+            for size in sorted(counts):
+                print(f"record={kind}-hist size={size} count={counts[size]}")
         for members in report.multi_member_final():
             print(f"record=class kind=final size={len(members)} members=" + ",".join(members))
         print(f"timing: {_timing_text(report.timings)}, total {elapsed:.3f}s", file=sys.stderr)

@@ -18,7 +18,7 @@ finds it from the same powers the walk signature is built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from operator import itemgetter
@@ -118,27 +118,22 @@ class DetProfile:
 
 @dataclass(frozen=True, slots=True)
 class LcWalkSignature:
-    """Sorted multiset of the walk signatures of all n local complements.
+    """Sorted multiset of the walk signatures of all n local complements,
+    held as their WS1 encodings.
 
-    ``parts`` may be given in any order; they are sorted by their encodings,
-    and ``part_encodings`` keeps those encodings in the same order, so each
-    part is encoded once.  The parts share one memo of tuple bytes, since
-    the local complements of one graph share most of their walk-count
-    tuples.
+    ``part_encodings`` may be given in any order; they are sorted, so two
+    structurally equal signatures compare equal and encode to the same
+    bytes.  Encoding is injective, so nothing else of a part is kept.
     """
 
-    parts: tuple[WalkSignature, ...]
-    part_encodings: tuple[bytes, ...] = field(init=False, compare=False, repr=False)
+    part_encodings: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
-        memo: dict[tuple[int, ...], bytes] = {}
-        keyed = sorted(((p._encode(memo), p) for p in self.parts), key=itemgetter(0))
-        object.__setattr__(self, "parts", tuple(p for _, p in keyed))
-        object.__setattr__(self, "part_encodings", tuple(enc for enc, _ in keyed))
+        object.__setattr__(self, "part_encodings", tuple(sorted(self.part_encodings)))
 
     @property
     def n(self) -> int:
-        return len(self.parts)
+        return len(self.part_encodings)
 
     def encode(self) -> bytes:
         out = [b"LW1", _encode_uint(self.n)]
@@ -175,5 +170,8 @@ def lc_walk_signature(G: Graph) -> LcWalkSignature:
 
     Each complement gets its own horizon m_u = default_m of that complement,
     keeping the invariant a property of G alone (cacheable, pair-independent).
+    Each signature is encoded at once and dropped; one memo of tuple bytes
+    serves all n, as the complements share most of their walk-count tuples.
     """
-    return LcWalkSignature(tuple(walk_signature(local_complement(G, u)) for u in range(G.n)))
+    memo: dict[tuple[int, ...], bytes] = {}
+    return LcWalkSignature(tuple(walk_signature(local_complement(G, u))._encode(memo) for u in range(G.n)))

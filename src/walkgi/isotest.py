@@ -81,9 +81,9 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
         return Verdict(True, "determinant")
     if walk_signature(G) != walk_signature(H):
         return Verdict(True, "walk-signature")
-    if lc_determinant_profile(G).encode() != lc_determinant_profile(H).encode():
+    if lc_determinant_profile(G) != lc_determinant_profile(H):
         return Verdict(True, "lc-det-profile")
-    if lc_walk_signature(G).encode() != lc_walk_signature(H).encode():
+    if lc_walk_signature(G) != lc_walk_signature(H):
         return Verdict(True, "lc-walk-signature")
     return Verdict(False)
 

@@ -28,11 +28,14 @@ without packing it.  G_u differs from G only in the rows v in N(u), which
 become row_v ^ row_u ^ {v}.  Each lane of a packed 0/1 row is 0 or 1, a
 single bit, so packing commutes with XOR, and G_u's packed rows are G's,
 with P[v] ^ P[u] ^ E[v] in row v (E[v] the unit in lane v): G is packed
-once.  That needs one lane width for all n complements.  The 0/1 bound
-depends on n alone, so it holds for every one of them.  The popcount bound
-of each complement follows from bit counts of G, since |row_v ^ row_u ^
-{v}| = r_v + r_u - 1 - 2 |row_v & row_u|, and the largest of them holds
-for all.  The lane holds the smaller of the two.
+once, and no ``Graph`` is built for G_u.  None is needed to validate it:
+row_v ^ row_u ^ {v} flips bit w exactly when w is in N(u) - {v}, which is
+symmetric in v and w and never sets bit v or a bit outside 0..n-1.  That
+needs one lane width for all n complements.  The 0/1 bound depends on n
+alone, so it holds for every one of them.  The popcount bound of each
+complement follows from bit counts of G, since
+|row_v ^ row_u ^ {v}| = r_v + r_u - 1 - 2 |row_v & row_u|, and the largest
+of them holds for all.  The lane holds the smaller of the two.
 
 ``walk_powers`` computes each row of A*P as a sum of packed rows of P, in
 lanes of whole 64-bit words.  Walk counts are nonnegative, and an entry of
@@ -63,7 +66,7 @@ from itertools import repeat
 from math import isqrt, prod
 from operator import lshift, mul, or_
 
-from .graph import Graph, local_complement
+from .graph import Graph
 
 
 def determinant(G: Graph) -> int:
@@ -80,9 +83,9 @@ def lc_determinants(G: Graph) -> list[int]:
     complements of G, in vertex order: entry u is det(G_u).
 
     G is packed once, with one lane width for all n complements, and each
-    G_u's packed rows are derived from it by XOR (see the module
-    docstring).  Each G_u is still built by ``local_complement``, so its bit
-    rows pass the same validation as every ``Graph``.
+    G_u's packed rows are derived from it by XOR.  They are the only form of
+    G_u the determinant needs, and XOR keeps them symmetric with a zero
+    diagonal (see the module docstring).
     """
     n, rows = G.n, G.rows
     neighbours = [tuple(G.neighbors(u)) for u in range(n)]
@@ -98,7 +101,6 @@ def lc_determinants(G: Graph) -> list[int]:
     packed = _packed(rows, lane)
     dets = []
     for u, nbrs in enumerate(neighbours):
-        local_complement(G, u)  # validates G_u's bit rows; the result is not needed
         M = packed.copy()
         Pu = packed[u]
         for v in nbrs:

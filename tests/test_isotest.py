@@ -7,6 +7,7 @@ from walkgi import (
     DEFAULT_ORACLE_CAP,
     STAGES,
     CertificateError,
+    DetProfile,
     OracleLimitError,
     Verdict,
     WalkSignature,
@@ -106,6 +107,15 @@ def test_distinguish_lc_det_profile():
     assert verdict.stage == "lc-det-profile"
     # the final stage would separate them as well
     assert lc_walk_signature(a).encode() != lc_walk_signature(b).encode()
+
+
+def test_distinguish_lc_walk_signature(monkeypatch):
+    # no known pair survives the profile, so pin it to reach the final stage
+    monkeypatch.setattr("walkgi.isotest.lc_determinant_profile", lambda G: DetProfile((0,)))
+    a, b = rook(4), shrikhande()
+    assert distinguish_pair(a, b) == Verdict(True, "lc-walk-signature")
+    copy = relabeled(a, random_permutation(random.Random(63), a.n))
+    assert distinguish_pair(a, copy) == Verdict(False)
 
 
 def test_distinguish_isomorphic_is_notdistinguished():
