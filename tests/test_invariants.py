@@ -129,6 +129,14 @@ def test_lc_walk_signature_relabeling_invariant():
         assert sig_G == sig_H
 
 
+def test_lc_walk_signature_parts_sorted():
+    sig = lc_walk_signature(cycle(6))
+    assert sig.n == 6
+    encodings = list(sig.part_encodings)
+    assert len(encodings) == 6
+    assert encodings == sorted(encodings)
+
+
 def test_lc_walk_signature_splits_same_parameter_srgs():
     a, b = rook(4), shrikhande()
     assert walk_signature(a).encode() == walk_signature(b).encode()
