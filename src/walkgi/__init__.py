@@ -9,8 +9,10 @@ from .graph import (
     SrgParams,
     build_graph,
     degree_sequence,
+    is_isomorphism,
     local_complement,
     srg_parameters,
+    vertex_orbits,
 )
 from .linalg import determinant, lc_determinants, walk_powers
 from .invariants import (
@@ -56,8 +58,10 @@ __all__ = [
     "SrgParams",
     "build_graph",
     "degree_sequence",
+    "is_isomorphism",
     "local_complement",
     "srg_parameters",
+    "vertex_orbits",
     "determinant",
     "lc_determinants",
     "walk_powers",

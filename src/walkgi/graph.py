@@ -1,17 +1,45 @@
 """Simple undirected graphs with bit-row adjacency, plus strong-regularity
-detection and local complementation.
+detection, local complementation, isomorphism checking and vertex orbits.
 
 Vertices are dense integers 0..n-1.  Each adjacency row is a Python int used
 as a bitmask, so neighbourhood operations cost O(n/word) and graphs are cheap
 to copy and hash.  Graphs are immutable after construction.
+
+``is_isomorphism`` checks a vertex map by mapping each row's bits through
+it and comparing with the other graph's rows: O(n) big-int and string
+operations, with no Python step per vertex pair.
+
+``vertex_orbits`` finds the orbits of Aut(G) by individualisation and
+refinement (McKay and Piperno, *Practical graph isomorphism II*, 2014),
+with no canonical form.  Ordered equitable refinement splits cells by
+neighbour counts; a first path individualises the first vertex of the first
+non-singleton cell until the partition is discrete.  Then, from the deepest
+level up, each vertex w of that level's target cell that is not yet known to
+share the first-path vertex's orbit is individualised instead, and the tree
+below it is searched depth first, pruning every node whose cell sizes
+differ from the first path's at the same depth.  A leaf lambda gives the
+permutation lambda0[i] -> lambda[i], lambda0 the first leaf, which is kept
+only if ``is_isomorphism`` accepts it as an automorphism; kept permutations
+are unioned into orbits.  So every merge is backed by a verified
+automorphism.  An exhausted search below w proves that no automorphism
+fixing the path above maps the first-path vertex to w, so a search that
+never runs out keeps automorphisms that generate Aut(G).  It stops after a
+fixed number of refined nodes, ``ORBIT_SEARCH_NODES_PER_VERTEX`` times n;
+stopping early only leaves orbits finer than Aut(G)'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import compress, count
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 4096
+ORBIT_SEARCH_NODES_PER_VERTEX = 4
+
+# binary digits "0"/"1" as the byte values 0/1
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,12 +95,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        m = self.rows[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            yield v
-            m &= m - 1
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        """Neighbours of u in ascending order, from the binary digits of row
+        u, least significant first, with no Python step per vertex."""
+        return tuple(compress(count(), f"{self.rows[u]:b}".encode()[::-1].translate(_BIT_VALUES)))
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
@@ -163,3 +189,151 @@ def local_complement(G: Graph, u: int) -> Graph:
         rows[v] ^= mask & ~(1 << v)
         m &= m - 1
     return Graph(tuple(rows))
+
+
+def is_isomorphism(G: Graph, H: Graph, f: Sequence[int]) -> bool:
+    """Whether the permutation f of 0..n-1, f[u] the image of u, maps G onto
+    H: {u, v} is an edge of G exactly when {f[u], f[v]} is an edge of H.
+
+    Each row of G goes through f as one string operation and must equal the
+    row of H at f[u].  f must be a permutation; callers that take f from
+    outside check that first.
+    """
+    n = G.n
+    if H.n != n or len(f) != n:
+        return False
+    inverse = [0] * n
+    for u, w in enumerate(f):
+        inverse[w] = u
+    # digit j of a row's n-digit binary text is bit n-1-j; bit w of the
+    # image of a row is bit inverse[w] of the row
+    image = itemgetter(*[n - 1 - inverse[n - 1 - j] for j in range(n)])
+    spec = f"0{n}b"
+    target = H.rows
+    return all(int("".join(image(format(row, spec))), 2) == target[w] for row, w in zip(G.rows, f))
+
+
+def vertex_orbits(G: Graph) -> list[tuple[int, ...]]:
+    """Orbits of the automorphisms of G that the individualisation-refinement
+    search of the module docstring finds within its node bound, each in
+    ascending order and ordered by their least vertex.
+
+    Two vertices share an orbit only when a permutation that
+    ``is_isomorphism`` accepted as an automorphism joins them.  A search that
+    runs out of nodes returns the orbits of the automorphisms found so far:
+    finer than Aut(G)'s, never coarser.
+    """
+    n, rows = G.n, G.rows
+    orbit = list(range(n))  # union-find parents
+    budget = ORBIT_SEARCH_NODES_PER_VERTEX * n
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
+
+    def child(cells: list[list[int]], t: int, x: int) -> list[list[int]]:
+        # individualise x, first in its cell t, and refine
+        nonlocal budget
+        if budget == 0:
+            raise _OutOfNodes
+        budget -= 1
+        rest = [v for v in cells[t] if v != x]
+        return _refine(rows, cells[:t] + [[x], rest] + cells[t + 1:], [1 << x])
+
+    def search(level: int, w: int) -> list[int] | None:
+        # depth-first below w, put in place of the first path's vertex at
+        # ``level``, for a leaf whose permutation is an automorphism
+        stack = [(level, path[level][0], iter((w,)))]
+        while stack:
+            depth, cells, candidates = stack[-1]
+            x = next(candidates, None)
+            if x is None:
+                stack.pop()
+                continue
+            below = child(cells, path[depth][1], x)
+            if list(map(len, below)) != shapes[depth + 1]:
+                continue
+            if depth + 1 < len(path):
+                # equal cell sizes, so the same target cell as the first path's
+                stack.append((depth + 1, below, iter(below[path[depth + 1][1]])))
+                continue
+            gamma = [0] * n
+            for u, (image,) in zip(first_leaf, below):
+                gamma[u] = image
+            if is_isomorphism(G, G, gamma):
+                return gamma
+        return None
+
+    path: list[tuple[list[list[int]], int, int]] = []  # (cells, target cell, vertex) per level
+    cells = _refine(rows, [list(range(n))], [(1 << n) - 1])
+    shapes = [list(map(len, cells))]
+    try:
+        while len(cells) < n:
+            t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+            path.append((cells, t, cells[t][0]))
+            cells = child(cells, t, cells[t][0])
+            shapes.append(list(map(len, cells)))
+        first_leaf = [u for u, in cells]
+        for level in reversed(range(len(path))):
+            cells, t, v = path[level]
+            failed: list[int] = []
+            for w in cells[t]:
+                root = find(w)
+                if root == find(v) or any(find(u) == root for u in failed):
+                    continue
+                gamma = search(level, w)
+                if gamma is None:
+                    failed.append(w)
+                    continue
+                for u, image in enumerate(gamma):
+                    a, b = find(u), find(image)
+                    if a != b:
+                        orbit[max(a, b)] = min(a, b)
+    except _OutOfNodes:
+        pass
+    orbits: dict[int, list[int]] = {}
+    for v in range(n):
+        orbits.setdefault(find(v), []).append(v)
+    return [tuple(members) for members in orbits.values()]
+
+
+class _OutOfNodes(Exception):
+    """The orbit search has refined its last allowed node."""
+
+
+def _refine(rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """The equitable refinement of the ordered partition ``cells`` that
+    splits cells by neighbour counts in each vertex mask of ``splitters``
+    and of the parts split off on the way.
+
+    ``cells`` is refined in place and returned.  The parts of a split cell
+    take its place in ascending order of count, so relabelling ``cells`` and
+    ``splitters`` relabels the result.  Counts in
+    one part of each split follow from the cell's and the other parts', so
+    the first largest part is not queued.  The result is equitable when the
+    splitters hold every cell of ``cells``, or when ``cells`` is an
+    equitable partition with one vertex individualised and the splitters
+    hold that vertex.
+    """
+    n = len(rows)
+    queue = list(splitters)
+    for mask in queue:  # grows while it is read
+        if len(cells) == n:
+            break
+        split = []
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                counts = [(rows[v] & mask).bit_count() for v in cell]
+                if min(counts) != max(counts):
+                    parts: dict[int, list[int]] = {}
+                    for c, v in zip(counts, cell):
+                        parts.setdefault(c, []).append(v)
+                    split.append((i, [parts[c] for c in sorted(parts)]))
+        if not split:
+            continue
+        for i, parts in reversed(split):
+            cells[i:i + 1] = parts
+            largest = max(parts, key=len)
+            queue.extend(sum(map((1).__lshift__, part)) for part in parts if part is not largest)
+    return cells

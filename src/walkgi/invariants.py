@@ -9,7 +9,14 @@ equality is exactly byte equality:
 * determinant profile: the magnitude-ordered determinants of the adjacency
   matrices of all n local complements;
 * local-complement walk signature: the sorted multiset of walk signatures of
-  the n local complements, each at its own eigenvalue-count horizon.
+  the n local complements, each at its own eigenvalue-count horizon.  An
+  automorphism s of G maps the local complement G_u onto G_s(u), so the
+  signature is computed once per vertex orbit and repeated over its
+  members.  Orbits come from ``graph.vertex_orbits`` and merge vertices only
+  by automorphisms it has verified, so the bytes never depend on the
+  search.  On a graph with no automorphisms the search is a small fraction
+  of its lc-walk: about 5 ms beside about 0.5 s for 12-regular graphs at
+  n = 28 (Python 3.11, 2-vCPU VM).
 
 The horizon m of a graph is the number of distinct adjacency eigenvalues;
 walks longer than that carry no further information.  ``walk_powers``
@@ -23,7 +30,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import itemgetter
 
-from .graph import Graph, local_complement
+from .graph import Graph, local_complement, vertex_orbits
 from .linalg import _row_starts, lc_determinants, walk_powers
 
 
@@ -170,8 +177,14 @@ def lc_walk_signature(G: Graph) -> LcWalkSignature:
 
     Each complement gets its own horizon m_u = default_m of that complement,
     keeping the invariant a property of G alone (cacheable, pair-independent).
-    Each signature is encoded at once and dropped; one memo of tuple bytes
-    serves all n, as the complements share most of their walk-count tuples.
+    One complement per vertex orbit is computed, and its bytes stand for
+    every member: an automorphism s with s(u) = v maps G_u onto G_v.  Each
+    signature is encoded at once and dropped; one memo of tuple bytes
+    serves all orbits, as the complements share most of their walk-count
+    tuples.
     """
     memo: dict[tuple[int, ...], bytes] = {}
-    return LcWalkSignature(tuple(walk_signature(local_complement(G, u))._encode(memo) for u in range(G.n)))
+    parts: list[bytes] = []
+    for orbit in vertex_orbits(G):
+        parts += [walk_signature(local_complement(G, orbit[0]))._encode(memo)] * len(orbit)
+    return LcWalkSignature(tuple(parts))

@@ -42,13 +42,14 @@ lanes of whole 64-bit words.  Walk counts are nonnegative, and an entry of
 A^k is at most Delta**(k-1), Delta the maximum degree: the first k-1 steps
 of a walk have at most Delta choices each, and the last is forced.  So
 lanes are sized by the powers actually formed: one word while the next
-power's bound Delta**k fits in 64 bits.  Before the first power that would
-not fit, the rows are repacked once to the word count of Delta**n, which
-covers every power up to the horizon m <= n, so a graph repacks at most
-once and no lane ever carries into its neighbour.  Every power of A is
-symmetric, so only the upper triangle is unpacked: each packed row is
-shifted past its lanes below the diagonal and written little-endian, and
-the whole triangle is read back by one ``array("Q", ...)`` call, with
+power's bound Delta**k fits in 64 bits.  Before each power that would not
+fit, the rows are repacked to twice the words.  One doubling always
+suffices, as Delta < 2**12 adds at most 12 bits per power, so no lane ever
+carries into its neighbour, lanes are at most twice as wide as the powers
+up to the horizon need, and a graph repacks O(log m) times.  Every power
+of A is symmetric, so only the upper triangle is unpacked: each packed row
+is shifted past its lanes below the diagonal and written little-endian,
+and the whole triangle is read back by one ``array("Q", ...)`` call, with
 ``byteswap`` on a big-endian machine.  A lane of w > 1 words is rebuilt
 from its w strided word lists.  The triangle is one flat row-major list,
 and the Frobenius traces are twice its products' sum less the diagonal's.
@@ -88,7 +89,7 @@ def lc_determinants(G: Graph) -> list[int]:
     diagonal (see the module docstring).
     """
     n, rows = G.n, G.rows
-    neighbours = [tuple(G.neighbors(u)) for u in range(n)]
+    neighbours = [G.neighbors(u) for u in range(n)]
     degrees = [len(nbrs) for nbrs in neighbours]
     largest = 0
     for u, nbrs in enumerate(neighbours):
@@ -213,7 +214,7 @@ def walk_powers(G: Graph) -> list[list[int]]:
     n = G.n
     delta = max(row.bit_count() for row in G.rows)
     words = 1
-    neighbours = [tuple(G.neighbors(i)) for i in range(n)]
+    neighbours = [G.neighbors(i) for i in range(n)]
     diagonal = _row_starts(n)
     packed = _packed(G.rows, 8)
     powers: list[list[int]] = []
@@ -230,8 +231,8 @@ def walk_powers(G: Graph) -> list[list[int]]:
         if k == n:
             raise AssertionError("powers up to n stayed independent; impossible for a square matrix")
         if (delta ** k).bit_length() > 64 * words:  # A^(k+1) has entries up to delta**k
-            words = ((delta ** n).bit_length() + 63) // 64
             packed = _widened(packed, words)
+            words *= 2
         packed = [sum(map(packed.__getitem__, nbrs)) for nbrs in neighbours]
 
 
@@ -262,14 +263,18 @@ def _upper(packed: list[int], words: int) -> list[int]:
 
 
 def _widened(packed: list[int], words: int) -> list[int]:
-    """Rows packed with one-word lanes, repacked with ``words``-word lanes:
-    each word moves to the low word of its new lane, which is the same
-    whichever byte order the words are read in."""
+    """Rows packed with ``words``-word lanes, repacked with twice the words
+    per lane: the words of each lane move, in order, to the low words of its
+    new lane.  Words move whole, so this is the same whichever byte order
+    they are read in."""
     n = len(packed)
+    wider = 2 * words
     rows = []
     for r in packed:
-        wide = array("Q", bytes(8 * words * n))
-        wide[::words] = array("Q", r.to_bytes(8 * n, "little"))
+        lanes = array("Q", r.to_bytes(8 * words * n, "little"))
+        wide = array("Q", bytes(8 * wider * n))
+        for t in range(words):
+            wide[t::wider] = lanes[t::words]
         rows.append(int.from_bytes(wide, "little"))
     return rows
 

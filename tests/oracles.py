@@ -306,3 +306,59 @@ def random_permutation(rng: random.Random, n: int):
 
 def relabeled(G: Graph, perm) -> Graph:
     return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def automorphism_orbits(G: Graph) -> list[tuple[int, ...]]:
+    """Vertex orbits of Aut(G), from networkx's VF2++ matcher: v joins the
+    orbit of u when G with u marked is isomorphic to G with v marked.  Each
+    orbit ascending, orbits ordered by least vertex, as ``vertex_orbits``
+    returns them.  Needs networkx."""
+    import networkx as nx
+
+    base = nx.Graph()
+    base.add_nodes_from(range(G.n), mark=False)
+    base.add_edges_from(G.edges())
+
+    def marked(u: int):
+        H = base.copy()
+        H.nodes[u]["mark"] = True
+        return H
+
+    orbits: list[list[int]] = []
+    for v in range(G.n):
+        for orbit in orbits:
+            if nx.vf2pp_is_isomorphic(marked(orbit[0]), marked(v), node_label="mark"):
+                orbit.append(v)
+                break
+        else:
+            orbits.append([v])
+    return [tuple(orbit) for orbit in orbits]
+
+
+def automorphism_count(G: Graph) -> int:
+    """|Aut(G)|, by enumerating every isomorphism of G onto itself with
+    networkx's VF2++ matcher.  Needs networkx."""
+    import networkx as nx
+
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return sum(1 for _ in nx.vf2pp_all_isomorphisms(H, H))
+
+
+def edge_swapped(G: Graph, swaps: int, rng: random.Random) -> Graph:
+    """G after ``swaps`` random degree-preserving swaps: edges {a, b} and
+    {c, d} become {a, d} and {c, b} when both are new non-loops."""
+    edges = set(G.edges())
+    done = 0
+    while done < swaps:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+        if a == d or c == b or new[0] == new[1] or new[0] in edges or new[1] in edges:
+            continue
+        edges -= {(a, b) if a < b else (b, a), (c, d) if c < d else (d, c)}
+        edges |= set(new)
+        done += 1
+    return build_graph(G.n, edges)

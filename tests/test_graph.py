@@ -8,20 +8,34 @@ from walkgi import (
     SrgParams,
     build_graph,
     degree_sequence,
+    is_isomorphism,
     local_complement,
     srg_parameters,
+    vertex_orbits,
 )
 from fixture_graphs import (
+    chang_graphs,
     complete,
     cycle,
     empty_graph,
+    paley,
     path,
     petersen,
     rook,
     shrikhande,
     star,
+    triangular,
 )
-from oracles import loop_validate, naive_srg, random_graph
+from oracles import (
+    automorphism_count,
+    automorphism_orbits,
+    edge_swapped,
+    loop_validate,
+    naive_srg,
+    random_graph,
+    random_permutation,
+    relabeled,
+)
 
 
 def test_build_graph_basic():
@@ -128,6 +142,11 @@ def test_neighbors_and_degree():
     assert list(G.neighbors(1)) == [0]
     assert G.degree(0) == 3
     assert G.degree(2) == 1
+    rng = random.Random(12)
+    for _ in range(50):
+        G = random_graph(rng, rng.randint(1, 70), rng.random())
+        for u in range(G.n):
+            assert G.neighbors(u) == tuple(v for v in range(G.n) if G.has_edge(u, v))
 
 
 def test_degree_sequence_sorted():
@@ -224,3 +243,83 @@ def test_local_complement_vertex_range():
         local_complement(G, 3)
     with pytest.raises(ValueError):
         local_complement(G, -1)
+
+
+def test_is_isomorphism_accepts_automorphisms_and_relabellings():
+    G = paley(13)
+    assert is_isomorphism(G, G, [(4 * x + 1) % 13 for x in range(13)])  # 4 is a square mod 13
+    assert not is_isomorphism(G, G, [(2 * x) % 13 for x in range(13)])  # 2 is not
+    rng = random.Random(51)
+    for _ in range(100):
+        G = random_graph(rng, rng.randint(1, 9))
+        perm = random_permutation(rng, G.n)
+        H = relabeled(G, perm)
+        assert is_isomorphism(G, H, perm)
+        assert is_isomorphism(H, G, [perm.index(v) for v in range(G.n)])
+    assert not is_isomorphism(path(3), path(4), (0, 1, 2))
+
+
+def test_is_isomorphism_rejects_one_flipped_edge():
+    # an automorphism of G, checked against G with any one pair flipped
+    G = paley(13)
+    gamma = [(4 * x + 1) % 13 for x in range(13)]
+    for u in range(13):
+        for v in range(u + 1, 13):
+            rows = list(G.rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            flipped = Graph(tuple(rows))
+            assert not is_isomorphism(G, flipped, gamma)
+            assert not is_isomorphism(flipped, G, gamma)
+
+
+def _symmetric_fixtures():
+    c0, c1, c2 = chang_graphs()
+    return {"T(8)": triangular(8), "Chang[0]": c0, "Chang[1]": c1, "Chang[2]": c2,
+            "rook(4)": rook(4), "Shrikhande": shrikhande(), "rook(6)": rook(6),
+            "Paley(13)": paley(13), "Paley(17)": paley(17), "Paley(37)": paley(37)}
+
+
+def test_vertex_orbits_match_networkx_on_srgs():
+    pytest.importorskip("networkx")
+    rng = random.Random(52)
+    sizes = {}
+    for name, G in _symmetric_fixtures().items():
+        expected = automorphism_orbits(G)
+        assert vertex_orbits(G) == expected, name
+        for _ in range(2):
+            perm = random_permutation(rng, G.n)
+            moved = sorted(tuple(sorted(perm[u] for u in orbit)) for orbit in expected)
+            assert vertex_orbits(relabeled(G, perm)) == moved, name
+        sizes[name] = sorted(map(len, expected))
+    assert sizes["T(8)"] == [28] and sizes["Paley(37)"] == [37]
+    assert (sizes["Chang[0]"], sizes["Chang[1]"], sizes["Chang[2]"]) == ([4, 24], [4, 24], [10, 18])
+
+
+def test_vertex_orbits_are_singletons_on_edge_swapped_regular_graphs():
+    pytest.importorskip("networkx")
+    rng = random.Random(53)
+    for _ in range(4):
+        G = edge_swapped(triangular(8), 60, rng)
+        assert degree_sequence(G) == (12,) * 28
+        assert automorphism_count(G) == 1
+        assert vertex_orbits(G) == [(v,) for v in range(28)]
+
+
+def test_vertex_orbits_lie_inside_true_orbits_on_small_graphs():
+    pytest.importorskip("networkx")
+    rng = random.Random(54)
+    for _ in range(150):
+        G = random_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)))
+        orbits = vertex_orbits(G)
+        assert sorted(v for orbit in orbits for v in orbit) == list(range(G.n))
+        assert all(list(orbit) == sorted(orbit) for orbit in orbits)
+        true_orbit = {v: orbit for orbit in automorphism_orbits(G) for v in orbit}
+        for orbit in orbits:
+            assert set(orbit) <= set(true_orbit[orbit[0]])
+
+
+def test_vertex_orbits_without_search_nodes_are_singletons(monkeypatch):
+    monkeypatch.setattr("walkgi.graph.ORBIT_SEARCH_NODES_PER_VERTEX", 0)
+    for G in (triangular(8), paley(13), complete(5), empty_graph(1)):
+        assert vertex_orbits(G) == [(v,) for v in range(G.n)]

@@ -183,6 +183,10 @@ LC_WALK_DIGESTS = {
     "Paley(17)": "773aabe48870f26651a96801f5fad7e897da86131e1f2a516a59a75f973a04c7",
     # max LC degree 19 and LC horizons 19: entries outgrow one 64-bit word
     "Paley(37)": "a9459afd8247558dc1bc74ac816d83a41e5513f3590cede10a9cf0dfd88be55d",
+    # LC horizons up to 31, entries up to 149 bits: lanes of 4 words; one
+    # orbit, so one local complement stands for all 61 (the digest is of
+    # all 61 walked one by one)
+    "Paley(61)": "0323376d254043f598400de1feea0a507a3a8f7b764b0ef21ac3568951d225a7",
 }
 # rook(4) and T(8) have horizon 3
 WALK_3_DIGESTS = {
@@ -208,7 +212,8 @@ def golden_graphs():
     c0, c1, c2 = chang_graphs()
     return {"T(8)": triangular(8), "Chang[0]": c0, "Chang[1]": c1, "Chang[2]": c2,
             "rook(4)": rook(4), "Shrikhande": shrikhande(), "Paley(13)": paley(13),
-            "Paley(17)": paley(17), "Paley(37)": paley(37), "rook(6)": rook(6)}
+            "Paley(17)": paley(17), "Paley(37)": paley(37), "Paley(61)": paley(61),
+            "rook(6)": rook(6)}
 
 
 def test_golden_encodings_are_byte_identical():
@@ -246,3 +251,32 @@ def test_lc_walk_part_encodings():
         # encodings given in any order are sorted
         reordered = LcWalkSignature(sig.part_encodings[::-1])
         assert reordered == sig and reordered.encode() == sig.encode()
+
+
+def test_lc_walk_signature_without_orbit_search_is_unchanged(monkeypatch):
+    # with no search nodes every orbit is a singleton and all n local
+    # complements are walked; the bytes must not move
+    graphs = golden_graphs()
+    monkeypatch.setattr("walkgi.graph.ORBIT_SEARCH_NODES_PER_VERTEX", 0)
+    for name, digest in LC_WALK_DIGESTS.items():
+        if name != "Paley(61)":  # 61 complements of ~0.1 s each
+            assert hashlib.sha256(lc_walk_signature(graphs[name]).encode()).hexdigest() == digest, name
+
+
+def test_lc_walk_signature_walks_one_complement_per_orbit(monkeypatch):
+    import walkgi.invariants
+
+    walked = []
+
+    def counting(G, u):
+        walked.append(u)
+        return local_complement(G, u)
+
+    monkeypatch.setattr(walkgi.invariants, "local_complement", counting)
+    graphs = golden_graphs()
+    counts = {}
+    for name in ("T(8)", "Chang[0]", "Chang[1]", "Chang[2]", "Paley(37)"):
+        walked.clear()
+        lc_walk_signature(graphs[name])
+        counts[name] = len(walked)
+    assert counts == {"T(8)": 1, "Chang[0]": 2, "Chang[1]": 2, "Chang[2]": 2, "Paley(37)": 1}

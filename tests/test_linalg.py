@@ -355,6 +355,20 @@ def test_walk_powers_random_graphs():
     assert all(max(walk_powers(G)[-1]) >= 2**64 for G in dense)
 
 
+def test_walk_powers_widen_lanes_by_doubling():
+    # near-complete graphs with n distinct eigenvalues: A^n has entries past
+    # 2**128, so the lanes grow from one word to two and then to four
+    rng = random.Random(14)
+    checked = 0
+    while checked < 2:
+        G = random_graph(rng, 30, 0.9)
+        powers = walk_powers(G)
+        if len(powers) == G.n:
+            assert max(powers[-1]) >= 2**128
+            assert powers == dense_upper_powers(G, G.n)
+            checked += 1
+
+
 def test_walk_powers_count_walks():
     rng = random.Random(12)
     for _ in range(20):
