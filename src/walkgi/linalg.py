@@ -23,19 +23,45 @@ of two bounds on a minor of an n x n 0/1 matrix, plus a sign bit: the 0/1
 Hadamard bound (n+1)^((n+1)/2) / 2^n, and Hadamard's inequality on the row
 popcounts, sqrt(prod r_i).
 
-``lc_determinants`` runs the same elimination on each local complement G_u
-without packing it.  G_u differs from G only in the rows v in N(u), which
-become row_v ^ row_u ^ {v}.  Each lane of a packed 0/1 row is 0 or 1, a
-single bit, so packing commutes with XOR, and G_u's packed rows are G's,
-with P[v] ^ P[u] ^ E[v] in row v (E[v] the unit in lane v): G is packed
-once, and no ``Graph`` is built for G_u.  None is needed to validate it:
-row_v ^ row_u ^ {v} flips bit w exactly when w is in N(u) - {v}, which is
-symmetric in v and w and never sets bit v or a bit outside 0..n-1.  That
-needs one lane width for all n complements.  The 0/1 bound depends on n
-alone, so it holds for every one of them.  The popcount bound of each
-complement follows from bit counts of G, since
-|row_v ^ row_u ^ {v}| = r_v + r_u - 1 - 2 |row_v & row_u|, and the largest
-of them holds for all.  The lane holds the smaller of the two.
+``lc_determinants`` packs G once, with one lane width for all n local
+complements G_u, and builds no ``Graph`` for any of them.  G_u differs
+from G only in the rows v in N(u), which become row_v ^ row_u ^ {v}; on
+the block N x N, N = N(u) with d = |N|, A_u = A + M_u with
+M_u = J - I - 2 A_N.  When A is nonsingular, the matrix determinant lemma
+gives det(A_u) = det(A) det(Z_N), where Z = A_u A^-1 and its d x d block
+Z_N = I + M_u (A^-1)_NN.  Fraction-free Gauss-Jordan elimination on
+[A | I], once per graph, gives p = det(PA), P the permutation of its pivot
+swaps, and B = p A^-1, whose entries are minors of A.  Then
+K_u = p Z_N = p I + M_u B_NN, and its row c is
+T - B_NN[c] - 2 (sum of B_NN[w] over w in N(c) & N) + p e_c, T the sum of
+the rows of B_NN: a few packed row sums per row.  Bareiss elimination of
+K_u started from prev = p rather than 1 keeps each entry p times the entry
+the elimination of Z_N would keep, and ends at p det(Z_N) =
+sign(P) det(A_u).  Each such entry is p times a minor of Z on rows S and
+columns T inside N.  That is +- the determinant of the n x n 0/1 matrix
+with A_u's rows in S and A's rows outside T: it is A times the matrix with
+Z's rows in S and unit rows outside T.  So every division is exact, and
+the lane holds every entry when it holds the determinants of n x n 0/1
+matrices whose rows are rows of A or of A_u.  The same steps continue the
+elimination of the bordered matrix [[A, -E], [M_u E^T, I]] past its first
+n pivots, E the n x d matrix of the unit columns e_w, w in N.  Nothing is
+divided by a power of det A at the end, so no entry outgrows those lanes.
+
+A singular A, or one with a zero row, has no inverse, and each G_u is
+eliminated in full.  Each lane of a packed 0/1 row is 0 or 1, a single
+bit, so packing commutes with XOR, and G_u's packed rows are G's, with
+P[v] ^ P[u] ^ E[v] in row v (E[v] the unit in lane v).  No ``Graph`` is
+needed to validate them: row_v ^ row_u ^ {v} flips bit w exactly when w is
+in N(u) - {v}, which is symmetric in v and w and never sets bit v or a bit
+outside 0..n-1.  It keeps bit u, so no row of G_u is zero unless G has
+one.
+
+One lane width serves every matrix either path reads.  The 0/1 bound
+depends on n alone.  The popcount bound follows from bit counts of G, since
+|row_v ^ row_u ^ {v}| = r_v + r_u - 1 - 2 |row_v & row_u|: for each u, the
+product of each row's larger popcount in A and in A_u bounds the mixed
+matrices above and G_u itself, and the largest product over u holds for
+all.  The lane holds the smaller of the two bounds.
 
 ``walk_powers`` computes each row of A*P as a sum of packed rows of P, in
 lanes of whole 64-bit words.  Walk counts are nonnegative, and an entry of
@@ -83,10 +109,15 @@ def lc_determinants(G: Graph) -> list[int]:
     """Exact determinants of the adjacency matrices of the n local
     complements of G, in vertex order: entry u is det(G_u).
 
-    G is packed once, with one lane width for all n complements, and each
-    G_u's packed rows are derived from it by XOR.  They are the only form of
-    G_u the determinant needs, and XOR keeps them symmetric with a zero
-    diagonal (see the module docstring).
+    G_u differs from G only in the block on N = N(u), where it adds
+    M_u = J - I - 2 A_N, so det(G_u) = det(A) det(I + M_u (A^-1)_NN) when A
+    is nonsingular.  ``_scaled_inverse`` gives det A = sign * p and the rows
+    of B = p A^-1 once per graph.  Each vertex then takes one |N| x |N| Bareiss
+    elimination of K_u = p I + M_u B_NN started from prev = p, which returns
+    sign * det(G_u) (see the module docstring).  A singular A, or one with a
+    zero row, takes one full elimination per vertex instead, on G_u's packed
+    rows derived from G's by XOR.  One lane width serves every matrix either
+    path reads.
     """
     n, rows = G.n, G.rows
     neighbours = [G.neighbors(u) for u in range(n)]
@@ -95,19 +126,87 @@ def lc_determinants(G: Graph) -> list[int]:
     for u, nbrs in enumerate(neighbours):
         counts = degrees.copy()
         for v in nbrs:
-            counts[v] += degrees[u] - 1 - 2 * (rows[v] & rows[u]).bit_count()
+            flipped = degrees[u] + degrees[v] - 1 - 2 * (rows[v] & rows[u]).bit_count()
+            counts[v] = max(counts[v], flipped)
         largest = max(largest, prod(counts))
     lane = _lane(n, largest)
     bits = 8 * lane
     packed = _packed(rows, lane)
+    p, sign, inverse = _scaled_inverse(packed, lane) if all(rows) else (0, 1, [])
+    if not p:
+        dets = []
+        for u, nbrs in enumerate(neighbours):
+            M = packed.copy()
+            Pu = packed[u]
+            for v in nbrs:
+                M[v] ^= Pu ^ (1 << bits * v)
+            dets.append(_bareiss(M, lane))
+        return dets
+    # the lanes of each row of B as bytes, each biased by X / 2 to be
+    # unsigned, so that B_NN's rows are picked lane by lane
+    bias = int.from_bytes((bytes(lane - 1) + b"\x80") * n, "little")
+    lanes = []
+    for row in inverse:
+        data = (row + bias).to_bytes(lane * n, "little")
+        lanes.append([data[j:j + lane] for j in range(0, lane * n, lane)])
     dets = []
     for u, nbrs in enumerate(neighbours):
-        M = packed.copy()
-        Pu = packed[u]
-        for v in nbrs:
-            M[v] ^= Pu ^ (1 << bits * v)
-        dets.append(_bareiss(M, lane))
+        d_bias = bias >> bits * (n - len(nbrs))
+        picked = [0] * n  # row w of B_NN at w in N, zero elsewhere
+        for w in nbrs:
+            picked[w] = int.from_bytes(b"".join(map(lanes[w].__getitem__, nbrs)), "little") - d_bias
+        total = sum(map(picked.__getitem__, nbrs))
+        K = [total - picked[v] - 2 * sum(map(picked.__getitem__, neighbours[v])) + (p << bits * c)
+             for c, v in enumerate(nbrs)]
+        dets.append(sign * _bareiss(K, lane, p))
     return dets
+
+
+def _scaled_inverse(packed: list[int], lane: int) -> tuple[int, int, list[int]]:
+    """(p, sign, B) for the 0/1 matrix A whose packed rows are ``packed``,
+    by fraction-free Gauss-Jordan elimination on the packed rows of [A | I]:
+    p is the determinant of A with its rows permuted by the pivot swaps,
+    ``sign`` that permutation's sign, so det A = sign * p, and B holds the
+    packed rows of p A^-1.  A singular A gives (0, sign, []).
+
+    Step k pivots as ``_bareiss`` does, on the first row at or below k with
+    a nonzero low lane, but updates every other row, above k as well, by
+    (pk * P - t * Q) // prev.  Every entry is then a minor of [A | I], so
+    of A, up to sign, and the lanes ``_lane`` sizes for A hold it.  Column
+    k is zero in every updated row, and the pivot row drops its entry pk,
+    so every row drops the low lane.  After n steps [A | I] has become
+    [p I | p A^-1], and only the lanes of p A^-1 are left.
+    """
+    n = len(packed)
+    bits = 8 * lane
+    X = 1 << bits
+    mask, half = X - 1, X >> 1
+    M = [row | 1 << bits * (n + i) for i, row in enumerate(packed)]
+    sign = prev = 1
+    for k in range(n):
+        for i in range(k, n):
+            if M[i] & mask:
+                break
+        else:
+            return 0, sign, []
+        Mk = M[i]
+        if i != k:
+            M[i] = M[k]
+            sign = -sign
+        pk = Mk & mask
+        if pk >= half:
+            pk -= X
+        rows = []
+        for Mi in M:
+            t = Mi & mask
+            if t >= half:
+                t -= X
+            num = pk * Mi - t * Mk
+            rows.append((num if prev == 1 else num // prev) >> bits)
+        rows[k] = (Mk - pk) >> bits
+        M = rows
+        prev = pk
+    return prev, sign, M
 
 
 def _lane(n: int, popcount_product: int) -> int:
@@ -129,10 +228,16 @@ def _lane(n: int, popcount_product: int) -> int:
     return (bound.bit_length() + 8) // 8
 
 
-def _bareiss(M: list[int], lane: int) -> int:
-    """Determinant of the 0/1 matrix whose packed rows are M (consumed),
-    by Bareiss fraction-free elimination, with lanes of ``lane`` bytes that
-    ``_lane`` sized for it.
+def _bareiss(M: list[int], lane: int, prev: int = 1) -> int:
+    """Determinant of the matrix whose packed rows are M (consumed), by
+    Bareiss fraction-free elimination, with lanes of ``lane`` bytes that
+    hold every value it keeps: ``_lane`` sizes them for a 0/1 matrix.
+
+    With ``prev`` = p the first step divides by p as well, and the result is
+    p det(M / p): the elimination continues one that has already taken
+    pivots up to p, as ``lc_determinants`` needs.  M / p need not be an
+    integer matrix, but every value the steps keep must be an integer that
+    the lanes hold.
 
     Each row is one int with a fixed-width, byte-aligned signed lane per
     remaining column: the integer sum of v_j * X**j, X = 2**bits.  Step k
@@ -159,7 +264,6 @@ def _bareiss(M: list[int], lane: int) -> int:
     X = 1 << bits
     mask, half = X - 1, X >> 1
     sign = 1
-    prev = 1
     while len(M) > 1:
         for i, Mk in enumerate(M):
             if Mk & mask:

@@ -36,6 +36,15 @@ def star(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def complete_multipartite(*parts: int) -> Graph:
+    """Consecutive parts of the given sizes, adjacent exactly across parts.
+    Two vertices of one part have equal rows, so a part of two or more
+    makes the adjacency matrix singular."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return build_graph(len(part), [(u, v) for u, v in itertools.combinations(range(len(part)), 2)
+                                   if part[u] != part[v]])
+
+
 def disjoint_union(G: Graph, H: Graph) -> Graph:
     edges = list(G.edges()) + [(u + G.n, v + G.n) for u, v in H.edges()]
     return build_graph(G.n + H.n, edges)

@@ -226,6 +226,27 @@ def fraction_gauss_determinant(rows):
     return int(det)
 
 
+def fraction_inverse(rows):
+    """The inverse of a square integer matrix as rows of Fractions, by plain
+    Gauss-Jordan elimination over Fraction with first-nonzero pivoting, or
+    None when the matrix is singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return None
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        pivot = m[k][k]
+        m[k] = [x / pivot for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                factor = m[i][k]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
 def count_walks(G: Graph, u: int, v: int, k: int) -> int:
     """Number of walks of length k from u to v, by direct enumeration."""
     if k == 0:

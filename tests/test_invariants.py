@@ -30,6 +30,7 @@ from oracles import (
     adjacency_matrix,
     cofactor_determinant,
     dense_walk_signature,
+    edge_swapped,
     mat_pow,
     random_graph,
     random_permutation,
@@ -205,6 +206,11 @@ DET_PROFILE_DIGESTS = {
     "Paley(17)": "8b1ff2ee8ab2714323fd8ce8141ada953e15a985dc81091fdeaa356c138b90a5",
     "Paley(37)": "de1aded48bb153401078b3b7d0db336cb4c2eb5a856d5a11625b601aade22ee2",
     "rook(6)": "c08ea92afc014d94e711758162f82807c4a0fe8d739bfba2cdc7a1795e5217f8",
+    # det A != 0 at n = 61: the shared inverse's lanes at 16 bytes
+    "Paley(61)": "02029b075387692b1f21fae41315c8567546cc1cda0b1ad7bced93a2f2482676",
+    # the encodings of 20 graphs, concatenated: 12-regular but not strongly
+    # regular, from ``swapped_t8_graphs``
+    "T(8) swapped x20": "eb1d4a093e55fc7edbf90f2b90067eac186c28f87812e73218728233578a4c90",
 }
 
 
@@ -227,10 +233,16 @@ def test_golden_encodings_are_byte_identical():
         assert dense_walk_signature(graphs[name], 3) == sig, name
 
 
+def swapped_t8_graphs():
+    rng = random.Random(1205)
+    return [edge_swapped(triangular(8), 60, rng) for _ in range(20)]
+
+
 def test_golden_det_profile_encodings_are_byte_identical():
-    graphs = golden_graphs()
+    inputs = {name: [G] for name, G in golden_graphs().items()}
+    inputs["T(8) swapped x20"] = swapped_t8_graphs()
     for name, digest in DET_PROFILE_DIGESTS.items():
-        encoding = lc_determinant_profile(graphs[name]).encode()
+        encoding = b"".join(lc_determinant_profile(G).encode() for G in inputs[name])
         assert hashlib.sha256(encoding).hexdigest() == digest, name
 
 

@@ -3,11 +3,13 @@ from math import isqrt, prod
 
 import pytest
 
-from walkgi import build_graph, determinant, lc_determinants, local_complement, walk_powers
-from walkgi.linalg import _HankelPivots, _bareiss, _lane, _packed
+from walkgi import (build_graph, determinant, lc_determinants, local_complement, srg_parameters,
+                    walk_powers)
+from walkgi.linalg import _HankelPivots, _bareiss, _lane, _packed, _scaled_inverse
 from fixture_graphs import (
     chang_graphs,
     complete,
+    complete_multipartite,
     cycle,
     disjoint_union,
     empty_graph,
@@ -28,6 +30,7 @@ from oracles import (
     dense_upper_powers,
     distinct_eigenvalue_count,
     fraction_gauss_determinant,
+    fraction_inverse,
     mat_mul,
     mat_pow,
     random_graph,
@@ -179,8 +182,92 @@ def test_lc_determinants_match_per_complement_determinants():
                for _ in range(60)]
     graphs += [graph_with_isolated_vertices(rng, rng.randint(2, 20), rng.choice((0.2, 0.5, 0.9)))
                for _ in range(60)]
+    # a singular graph with no zero row, and a nonsingular one with a
+    # degree-1 vertex u, whose K_u is 1 x 1
+    pendant = build_graph(11, [*petersen().edges(), (0, 10)])
+    graphs += [complete_multipartite(3, 3, 3), complete_multipartite(2, 3, 4), pendant]
+    assert determinant(complete_multipartite(3, 3, 3)) == 0 and determinant(pendant) != 0
+    # both paths run: the shared inverse when det A != 0, one full
+    # elimination per complement when det A = 0
+    assert {determinant(G) == 0 for G in graphs} == {True, False}
     for G in graphs:
         assert lc_determinants(G) == [determinant(local_complement(G, u)) for u in range(G.n)]
+
+
+def unpacked(row, lane, n):
+    """The n signed lanes of a packed row, lowest first."""
+    X = 1 << 8 * lane
+    entries = []
+    for _ in range(n):
+        v = row & X - 1
+        if v >= X >> 1:
+            v -= X
+        entries.append(v)
+        row = (row - v) >> 8 * lane
+    return entries
+
+
+def check_scaled_inverse(rows, n):
+    lane = _lane(n, prod(row.bit_count() for row in rows))
+    p, sign, B = _scaled_inverse(_packed(rows, lane), lane)
+    dense = tuple(tuple((row >> j) & 1 for j in range(n)) for row in rows)
+    inverse = fraction_inverse(dense)
+    if inverse is None:
+        assert (p, B) == (0, [])
+        return 0
+    assert sign * p == fraction_gauss_determinant(dense)
+    assert [unpacked(row, lane, n) for row in B] == [[p * x for x in row] for row in inverse]
+    return sign * p
+
+
+def test_scaled_inverse_matches_fraction_inverse():
+    # not symmetric, and with no zero diagonal: Gauss-Jordan needs neither
+    rng = random.Random(16)
+    dets = []
+    for _ in range(150):
+        n, density = rng.randint(1, 14), rng.choice((0.3, 0.5, 0.8))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        dets.append(check_scaled_inverse(rows, n))
+    assert 0 in dets and len(set(dets)) > 10
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_scaled_inverse_on_extremal_01_matrices(m):
+    # det reaches the 0/1 Hadamard bound for order m - 1, and p A^-1 =
+    # +- adj(A) holds minors of order m - 2: the lanes hold them at the extreme
+    n = m - 1
+    assert abs(check_scaled_inverse(sylvester_core(m), n)) == isqrt((n + 1) ** (n + 1)) >> n
+
+
+def local_traces(G, u):
+    """tr A_N^k for k = 1..d, A_N the adjacency matrix of the d neighbours
+    of u: by Newton's identities, the spectrum of the local graph."""
+    nbrs = G.neighbors(u)
+    A = IntMatrix(tuple(tuple(int(G.has_edge(v, w)) for w in nbrs) for v in nbrs))
+    traces, P = [], A
+    for _ in nbrs:
+        traces.append(sum(P.rows[i][i] for i in range(len(nbrs))))
+        P = mat_mul(P, A)
+    return tuple(traces)
+
+
+def test_srg_lc_determinants_follow_local_spectra():
+    # for an SRG with det A != 0, A^-1 = xI + yA + zJ with x, y, z fixed by
+    # the parameters, and the local graph is alpha-regular, so I, A_N and J
+    # commute and det(G_u) = det(A) det(I + M_u (A^-1)_NN) depends on the
+    # parameters and the spectrum of A_N alone
+    values = {}
+    for G in (rook(4), shrikhande(), triangular(8), *chang_graphs(), petersen(), rook(6),
+              paley(13), paley(17), paley(37)):
+        params = srg_parameters(G)
+        assert params is not None and determinant(G) != 0
+        for u, det in enumerate(lc_determinants(G)):
+            values.setdefault((params, local_traces(G, u)), set()).add(det)
+    assert all(len(dets) == 1 for dets in values.values())
+    # each Chang graph has two local spectra, and two different values
+    for G in chang_graphs():
+        assert len({local_traces(G, u) for u in range(G.n)}) == 2
+        assert len(set(lc_determinants(G))) == 2
 
 
 def sylvester_core(m):
