@@ -34,6 +34,7 @@ from .graph import Graph, degree_sequence, local_complement, srg_parameters
 from .invariants import default_m
 from .isotest import (
     DEFAULT_ORACLE_CAP,
+    GROUP_STAGES,
     CertificateError,
     OracleLimitError,
     brute_force_isomorphic,
@@ -174,7 +175,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         raise _UsageError("duplicate graph ids across inputs")
     graphs = [G for _, G in entries]
 
-    cache: dict[str, tuple[bytes | None, bytes | None]] = {}
+    cache: dict[str, dict[str, bytes]] = {}
     known: dict[str, CatalogRecord] = {}
     if args.catalog:
         if os.path.exists(args.catalog):
@@ -186,7 +187,10 @@ def cmd_group(args: argparse.Namespace) -> int:
                   if record_id in known and known[record_id].g6 == write_graph6(G)]
         blobs = catalog_blobs(args.catalog, [d for rec in reused
                                              for d in (rec.lc_profile_digest, rec.lc_walk_digest)])
-        cache = {rec.id: (blobs[rec.lc_profile_digest], blobs[rec.lc_walk_digest]) for rec in reused}
+        # the catalog's two digest columns hold the keys of GROUP_STAGES
+        cache = {rec.id: {stage: blobs[d] for stage, d in
+                          zip(GROUP_STAGES, (rec.lc_profile_digest, rec.lc_walk_digest))
+                          if blobs[d] is not None} for rec in reused}
         stale = sum(1 for record_id in ids if record_id in known and record_id not in cache)
         if stale:
             print(f"catalog: {stale} stale records (graph changed)", file=sys.stderr)
@@ -199,13 +203,13 @@ def cmd_group(args: argparse.Namespace) -> int:
 
     if args.catalog:
         changed = False
-        for (record_id, G), (profile_enc, walk_enc) in zip(entries, report.encodings):
-            cached_profile, cached_walk = cache.get(record_id, (None, None))
-            if cached_profile is not None and (walk_enc is None or cached_walk is not None):
+        for (record_id, G), used in zip(entries, report.encodings):
+            cached = cache.get(record_id, {})
+            if used.keys() <= cached.keys():
                 continue  # the record holds everything this run used
-            if walk_enc is None:
-                walk_enc = cached_walk
-            known[record_id] = make_catalog_record(record_id, G, profile_enc, walk_enc)
+            # an encoding the record holds and this run did not use is kept
+            merged = {**cached, **used}
+            known[record_id] = make_catalog_record(record_id, G, *(merged.get(s) for s in GROUP_STAGES))
             changed = True
         if changed:
             catalog_write([known[k] for k in sorted(known)], args.catalog)

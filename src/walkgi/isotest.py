@@ -1,15 +1,16 @@
 """Staged pairwise distinguishing, group partitioning, and a brute-force
 isomorphism oracle.
 
-The pairwise pipeline runs cheap invariants first and stops at the first
-difference.  A Distinguished verdict is sound (the graphs are certainly
+One ordered table, ``STAGE_KEYS``, maps each stage name to its per-graph
+key, cheapest first.  ``distinguish_pair`` stops at the first key that
+differs: a Distinguished verdict is sound (the graphs are certainly
 non-isomorphic); NotDistinguished makes no claim either way.
 
-Group partitioning follows the same staging at dataset scale: graphs are
-first split by their local-complement determinant profiles, and only classes
-that remain ambiguous are refined with the far more expensive
-local-complement walk signatures.  Classes are keyed by exact encoding
-bytes; hashes are never trusted to merge anything.
+``partition_group`` runs the table's refining tail, ``GROUP_STAGES``, at
+dataset scale: the lc-det-profile on every graph, the far more expensive
+lc-walk signature only on classes that remain ambiguous.  Per-graph
+encodings are {stage name: bytes} dicts, and classes are keyed by exact
+encoding bytes; hashes are never trusted to merge anything.
 """
 
 from __future__ import annotations
@@ -24,15 +25,31 @@ from .graph import Graph, degree_sequence, is_isomorphism
 from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
 from .linalg import determinant
 
-STAGES = (
-    "vertex-count",
-    "edge-count",
-    "degree-sequence",
-    "determinant",
-    "walk-signature",
-    "lc-det-profile",
-    "lc-walk-signature",
-)
+
+# stage name -> per-graph key, cheapest first; graphs whose keys differ at any
+# stage are non-isomorphic.  Keys look their invariant up at call time.
+STAGE_KEYS = {
+    "vertex-count": lambda G: G.n,
+    "edge-count": lambda G: G.edge_count(),
+    "degree-sequence": lambda G: degree_sequence(G),
+    "determinant": lambda G: determinant(G),
+    "walk-signature": lambda G: walk_signature(G),
+    "lc-det-profile": lambda G: lc_determinant_profile(G),
+    "lc-walk-signature": lambda G: lc_walk_signature(G),
+}
+STAGES = tuple(STAGE_KEYS)
+# the stages that refine a group partition, by their keys' exact encodings
+GROUP_STAGES = ("lc-det-profile", "lc-walk-signature")
+
+
+def _stage_encoding(job: tuple[str, Graph]) -> bytes:
+    """The encoding of a graph's key at a stage: a module-level function of
+    one argument, so that a process pool can pickle it.  ``distinguish_pair``
+    compares the keys themselves: an lc-walk signature holds one part per
+    vertex orbit, its encoding one per vertex (Paley(61): 1.5 vs 92 MiB)."""
+    stage, G = job
+    return STAGE_KEYS[stage](G).encode()
+
 
 DEFAULT_ORACLE_CAP = 12
 
@@ -61,9 +78,9 @@ class Verdict:
 
 
 def distinguish_pair(G: Graph, H: Graph) -> Verdict:
-    """Run the invariant stages in fixed cheap-to-expensive order.
+    """Run the stages of ``STAGE_KEYS`` in their cheap-to-expensive order.
 
-    Returns Distinguished at the first stage whose value differs, else
+    Returns Distinguished at the first stage whose key differs, else
     NotDistinguished.  NotDistinguished never asserts isomorphism.
 
     Differing horizons m_G != m_H count as a walk-signature difference, as
@@ -71,20 +88,9 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
     give equal traces tr A^0..tr A^(2m), hence equal Hankel leading minors
     and equal horizons.
     """
-    if G.n != H.n:
-        return Verdict(True, "vertex-count")
-    if G.edge_count() != H.edge_count():
-        return Verdict(True, "edge-count")
-    if degree_sequence(G) != degree_sequence(H):
-        return Verdict(True, "degree-sequence")
-    if determinant(G) != determinant(H):
-        return Verdict(True, "determinant")
-    if walk_signature(G) != walk_signature(H):
-        return Verdict(True, "walk-signature")
-    if lc_determinant_profile(G) != lc_determinant_profile(H):
-        return Verdict(True, "lc-det-profile")
-    if lc_walk_signature(G) != lc_walk_signature(H):
-        return Verdict(True, "lc-walk-signature")
+    for stage, key in STAGE_KEYS.items():
+        if key(G) != key(H):
+            return Verdict(True, stage)
     return Verdict(False)
 
 
@@ -92,22 +98,23 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
 class PartitionReport:
     """Equivalence classes of a group partition run.
 
-    ``coarse_classes`` groups by determinant profile alone; ``final_classes``
-    additionally refines every multi-member coarse class by local-complement
-    walk signature.  Graphs sharing a final class are not distinguished by
-    this method.  Class member ids keep dataset order; classes are ordered by
-    their sorted invariant encodings, so reports are deterministic.
+    ``coarse_classes`` is the partition after the first of ``GROUP_STAGES``,
+    ``final_classes`` the partition after the last.  Graphs sharing a final
+    class are not distinguished by this method.  Class member ids keep
+    dataset order; each stage splits a class into subclasses ordered by their
+    encodings, in the class's place, so reports are deterministic.
 
-    ``encodings`` holds, in ``ids`` order, the (profile, lc-walk) encodings the
-    run used; lc-walk is None for a graph whose coarse class is a singleton.
-    ``counts`` holds (stage, computed, cached) graph counts per stage, and
-    ``timings`` (stage, seconds).
+    ``encodings`` holds, in ``ids`` order, a {stage name: encoding} dict of
+    the stages the run used for that graph; a graph that is a singleton after
+    one stage has no key for the later ones.  ``counts`` holds (stage,
+    computed, cached) graph counts per stage, and ``timings`` (stage,
+    seconds), both in ``GROUP_STAGES`` order.
     """
 
     ids: tuple[str, ...]
     coarse_classes: tuple[tuple[str, ...], ...]
     final_classes: tuple[tuple[str, ...], ...]
-    encodings: tuple[tuple[bytes, bytes | None], ...] = field(compare=False)
+    encodings: tuple[dict[str, bytes], ...] = field(compare=False)
     counts: tuple[tuple[str, int, int], ...] = field(compare=False)
     timings: tuple[tuple[str, float], ...] = field(compare=False)
 
@@ -136,14 +143,6 @@ class PartitionReport:
             "final_classes": len(self.final_classes),
             "final_multi_classes": len(self.multi_member_final()),
         }
-
-
-def _profile_key(G: Graph) -> bytes:
-    return lc_determinant_profile(G).encode()
-
-
-def _lc_walk_key(G: Graph) -> bytes:
-    return lc_walk_signature(G).encode()
 
 
 class _Pool:
@@ -185,19 +184,20 @@ def partition_group(
     graphs: Iterable[Graph],
     ids: Sequence[str] | None = None,
     workers: int = 1,
-    invariant_cache: Mapping[str, tuple[bytes | None, bytes | None]] | None = None,
+    invariant_cache: Mapping[str, Mapping[str, bytes]] | None = None,
 ) -> PartitionReport:
     """Partition a group of graphs into not-yet-distinguished classes.
 
-    ``invariant_cache`` optionally maps a graph id to precomputed
-    (profile encoding, lc-walk encoding) bytes, e.g. loaded from a catalog;
-    either entry may be None.  Only what the cache lacks is computed, and the
-    lc-walk encoding only for members of ambiguous coarse classes.  The report
-    gives back the encodings the run used and how many of each stage were
-    computed or cached, so a caller can store exactly what was computed.
-    Per-graph invariants are computed in one worker pool, shared by both
-    stages, when ``workers`` > 1; assembly is a deterministic reduce over
-    sorted encodings, so the result does not depend on the worker count.
+    Each of ``GROUP_STAGES`` in turn splits every class by exact encoding
+    bytes.  The first stage runs on every graph, as every catalog record
+    needs its key; each later one only on classes still holding more than
+    one graph.  ``invariant_cache`` optionally maps a graph id to precomputed
+    {stage name: encoding} bytes, e.g. from a catalog; only what it lacks is
+    computed.  The report gives back the encodings the run used and the
+    computed and cached counts per stage, so a caller can store exactly what
+    was computed.  One worker pool serves all stages when ``workers`` > 1;
+    classes are split over sorted encodings, so the result does not depend
+    on the worker count.
     """
     graphs = list(graphs)
     if ids is None:
@@ -211,52 +211,38 @@ def partition_group(
     if len({g.n for g in graphs}) > 1:
         warnings.warn("graphs have mixed vertex counts; they separate trivially", stacklevel=2)
 
+    encodings: list[dict[str, bytes]] = [{} for _ in graphs]
+    classes: list[list[int]] = [list(range(len(graphs)))]
+    partitions, counts, timings = [], [], []
+    run: Sequence[int] = range(len(graphs))
     with _Pool(workers) as pool:
-        t0 = time.perf_counter()
-        profile_keys: list[bytes | None] = [cache.get(i, (None, None))[0] for i in ids]
-        missing = [idx for idx, key in enumerate(profile_keys) if key is None]
-        for idx, key in zip(missing, pool.map(_profile_key, [graphs[i] for i in missing])):
-            profile_keys[idx] = key
-        t1 = time.perf_counter()
-
-        coarse: dict[bytes, list[int]] = defaultdict(list)
-        for idx, key in enumerate(profile_keys):
-            coarse[key].append(idx)
-        coarse_sorted = sorted(coarse.items())
-
-        ambiguous = [i for _, members in coarse_sorted if len(members) > 1 for i in members]
-        lc_keys: dict[int, bytes] = {}
-        to_compute = []
-        for i in ambiguous:
-            cached = cache.get(ids[i], (None, None))[1]
-            if cached is not None:
-                lc_keys[i] = cached
-            else:
-                to_compute.append(i)
-        for i, key in zip(to_compute, pool.map(_lc_walk_key, [graphs[i] for i in to_compute])):
-            lc_keys[i] = key
-        t2 = time.perf_counter()
-
-    final_entries: list[tuple[tuple[bytes, bytes], list[int]]] = []
-    for key, members in coarse_sorted:
-        if len(members) == 1:
-            final_entries.append(((key, b""), members))
-        else:
-            sub: dict[bytes, list[int]] = defaultdict(list)
-            for i in members:
-                sub[lc_keys[i]].append(i)
-            for lc_key, sub_members in sorted(sub.items()):
-                final_entries.append(((key, lc_key), sub_members))
-    final_entries.sort(key=lambda entry: entry[0])
+        for stage in GROUP_STAGES:
+            start = time.perf_counter()
+            for i in run:
+                if stage in cache.get(ids[i], {}):
+                    encodings[i][stage] = cache[ids[i]][stage]
+            missing = [i for i in run if stage not in encodings[i]]
+            for i, key in zip(missing, pool.map(_stage_encoding, [(stage, graphs[i]) for i in missing])):
+                encodings[i][stage] = key
+            split = []
+            for members in classes:
+                sub = defaultdict(list)  # a singleton class may have no key at this stage
+                for i in members:
+                    sub[encodings[i].get(stage)].append(i)
+                split += (sub[key] for key in sorted(sub))
+            classes = split
+            partitions.append(tuple(tuple(ids[i] for i in members) for members in classes))
+            counts.append((stage, len(missing), len(run) - len(missing)))
+            timings.append((stage, time.perf_counter() - start))
+            run = [i for members in classes if len(members) > 1 for i in members]
 
     return PartitionReport(
         ids=ids,
-        coarse_classes=tuple(tuple(ids[i] for i in members) for _, members in coarse_sorted),
-        final_classes=tuple(tuple(ids[i] for i in members) for _, members in final_entries),
-        timings=(("lc-det-profile", t1 - t0), ("lc-walk-signature", t2 - t1)),
-        encodings=tuple((key, lc_keys.get(i)) for i, key in enumerate(profile_keys)),
-        counts=(("lc-det-profile", len(missing), len(graphs) - len(missing)),
-                ("lc-walk-signature", len(to_compute), len(ambiguous) - len(to_compute))),
+        coarse_classes=partitions[0],
+        final_classes=partitions[-1],
+        encodings=tuple(encodings),
+        counts=tuple(counts),
+        timings=tuple(timings),
     )
 
 

@@ -12,6 +12,7 @@ from walkgi import (
     write_graph6,
 )
 from walkgi.cli import main
+from walkgi.isotest import GROUP_STAGES
 from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande, star
 from oracles import count_walks, random_graph, random_permutation, relabeled
 
@@ -116,6 +117,15 @@ def test_group_records_deterministic_across_workers(tmp_path, capsys):
     assert serial == parallel
     assert serial.startswith("record=group graphs=9 ")
     assert "record=class kind=final" in serial
+
+
+def test_group_timing_names_group_stages(tmp_path, capsys):
+    # the benchmark reads its per-stage seconds from these names
+    f = write_g6(tmp_path, "srg16.g6", rook(4), shrikhande(), rook(4))
+    assert main(["group", f, "--format", "records", "--workers", "1"]) == 0
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("timing: ")]
+    names = [part.split()[0] for part in line.removeprefix("timing: ").split(", ")]
+    assert names == [*GROUP_STAGES, "total"]
 
 
 def test_group_all_singletons_line(tmp_path, capsys):

@@ -39,6 +39,7 @@ from fixture_graphs import (
 from oracles import (
     dense_upper_powers,
     dense_walk_signature,
+    edge_swapped,
     exhaustive_isomorphic,
     random_graph,
     random_permutation,
@@ -263,15 +264,57 @@ def test_partition_starts_one_pool_for_both_stages(monkeypatch):
 def test_partition_uses_invariant_cache():
     graphs = [rook(4), shrikhande(), rook(4)]
     ids = ["a", "b", "c"]
-    cache = {
-        i: (lc_determinant_profile(G).encode(), lc_walk_signature(G).encode())
+    full = {
+        i: {"lc-det-profile": lc_determinant_profile(G).encode(),
+            "lc-walk-signature": lc_walk_signature(G).encode()}
         for i, G in zip(ids, graphs)
     }
+    # the stages the run uses: the singleton b has no lc-walk key
+    used = (full["a"], {"lc-det-profile": full["b"]["lc-det-profile"]}, full["c"])
+    # a holds only its profile, c nothing, and the singleton b an lc-walk
+    # encoding the run does not need, which is not counted as cached
+    partial = {"a": {"lc-det-profile": full["a"]["lc-det-profile"]}, "b": full["b"]}
     plain = partition_group(graphs, ids=ids)
-    cached = partition_group(graphs, ids=ids, invariant_cache=cache)
-    assert plain.coarse_classes == cached.coarse_classes
-    assert plain.final_classes == cached.final_classes
-    assert cached.final_classes == (("b",), ("a", "c"))
+    assert plain.counts == (("lc-det-profile", 3, 0), ("lc-walk-signature", 2, 0))
+    assert plain.encodings == used
+    for cache, counts in (
+        (full, (("lc-det-profile", 0, 3), ("lc-walk-signature", 0, 2))),
+        (partial, (("lc-det-profile", 1, 2), ("lc-walk-signature", 2, 0))),
+    ):
+        cached = partition_group(graphs, ids=ids, invariant_cache=cache)
+        assert plain.coarse_classes == cached.coarse_classes
+        assert plain.final_classes == cached.final_classes
+        assert cached.final_classes == (("b",), ("a", "c"))
+        assert cached.counts == counts
+        assert cached.encodings == used
+
+
+def test_pair_and_group_read_one_stage_table():
+    # graphs in different final classes are distinguished pairwise, and each
+    # relabelled copy shares its original's final class and pair verdict
+    rng = random.Random(68)
+    bases = {"rook4": rook(4), "T8": triangular(8)}
+    named = dict(bases)
+    for name, G in bases.items():
+        for k in range(2):
+            named[f"{name}-copy{k}"] = relabeled(G, random_permutation(rng, G.n))
+    named["shrikhande"] = shrikhande()
+    named.update((f"chang{k}", G) for k, G in enumerate(chang_graphs()))
+    for name, G in bases.items():
+        named.update((f"{name}-swap{k}", edge_swapped(G, 2 * G.n, rng)) for k in range(2))
+    ids = list(named)
+    with pytest.warns(UserWarning):  # rook(4) and T(8) differ in order
+        report = partition_group(named.values(), ids=ids)
+    assert len(report.final_classes) == 10  # the copies join their originals, all else splits
+    final = {i: members for members in report.final_classes for i in members}
+    for a, b in combinations(ids, 2):
+        if final[a] != final[b]:
+            assert distinguish_pair(named[a], named[b]).distinguished, (a, b)
+    for name in ids:
+        base = name.split("-copy")[0]
+        if base != name:
+            assert final[name] == final[base]
+            assert distinguish_pair(named[base], named[name]) == Verdict(False)
 
 
 def test_brute_force_agrees_with_exhaustive():
