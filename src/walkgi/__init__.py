@@ -25,14 +25,12 @@ from .invariants import (
     walk_signature,
 )
 from .isotest import (
-    DEFAULT_ORACLE_CAP,
     STAGES,
     CertificateError,
-    OracleLimitError,
     PartitionReport,
     Verdict,
-    brute_force_isomorphic,
     distinguish_pair,
+    find_isomorphism,
     partition_group,
 )
 from .formats import (
@@ -72,14 +70,12 @@ __all__ = [
     "lc_determinant_profile",
     "lc_walk_signature",
     "walk_signature",
-    "DEFAULT_ORACLE_CAP",
     "STAGES",
     "CertificateError",
-    "OracleLimitError",
     "PartitionReport",
     "Verdict",
-    "brute_force_isomorphic",
     "distinguish_pair",
+    "find_isomorphism",
     "partition_group",
     "CATALOG_HEADER",
     "CatalogError",

@@ -33,12 +33,10 @@ from .formats import (
 from .graph import Graph, degree_sequence, local_complement, srg_parameters
 from .invariants import default_m
 from .isotest import (
-    DEFAULT_ORACLE_CAP,
     GROUP_STAGES,
     CertificateError,
-    OracleLimitError,
-    brute_force_isomorphic,
     distinguish_pair,
+    find_isomorphism,
     map_pool,
     partition_group,
 )
@@ -135,27 +133,19 @@ def cmd_pair(args: argparse.Namespace) -> int:
             print(f"record=pair distinguished=true stage={verdict.stage}")
         return 0
 
-    oracle_result = None  # None = not run, else (isomorphic, certificate|None)
-    if args.oracle:
-        if G.n <= args.oracle_cap:
-            certificate = brute_force_isomorphic(G, H, limit=args.oracle_cap)
-            oracle_result = (certificate is not None, certificate)
-        else:
-            print(f"oracle skipped: n={G.n} exceeds cap {args.oracle_cap}", file=sys.stderr)
-
+    certificate = find_isomorphism(G, H) if args.oracle else None
     if args.format == "text":
-        if oracle_result is None:
+        if not args.oracle:
             print("NotDistinguished")
-        elif oracle_result[0]:
+        elif certificate is not None:
             print("NotDistinguished; oracle: isomorphic, certificate printed")
-            print("certificate: " + _certificate_text(oracle_result[1]))
+            print("certificate: " + _certificate_text(certificate))
         else:
             print("NotDistinguished; oracle: non-isomorphic")
     else:
         line = "record=pair distinguished=false"
-        if oracle_result is not None:
-            isomorphic, certificate = oracle_result
-            line += f" oracle={'isomorphic' if isomorphic else 'non-isomorphic'}"
+        if args.oracle:
+            line += f" oracle={'isomorphic' if certificate is not None else 'non-isomorphic'}"
             if certificate is not None:
                 line += " certificate=" + ",".join(str(w) for w in certificate)
         print(line)
@@ -300,10 +290,7 @@ def cmd_walks(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     G = _single_graph(args.file_a, args.strict)
     H = _single_graph(args.file_b, args.strict)
-    try:
-        certificate = brute_force_isomorphic(G, H, limit=args.oracle_cap)
-    except OracleLimitError as exc:
-        raise _UsageError(f"{exc}; raise --oracle-cap to override") from exc
+    certificate = find_isomorphism(G, H)
     if args.format == "text":
         if certificate is None:
             print("non-isomorphic")
@@ -351,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a", metavar="FILE_A")
     p.add_argument("file_b", metavar="FILE_B")
     p.add_argument("--oracle", action="store_true",
-                   help="on NotDistinguished, run the brute-force oracle (n <= cap)")
-    p.add_argument("--oracle-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP, metavar="N",
-                   help=f"oracle vertex cap (default: {DEFAULT_ORACLE_CAP})")
+                   help="on NotDistinguished, decide isomorphism with the oracle")
     _add_common(p)
     p.set_defaults(func=cmd_pair)
 
@@ -382,11 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_walks)
 
-    p = sub.add_parser("oracle", help="brute-force isomorphism test of two graphs")
+    p = sub.add_parser("oracle", help="exact isomorphism test of two graphs, with a certificate")
     p.add_argument("file_a", metavar="FILE_A")
     p.add_argument("file_b", metavar="FILE_B")
-    p.add_argument("--oracle-cap", type=_positive_int, default=DEFAULT_ORACLE_CAP, metavar="N",
-                   help=f"oracle vertex cap (default: {DEFAULT_ORACLE_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -9,23 +9,34 @@ to copy and hash.  Graphs are immutable after construction.
 it and comparing with the other graph's rows: O(n) big-int and string
 operations, with no Python step per vertex pair.
 
-``vertex_orbits`` finds the orbits of Aut(G) by individualisation and
-refinement (McKay and Piperno, *Practical graph isomorphism II*, 2014),
-with no canonical form.  Ordered equitable refinement splits cells by
-neighbour counts; a first path individualises the first vertex of the first
-non-singleton cell until the partition is discrete.  Then, from the deepest
-level up, each vertex w of that level's target cell that is not yet known to
-share the first-path vertex's orbit is individualised instead, and the tree
-below it is searched depth first, pruning every node whose cell sizes
-differ from the first path's at the same depth.  A leaf lambda gives the
-permutation lambda0[i] -> lambda[i], lambda0 the first leaf, which is kept
-only if ``is_isomorphism`` accepts it as an automorphism; kept permutations
-are unioned into orbits.  So every merge is backed by a verified
-automorphism.  An exhausted search below w proves that no automorphism
-fixing the path above maps the first-path vertex to w, so a search that
-never runs out keeps automorphisms that generate Aut(G).  It stops after a
-fixed number of refined nodes, ``ORBIT_SEARCH_NODES_PER_VERTEX`` times n;
-stopping early only leaves orbits finer than Aut(G)'s.
+One individualisation-refinement search (McKay and Piperno, *Practical
+graph isomorphism II*, 2014), with no canonical form, looks for a vertex map
+from G onto a target graph H.  Ordered equitable refinement splits cells by
+neighbour counts.  G's first path individualises the first vertex of the
+first non-singleton cell until the partition is discrete.  H's tree is then
+searched depth first, from given nodes: each node's children individualise,
+in turn, every vertex of the cell in the first path's target position, and
+a node is pruned when its cell sizes differ from the first path's at the
+same depth.  A leaf lambda gives the map lambda0[i] -> lambda[i], lambda0
+G's first leaf, which is kept only if ``is_isomorphism`` accepts it.
+Refinement commutes with relabelling, so for every isomorphism phi the
+branch of H's tree that individualises phi of the first path's vertices has
+the first path's cell sizes at every depth and ends at a leaf that gives
+phi.  A search that is not cut short is therefore complete.  It has two
+callers:
+
+- ``vertex_orbits`` searches G's own tree.  From the deepest level up, each
+  vertex w of that level's target cell that is not yet known to share the
+  first-path vertex's orbit is individualised instead, and the tree below it
+  is searched; the automorphisms found are unioned into orbits.  So every
+  merge is backed by a verified automorphism.  A search below w that finds
+  none proves that no automorphism fixing the path above maps the first-path
+  vertex to w, so a search that never runs out keeps automorphisms that
+  generate Aut(G).  It stops after a fixed number of refined nodes,
+  ``ORBIT_SEARCH_NODES_PER_VERTEX`` times n, first path included; stopping
+  early only leaves orbits finer than Aut(G)'s.
+- ``isotest.find_isomorphism`` searches H's whole tree from its root, with
+  no node bound, so it finds an isomorphism G -> H whenever there is one.
 """
 
 from __future__ import annotations
@@ -225,64 +236,24 @@ def vertex_orbits(G: Graph) -> list[tuple[int, ...]]:
     """
     n, rows = G.n, G.rows
     orbit = list(range(n))  # union-find parents
-    budget = ORBIT_SEARCH_NODES_PER_VERTEX * n
+    nodes = iter(range(ORBIT_SEARCH_NODES_PER_VERTEX * n))
 
     def find(v: int) -> int:
         while orbit[v] != v:
             orbit[v] = v = orbit[orbit[v]]
         return v
 
-    def child(cells: list[list[int]], t: int, x: int) -> list[list[int]]:
-        # individualise x, first in its cell t, and refine
-        nonlocal budget
-        if budget == 0:
-            raise _OutOfNodes
-        budget -= 1
-        rest = [v for v in cells[t] if v != x]
-        return _refine(rows, cells[:t] + [[x], rest] + cells[t + 1:], [1 << x])
-
-    def search(level: int, w: int) -> list[int] | None:
-        # depth-first below w, put in place of the first path's vertex at
-        # ``level``, for a leaf whose permutation is an automorphism
-        stack = [(level, path[level][0], iter((w,)))]
-        while stack:
-            depth, cells, candidates = stack[-1]
-            x = next(candidates, None)
-            if x is None:
-                stack.pop()
-                continue
-            below = child(cells, path[depth][1], x)
-            if list(map(len, below)) != shapes[depth + 1]:
-                continue
-            if depth + 1 < len(path):
-                # equal cell sizes, so the same target cell as the first path's
-                stack.append((depth + 1, below, iter(below[path[depth + 1][1]])))
-                continue
-            gamma = [0] * n
-            for u, (image,) in zip(first_leaf, below):
-                gamma[u] = image
-            if is_isomorphism(G, G, gamma):
-                return gamma
-        return None
-
-    path: list[tuple[list[list[int]], int, int]] = []  # (cells, target cell, vertex) per level
-    cells = _refine(rows, [list(range(n))], [(1 << n) - 1])
-    shapes = [list(map(len, cells))]
     try:
-        while len(cells) < n:
-            t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
-            path.append((cells, t, cells[t][0]))
-            cells = child(cells, t, cells[t][0])
-            shapes.append(list(map(len, cells)))
-        first_leaf = [u for u, in cells]
-        for level in reversed(range(len(path))):
-            cells, t, v = path[level]
+        path = _first_path(rows, nodes)
+        for level in reversed(range(len(path) - 1)):
+            cells, _, t = path[level]
+            v = cells[t][0]
             failed: list[int] = []
             for w in cells[t]:
                 root = find(w)
                 if root == find(v) or any(find(u) == root for u in failed):
                     continue
-                gamma = search(level, w)
+                gamma = _search(G, G, path, level + 1, [_child(rows, cells, t, w, nodes)], nodes)
                 if gamma is None:
                     failed.append(w)
                     continue
@@ -299,7 +270,82 @@ def vertex_orbits(G: Graph) -> list[tuple[int, ...]]:
 
 
 class _OutOfNodes(Exception):
-    """The orbit search has refined its last allowed node."""
+    """The search has refined its last allowed node."""
+
+
+# a node of the first path: its cells, their sizes, and the index of the cell
+# whose vertices its children individualise (None at the leaf)
+_PathNode = tuple[list[list[int]], list[int], int | None]
+
+
+def _root(rows: tuple[int, ...]) -> list[list[int]]:
+    """The root of the search tree: the equitable refinement of one cell."""
+    n = len(rows)
+    return _refine(rows, [list(range(n))], [(1 << n) - 1])
+
+
+def _child(rows: tuple[int, ...], cells: list[list[int]], t: int, x: int,
+           nodes: Iterator[int] | None) -> list[list[int]]:
+    """The child of the node ``cells`` that individualises x, first in its
+    cell t, refined.  It takes one item of ``nodes`` and raises
+    ``_OutOfNodes`` when none is left; None means no bound."""
+    if nodes is not None and next(nodes, None) is None:
+        raise _OutOfNodes
+    rest = [v for v in cells[t] if v != x]
+    return _refine(rows, cells[:t] + [[x], rest] + cells[t + 1:], [1 << x])
+
+
+def _children(rows: tuple[int, ...], cells: list[list[int]], t: int,
+              nodes: Iterator[int] | None) -> Iterator[list[list[int]]]:
+    """The children of the node ``cells`` that individualise each vertex of
+    its cell t in turn, each refined only when it is reached."""
+    return (_child(rows, cells, t, x, nodes) for x in cells[t])
+
+
+def _first_path(rows: tuple[int, ...], nodes: Iterator[int] | None) -> list[_PathNode]:
+    """The first path of the search tree, from the root down to a discrete
+    leaf: each node's child individualises the first vertex of its first
+    cell with more than one vertex."""
+    cells = _root(rows)
+    path: list[_PathNode] = []
+    while len(cells) < len(rows):
+        t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        path.append((cells, list(map(len, cells)), t))
+        cells = _child(rows, cells, t, cells[t][0], nodes)
+    path.append((cells, [1] * len(rows), None))
+    return path
+
+
+def _search(G: Graph, H: Graph, path: list[_PathNode], depth: int,
+            starts: Iterable[list[list[int]]], nodes: Iterator[int] | None) -> list[int] | None:
+    """Depth first through H's search tree below the nodes ``starts`` at
+    ``depth``, for a leaf whose permutation maps G onto H, or None.
+
+    ``path`` is G's first path.  A node is kept only if its cell sizes equal
+    those of the path's node at the same depth; its children individualise,
+    in turn, each vertex of the cell in the path's target position.  A leaf
+    lambda gives the permutation lambda0[i] -> lambda[i], lambda0 the path's
+    leaf, returned once ``is_isomorphism`` accepts it.
+    """
+    stack = [(depth, iter(starts))]
+    while stack:
+        depth, siblings = stack[-1]
+        cells = next(siblings, None)
+        if cells is None:
+            stack.pop()
+            continue
+        _, shape, t = path[depth]
+        if list(map(len, cells)) != shape:
+            continue
+        if t is not None:
+            stack.append((depth + 1, _children(H.rows, cells, t, nodes)))
+            continue
+        gamma = [0] * G.n
+        for (u,), (image,) in zip(path[-1][0], cells):
+            gamma[u] = image
+        if is_isomorphism(G, H, gamma):
+            return gamma
+    return None
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:

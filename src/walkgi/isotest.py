@@ -1,5 +1,5 @@
-"""Staged pairwise distinguishing, group partitioning, and a brute-force
-isomorphism oracle.
+"""Staged pairwise distinguishing, group partitioning, and an isomorphism
+oracle.
 
 One ordered table, ``STAGE_KEYS``, maps each stage name to its per-graph
 key, cheapest first.  ``distinguish_pair`` stops at the first key that
@@ -11,6 +11,10 @@ dataset scale: the lc-det-profile on every graph, the far more expensive
 lc-walk signature only on classes that remain ambiguous.  Per-graph
 encodings are {stage name: bytes} dicts, and classes are keyed by exact
 encoding bytes; hashes are never trusted to merge anything.
+
+``find_isomorphism`` is the oracle: the individualisation-refinement search
+of ``graph`` over all of H's tree, which returns a re-verified isomorphism
+G -> H when there is one and None only when none exists.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Graph, degree_sequence, is_isomorphism
+from .graph import Graph, _first_path, _root, _search, degree_sequence, is_isomorphism
 from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
 from .linalg import determinant
 
@@ -49,13 +53,6 @@ def _stage_encoding(job: tuple[str, Graph]) -> bytes:
     vertex orbit, its encoding one per vertex (Paley(61): 1.5 vs 92 MiB)."""
     stage, G = job
     return STAGE_KEYS[stage](G).encode()
-
-
-DEFAULT_ORACLE_CAP = 12
-
-
-class OracleLimitError(ValueError):
-    """Raised when the brute-force oracle is asked to exceed its vertex cap."""
 
 
 class CertificateError(RuntimeError):
@@ -246,66 +243,21 @@ def partition_group(
     )
 
 
-def brute_force_isomorphic(
-    G: Graph, H: Graph, limit: int = DEFAULT_ORACLE_CAP
-) -> tuple[int, ...] | None:
-    """Exhaustive isomorphism search with degree-class pruning.
+def find_isomorphism(G: Graph, H: Graph) -> tuple[int, ...] | None:
+    """An isomorphism f from G onto H as a tuple, f[u] the image of u, or
+    None when there is none.
 
-    Returns a certificate permutation f (as a tuple, f[u] is the image of u)
-    with {u,v} in E(G) iff {f(u),f(v)} in E(H), or None when no bijection
-    exists.  Certificates are re-verified, row by row by ``is_isomorphism``,
-    before being returned.
-    Differing vertex counts are immediately non-isomorphic; n beyond
-    ``limit`` is rejected, since the search is factorial in the worst case.
+    Runs the search of ``graph`` with no node bound, from H's root over every
+    vertex of each target cell, so None means H's tree holds no leaf that
+    maps G onto H, and then no isomorphism exists.  A found map is
+    re-verified, row by row by ``is_isomorphism``, before it is returned.
     """
     if G.n != H.n:
         return None
-    n = G.n
-    if n > limit:
-        raise OracleLimitError(f"oracle limit: n={n} exceeds cap {limit}")
-    if G.edge_count() != H.edge_count() or degree_sequence(G) != degree_sequence(H):
+    f = _search(G, H, _first_path(G.rows, None), 0, [_root(H.rows)], None)
+    if f is None:
         return None
-
-    deg_g = [G.degree(u) for u in range(n)]
-    deg_h = [H.degree(u) for u in range(n)]
-    degree_freq = Counter(deg_g)
-    # rare degree classes first, then high degree: fail early
-    order = sorted(range(n), key=lambda u: (degree_freq[deg_g[u]], -deg_g[u], u))
-    candidates = defaultdict(list)
-    for w in range(n):
-        candidates[deg_h[w]].append(w)
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        row_v = G.rows[v]
-        for w in candidates[deg_g[v]]:
-            if used[w]:
-                continue
-            row_w = H.rows[w]
-            ok = True
-            for prev in range(pos):
-                u = order[prev]
-                if ((row_v >> u) & 1) != ((row_w >> mapping[u]) & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(pos + 1):
-                return True
-            used[w] = False
-            mapping[v] = -1
-        return False
-
-    if not extend(0):
-        return None
-    certificate = tuple(mapping)
+    certificate = tuple(f)
     _verify_certificate(G, H, certificate)
     return certificate
 

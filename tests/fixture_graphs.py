@@ -9,6 +9,9 @@ The strongly regular fixtures cover three parameter sets completely:
   disjoint triangle-plus-pentagon.
 * (36,10,4,2): the rook's graph on a 6x6 board is the unique such graph
   (uniqueness of L2(m) for m != 4).
+
+Latin square graphs of group Cayley tables give SRG(k^2, 3(k-1), k, 6); those
+of non-isotopic groups, such as Z6 and S3, are non-isomorphic.
 """
 
 import itertools
@@ -162,3 +165,22 @@ def paley(q: int) -> Graph:
     squares = {(x * x) % q for x in range(1, q)}
     edges = [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in squares]
     return build_graph(q, edges)
+
+
+def cayley_table(elements, op) -> list[list[int]]:
+    """The Cayley table of a group, entries as indices into ``elements``."""
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[op(a, b)] for b in elements] for a in elements]
+
+
+def latin_square_graph(square) -> Graph:
+    """The cells of a k x k Latin square, adjacent iff they share a row, a
+    column or a symbol: SRG(k^2, 3(k-1), k, 6)."""
+    k = len(square)
+    cells = [(r, c, square[r][c]) for r in range(k) for c in range(k)]
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(k * k), 2)
+        if any(a == b for a, b in zip(cells[i], cells[j]))
+    ]
+    return build_graph(k * k, edges)

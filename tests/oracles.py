@@ -356,6 +356,20 @@ def automorphism_orbits(G: Graph) -> list[tuple[int, ...]]:
     return [tuple(orbit) for orbit in orbits]
 
 
+def networkx_isomorphic(G: Graph, H: Graph) -> bool:
+    """Whether G and H are isomorphic, by networkx's VF2++ matcher.  Needs
+    networkx."""
+    import networkx as nx
+
+    def convert(G: Graph):
+        X = nx.Graph()
+        X.add_nodes_from(range(G.n))
+        X.add_edges_from(G.edges())
+        return X
+
+    return nx.vf2pp_is_isomorphic(convert(G), convert(H))
+
+
 def automorphism_count(G: Graph) -> int:
     """|Aut(G)|, by enumerating every isomorphism of G onto itself with
     networkx's VF2++ matcher.  Needs networkx."""

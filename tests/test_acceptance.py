@@ -20,13 +20,13 @@ from acceptance_report import announce
 
 from walkgi import (
     SrgParams,
-    brute_force_isomorphic,
     build_graph,
     catalog_read,
     catalog_write,
     default_m,
     determinant,
     distinguish_pair,
+    find_isomorphism,
     lc_determinant_profile,
     lc_walk_signature,
     local_complement,
@@ -212,7 +212,8 @@ def test_criterion_5_soundness_suite():
 
         # (a) Distinguished is sound: the oracle always confirms
         # non-isomorphism.  Exhaustive permutation check up to n=6, the
-        # pruned-backtracking oracle above that (cross-validated below).
+        # individualisation-refinement oracle above that (cross-validated
+        # below).
         distinguished = 0
         for _ in range(10000):
             n = rng.randint(2, 8)
@@ -223,7 +224,7 @@ def test_criterion_5_soundness_suite():
                 if n <= 6:
                     assert exhaustive_isomorphic(G, H) is None
                 else:
-                    assert brute_force_isomorphic(G, H) is None
+                    assert find_isomorphism(G, H) is None
         assert distinguished > 5000
         # oracle cross-validation at n=7, where both searches are feasible
         for _ in range(200):
@@ -231,7 +232,7 @@ def test_criterion_5_soundness_suite():
             H = random_graph(rng, 7) if rng.random() < 0.5 else relabeled(
                 G, random_permutation(rng, 7)
             )
-            assert (brute_force_isomorphic(G, H) is None) == (
+            assert (find_isomorphism(G, H) is None) == (
                 exhaustive_isomorphic(G, H) is None
             )
 

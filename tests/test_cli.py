@@ -75,12 +75,19 @@ def test_pair_with_oracle(tmp_path, capsys):
 
 
 def test_pair_oracle_skipped_above_cap(tmp_path, capsys):
-    a = write_g6(tmp_path, "a.g6", rook(4))
-    b = write_g6(tmp_path, "b.g6", rook(4))
-    assert main(["pair", a, b, "--oracle"]) == 0
+    """The oracle has no vertex cap: n = 16 gets a certificate."""
+    G = rook(4)
+    H = relabeled(G, random_permutation(random.Random(82), 16))
+    a = write_g6(tmp_path, "a.g6", G)
+    b = write_g6(tmp_path, "b.g6", H)
+    assert main(["pair", a, b, "--oracle", "--format", "records"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "NotDistinguished\n"
-    assert "oracle skipped" in captured.err
+    prefix = "record=pair distinguished=false oracle=isomorphic certificate="
+    assert captured.out.startswith(prefix)
+    f = [int(w) for w in captured.out.strip()[len(prefix):].split(",")]
+    assert sorted(f) == list(range(16))
+    assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
+    assert captured.err == ""
 
 
 def test_pair_requires_single_graph_per_file(tmp_path, capsys):
@@ -376,11 +383,10 @@ def test_oracle_command(tmp_path, capsys):
 
 
 def test_oracle_command_cap(tmp_path, capsys):
+    """The oracle has no vertex cap: the two SRG(16,6,2,2) are decided."""
     a = write_g6(tmp_path, "a.g6", rook(4))
     b = write_g6(tmp_path, "b.g6", shrikhande())
-    assert main(["oracle", a, b]) == 1
-    assert "oracle-cap" in capsys.readouterr().err
-    assert main(["oracle", a, b, "--oracle-cap", "16"]) == 0
+    assert main(["oracle", a, b]) == 0
     assert capsys.readouterr().out == "non-isomorphic\n"
 
 
@@ -424,6 +430,7 @@ def test_invalid_worker_count(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["pair", "oracle"])
 def test_invalid_oracle_cap(tmp_path, capsys, command):
+    """There is no ``--oracle-cap``: it is a usage error."""
     f = write_g6(tmp_path, "c6.g6", cycle(6))
     assert main([command, f, f, "--oracle-cap", "0"]) == 1
     captured = capsys.readouterr()

@@ -1,21 +1,19 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from walkgi import (
-    DEFAULT_ORACLE_CAP,
     STAGES,
     CertificateError,
     DetProfile,
-    OracleLimitError,
     Verdict,
     WalkSignature,
-    brute_force_isomorphic,
     build_graph,
     default_m,
     determinant,
     distinguish_pair,
+    find_isomorphism,
     lc_determinant_profile,
     lc_walk_signature,
     local_complement,
@@ -25,10 +23,12 @@ from walkgi import (
 )
 from walkgi.isotest import _verify_certificate
 from fixture_graphs import (
+    cayley_table,
     chang_graphs,
     complete,
     cycle,
     disjoint_union,
+    latin_square_graph,
     path,
     petersen,
     rook,
@@ -41,6 +41,7 @@ from oracles import (
     dense_walk_signature,
     edge_swapped,
     exhaustive_isomorphic,
+    networkx_isomorphic,
     random_graph,
     random_permutation,
     relabeled,
@@ -317,7 +318,16 @@ def test_pair_and_group_read_one_stage_table():
             assert distinguish_pair(named[base], named[name]) == Verdict(False)
 
 
+def _check_oracle(G, H, isomorphic):
+    f = find_isomorphism(G, H)
+    assert (f is not None) == isomorphic
+    if f is not None:
+        assert sorted(f) == list(range(G.n))
+        assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
+
+
 def test_brute_force_agrees_with_exhaustive():
+    """``find_isomorphism`` against the permutation-by-permutation oracle."""
     rng = random.Random(66)
     for _ in range(150):
         n = rng.randint(1, 6)
@@ -327,16 +337,15 @@ def test_brute_force_agrees_with_exhaustive():
         else:
             G = random_graph(rng, n)
             H = random_graph(rng, n)
-        got = brute_force_isomorphic(G, H)
-        want = exhaustive_isomorphic(G, H)
-        assert (got is None) == (want is None)
+        _check_oracle(G, H, exhaustive_isomorphic(G, H) is not None)
 
 
 def test_brute_force_certificate_is_checked_mapping():
+    """A certificate of ``find_isomorphism`` maps G's edges onto H's."""
     G = petersen()
     rng = random.Random(67)
     H = relabeled(G, random_permutation(rng, 10))
-    cert = brute_force_isomorphic(G, H)
+    cert = find_isomorphism(G, H)
     assert cert is not None
     for u, v in G.edges():
         assert H.has_edge(cert[u], cert[v])
@@ -344,19 +353,61 @@ def test_brute_force_certificate_is_checked_mapping():
 
 
 def test_brute_force_vertex_count_mismatch():
-    assert brute_force_isomorphic(complete(3), complete(4)) is None
+    assert find_isomorphism(complete(3), complete(4)) is None
 
 
 def test_brute_force_respects_cap():
-    with pytest.raises(OracleLimitError):
-        brute_force_isomorphic(complete(13), complete(13))
-    assert brute_force_isomorphic(complete(13), complete(13), limit=13) is not None
-    assert DEFAULT_ORACLE_CAP == 12
+    """The oracle has no vertex cap: n = 13 and the two SRG(16,6,2,2) are
+    decided."""
+    _check_oracle(complete(13), complete(13), True)
+    _check_oracle(rook(4), shrikhande(), False)
 
 
 def test_brute_force_nonisomorphic_same_degrees():
     a, b = cycle(6), disjoint_union(complete(3), complete(3))
-    assert brute_force_isomorphic(a, b) is None
+    assert find_isomorphism(a, b) is None
+
+
+def test_find_isomorphism_matches_networkx_on_random_regular_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(68)
+    isomorphic = 0
+    for _ in range(60):
+        n = rng.randint(9, 28)
+        d = rng.choice([k for k in range(3, 8) if n * k % 2 == 0])
+
+        def regular():
+            X = nx.random_regular_graph(d, n, seed=rng.randrange(2**32))
+            return build_graph(n, X.edges())
+
+        G = regular()
+        H = relabeled(G, random_permutation(rng, n)) if rng.random() < 0.5 else regular()
+        want = networkx_isomorphic(G, H)
+        isomorphic += want
+        _check_oracle(G, H, want)
+    assert 20 < isomorphic < 40
+
+
+def test_find_isomorphism_matches_networkx_on_srg_fixtures():
+    pytest.importorskip("networkx")
+    rng = random.Random(69)
+    srgs = [rook(4), shrikhande(), triangular(8), *chang_graphs()]
+    for i, G in enumerate(srgs):
+        for H in srgs[i:]:
+            if G.n == H.n:
+                H = relabeled(H, random_permutation(rng, H.n))
+                _check_oracle(G, H, networkx_isomorphic(G, H))
+
+
+def test_find_isomorphism_on_latin_square_graphs_of_z6_and_s3():
+    """SRG(36,15,6,6) from two non-isotopic groups of order 6."""
+    rng = random.Random(70)
+    z6 = latin_square_graph(cayley_table(range(6), lambda a, b: (a + b) % 6))
+    s3 = latin_square_graph(cayley_table(
+        list(permutations(range(3))), lambda a, b: tuple(a[i] for i in b)))
+    _check_oracle(z6, s3, False)
+    for G in (z6, s3):
+        _check_oracle(G, relabeled(G, random_permutation(rng, 36)), True)
 
 
 def test_certificate_verification_rejects_bad_maps():
