@@ -5,10 +5,12 @@ tooling for strongly regular graph datasets.
 
 from .graph import (
     MAX_VERTICES,
+    CertificateError,
     Graph,
     SrgParams,
     build_graph,
     degree_sequence,
+    find_isomorphism,
     is_isomorphism,
     local_complement,
     srg_parameters,
@@ -26,11 +28,9 @@ from .invariants import (
 )
 from .isotest import (
     STAGES,
-    CertificateError,
     PartitionReport,
     Verdict,
     distinguish_pair,
-    find_isomorphism,
     partition_group,
 )
 from .formats import (

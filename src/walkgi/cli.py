@@ -30,16 +30,16 @@ from .formats import (
     read_dataset,
     write_graph6,
 )
-from .graph import Graph, degree_sequence, local_complement, srg_parameters
-from .invariants import default_m
-from .isotest import (
-    GROUP_STAGES,
+from .graph import (
     CertificateError,
-    distinguish_pair,
+    Graph,
+    degree_sequence,
     find_isomorphism,
-    map_pool,
-    partition_group,
+    local_complement,
+    srg_parameters,
 )
+from .invariants import default_m
+from .isotest import GROUP_STAGES, distinguish_pair, map_pool, partition_group
 from .linalg import _row_starts, determinant, walk_powers
 
 

@@ -1,5 +1,6 @@
 """Simple undirected graphs with bit-row adjacency, plus strong-regularity
-detection, local complementation, isomorphism checking and vertex orbits.
+detection, local complementation, isomorphism checking and search, and
+vertex orbits.
 
 Vertices are dense integers 0..n-1.  Each adjacency row is a Python int used
 as a bitmask, so neighbourhood operations cost O(n/word) and graphs are cheap
@@ -22,27 +23,34 @@ G's first leaf, which is kept only if ``is_isomorphism`` accepts it.
 Refinement commutes with relabelling, so for every isomorphism phi the
 branch of H's tree that individualises phi of the first path's vertices has
 the first path's cell sizes at every depth and ends at a leaf that gives
-phi.  A search that is not cut short is therefore complete.  It has two
-callers:
+phi.  A search that is not cut short is therefore complete.
 
-- ``vertex_orbits`` searches G's own tree.  From the deepest level up, each
-  vertex w of that level's target cell that is not yet known to share the
-  first-path vertex's orbit is individualised instead, and the tree below it
-  is searched; the automorphisms found are unioned into orbits.  So every
-  merge is backed by a verified automorphism.  A search below w that finds
-  none proves that no automorphism fixing the path above maps the first-path
-  vertex to w, so a search that never runs out keeps automorphisms that
-  generate Aut(G).  It stops after a fixed number of refined nodes,
-  ``ORBIT_SEARCH_NODES_PER_VERTEX`` times n, first path included; stopping
-  early only leaves orbits finer than Aut(G)'s.
-- ``isotest.find_isomorphism`` searches H's whole tree from its root, with
-  no node bound, so it finds an isomorphism G -> H whenever there is one.
+Each child the search refines takes one token from an iterator its caller
+hands it; once the tokens run out, that search and every later one sharing
+the iterator return None.  The first path takes no token: it is at most
+n - 1 refinements, and every search needs it.  The search has two callers:
+
+- ``vertex_orbits`` searches G's own tree with n times
+  ``ORBIT_SEARCH_NODES_PER_VERTEX`` tokens.  From the deepest level up,
+  each vertex w of that level's target cell that is not yet known to share
+  the first-path vertex's orbit is individualised instead, and the tree
+  below it is searched; the automorphisms found are unioned into orbits.
+  So every merge is backed by a verified automorphism.  A search below w
+  that finds none, with tokens left, proves that no automorphism fixing the
+  path above maps the first-path vertex to w, so with enough tokens the
+  automorphisms kept generate Aut(G).  Running out only leaves orbits finer
+  than Aut(G)'s.
+- ``find_isomorphism`` searches H's whole tree from its root with an
+  endless supply of tokens, so it finds an isomorphism G -> H whenever
+  there is one.  A found map is checked again, as a permutation whose rows
+  ``is_isomorphism`` accepts, before it is returned; a failure raises
+  ``CertificateError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -230,47 +238,72 @@ def vertex_orbits(G: Graph) -> list[tuple[int, ...]]:
     ascending order and ordered by their least vertex.
 
     Two vertices share an orbit only when a permutation that
-    ``is_isomorphism`` accepted as an automorphism joins them.  A search that
-    runs out of nodes returns the orbits of the automorphisms found so far:
-    finer than Aut(G)'s, never coarser.
+    ``is_isomorphism`` accepted as an automorphism joins them.  Once the
+    searches have refined ``ORBIT_SEARCH_NODES_PER_VERTEX`` times n nodes,
+    every later search returns None, so the orbits are those of the
+    automorphisms found so far: finer than Aut(G)'s, never coarser.
     """
     n, rows = G.n, G.rows
     orbit = list(range(n))  # union-find parents
-    nodes = iter(range(ORBIT_SEARCH_NODES_PER_VERTEX * n))
+    nodes = repeat(None, ORBIT_SEARCH_NODES_PER_VERTEX * n)
 
     def find(v: int) -> int:
         while orbit[v] != v:
             orbit[v] = v = orbit[orbit[v]]
         return v
 
-    try:
-        path = _first_path(rows, nodes)
-        for level in reversed(range(len(path) - 1)):
-            cells, _, t = path[level]
-            v = cells[t][0]
-            failed: list[int] = []
-            for w in cells[t]:
-                root = find(w)
-                if root == find(v) or any(find(u) == root for u in failed):
-                    continue
-                gamma = _search(G, G, path, level + 1, [_child(rows, cells, t, w, nodes)], nodes)
-                if gamma is None:
-                    failed.append(w)
-                    continue
-                for u, image in enumerate(gamma):
-                    a, b = find(u), find(image)
-                    if a != b:
-                        orbit[max(a, b)] = min(a, b)
-    except _OutOfNodes:
-        pass
+    path = _first_path(rows)
+    for level in reversed(range(len(path) - 1)):
+        cells, _, t = path[level]
+        v = cells[t][0]
+        failed: set[int] = set()  # roots of the vertices whose search failed
+        for w in cells[t]:
+            root = find(w)
+            if root == find(v) or root in failed:
+                continue
+            gamma = _search(G, G, path, level + 1, _children(rows, cells, t, [w], nodes), nodes)
+            if gamma is None:
+                failed.add(root)
+                continue
+            for u, image in enumerate(gamma):
+                a, b = find(u), find(image)
+                if a != b:
+                    orbit[max(a, b)] = min(a, b)
+            failed = set(map(find, failed))
     orbits: dict[int, list[int]] = {}
     for v in range(n):
         orbits.setdefault(find(v), []).append(v)
     return [tuple(members) for members in orbits.values()]
 
 
-class _OutOfNodes(Exception):
-    """The search has refined its last allowed node."""
+class CertificateError(RuntimeError):
+    """An isomorphism certificate failed re-verification: internal invariant violation."""
+
+
+def find_isomorphism(G: Graph, H: Graph) -> tuple[int, ...] | None:
+    """An isomorphism f from G onto H as a tuple, f[u] the image of u, or
+    None when there is none.
+
+    Runs the search of the module docstring from H's root with an endless
+    supply of nodes, so None means H's tree holds no leaf that maps G onto
+    H, and then no isomorphism exists.  A found map is re-verified, row by
+    row by ``is_isomorphism``, before it is returned.
+    """
+    if G.n != H.n:
+        return None
+    f = _search(G, H, _first_path(G.rows), 0, [_root(H.rows)], repeat(None))
+    if f is None:
+        return None
+    certificate = tuple(f)
+    _verify_certificate(G, H, certificate)
+    return certificate
+
+
+def _verify_certificate(G: Graph, H: Graph, f: tuple[int, ...]) -> None:
+    if sorted(f) != list(range(G.n)):
+        raise CertificateError(f"certificate is not a permutation: {f}")
+    if not is_isomorphism(G, H, f):
+        raise CertificateError(f"certificate {f} does not map the edges of G onto those of H")
 
 
 # a node of the first path: its cells, their sizes, and the index of the cell
@@ -284,25 +317,22 @@ def _root(rows: tuple[int, ...]) -> list[list[int]]:
     return _refine(rows, [list(range(n))], [(1 << n) - 1])
 
 
-def _child(rows: tuple[int, ...], cells: list[list[int]], t: int, x: int,
-           nodes: Iterator[int] | None) -> list[list[int]]:
+def _child(rows: tuple[int, ...], cells: list[list[int]], t: int, x: int) -> list[list[int]]:
     """The child of the node ``cells`` that individualises x, first in its
-    cell t, refined.  It takes one item of ``nodes`` and raises
-    ``_OutOfNodes`` when none is left; None means no bound."""
-    if nodes is not None and next(nodes, None) is None:
-        raise _OutOfNodes
+    cell t, refined."""
     rest = [v for v in cells[t] if v != x]
     return _refine(rows, cells[:t] + [[x], rest] + cells[t + 1:], [1 << x])
 
 
-def _children(rows: tuple[int, ...], cells: list[list[int]], t: int,
-              nodes: Iterator[int] | None) -> Iterator[list[list[int]]]:
-    """The children of the node ``cells`` that individualise each vertex of
-    its cell t in turn, each refined only when it is reached."""
-    return (_child(rows, cells, t, x, nodes) for x in cells[t])
+def _children(rows: tuple[int, ...], cells: list[list[int]], t: int, xs: Iterable[int],
+              nodes: Iterator[None]) -> Iterator[list[list[int]]]:
+    """The children of the node ``cells`` that individualise each vertex x
+    of ``xs``, from its cell t, in turn, each refined only when it is
+    reached and only while ``nodes`` yields a token for it."""
+    return (_child(rows, cells, t, x) for x, _ in zip(xs, nodes))
 
 
-def _first_path(rows: tuple[int, ...], nodes: Iterator[int] | None) -> list[_PathNode]:
+def _first_path(rows: tuple[int, ...]) -> list[_PathNode]:
     """The first path of the search tree, from the root down to a discrete
     leaf: each node's child individualises the first vertex of its first
     cell with more than one vertex."""
@@ -311,21 +341,22 @@ def _first_path(rows: tuple[int, ...], nodes: Iterator[int] | None) -> list[_Pat
     while len(cells) < len(rows):
         t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
         path.append((cells, list(map(len, cells)), t))
-        cells = _child(rows, cells, t, cells[t][0], nodes)
+        cells = _child(rows, cells, t, cells[t][0])
     path.append((cells, [1] * len(rows), None))
     return path
 
 
 def _search(G: Graph, H: Graph, path: list[_PathNode], depth: int,
-            starts: Iterable[list[list[int]]], nodes: Iterator[int] | None) -> list[int] | None:
+            starts: Iterable[list[list[int]]], nodes: Iterator[None]) -> list[int] | None:
     """Depth first through H's search tree below the nodes ``starts`` at
     ``depth``, for a leaf whose permutation maps G onto H, or None.
 
     ``path`` is G's first path.  A node is kept only if its cell sizes equal
     those of the path's node at the same depth; its children individualise,
-    in turn, each vertex of the cell in the path's target position.  A leaf
-    lambda gives the permutation lambda0[i] -> lambda[i], lambda0 the path's
-    leaf, returned once ``is_isomorphism`` accepts it.
+    in turn, each vertex of the cell in the path's target position, and each
+    child refined takes one token of ``nodes``.  A leaf lambda gives the
+    permutation lambda0[i] -> lambda[i], lambda0 the path's leaf, returned
+    once ``is_isomorphism`` accepts it.
     """
     stack = [(depth, iter(starts))]
     while stack:
@@ -338,7 +369,7 @@ def _search(G: Graph, H: Graph, path: list[_PathNode], depth: int,
         if list(map(len, cells)) != shape:
             continue
         if t is not None:
-            stack.append((depth + 1, _children(H.rows, cells, t, nodes)))
+            stack.append((depth + 1, _children(H.rows, cells, t, cells[t], nodes)))
             continue
         gamma = [0] * G.n
         for (u,), (image,) in zip(path[-1][0], cells):

@@ -73,13 +73,11 @@ class WalkSignature:
         getters = _row_getters((isqrt(8 * len(pairs) + 1) - 1) // 2)
         return cls(m=len(powers), rows=tuple(sorted(tuple(sorted(row(pairs))) for row in getters)))
 
-    def encode(self) -> bytes:
-        return self._encode({})
-
-    def _encode(self, memo: dict[tuple[int, ...], bytes]) -> bytes:
+    def encode(self, memo: dict[tuple[int, ...], bytes] | None = None) -> bytes:
         """The WS1 bytes, with each walk-count tuple's bytes taken from or
-        added to ``memo``: tuples repeat heavily, within a signature and
-        across the local complements of one graph."""
+        added to ``memo``, a fresh one if None: tuples repeat heavily,
+        within a signature and across the local complements of one graph."""
+        memo = {} if memo is None else memo
         out = [b"WS1", _encode_uint(self.n), _encode_uint(self.m)]
         for row in self.rows:
             for tup in row:
@@ -186,5 +184,5 @@ def lc_walk_signature(G: Graph) -> LcWalkSignature:
     memo: dict[tuple[int, ...], bytes] = {}
     parts: list[bytes] = []
     for orbit in vertex_orbits(G):
-        parts += [walk_signature(local_complement(G, orbit[0]))._encode(memo)] * len(orbit)
+        parts += [walk_signature(local_complement(G, orbit[0])).encode(memo)] * len(orbit)
     return LcWalkSignature(tuple(parts))

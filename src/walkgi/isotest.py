@@ -1,5 +1,4 @@
-"""Staged pairwise distinguishing, group partitioning, and an isomorphism
-oracle.
+"""Staged pairwise distinguishing and group partitioning.
 
 One ordered table, ``STAGE_KEYS``, maps each stage name to its per-graph
 key, cheapest first.  ``distinguish_pair`` stops at the first key that
@@ -10,11 +9,9 @@ non-isomorphic); NotDistinguished makes no claim either way.
 dataset scale: the lc-det-profile on every graph, the far more expensive
 lc-walk signature only on classes that remain ambiguous.  Per-graph
 encodings are {stage name: bytes} dicts, and classes are keyed by exact
-encoding bytes; hashes are never trusted to merge anything.
-
-``find_isomorphism`` is the oracle: the individualisation-refinement search
-of ``graph`` over all of H's tree, which returns a re-verified isomorphism
-G -> H when there is one and None only when none exists.
+encoding bytes; hashes are never trusted to merge anything.  With more
+than one worker, one process pool, started by the first stage that has more
+than one graph to compute, serves every stage of a run.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .graph import Graph, _first_path, _root, _search, degree_sequence, is_isomorphism
+from .graph import Graph, degree_sequence
 from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
 from .linalg import determinant
 
@@ -53,10 +50,6 @@ def _stage_encoding(job: tuple[str, Graph]) -> bytes:
     vertex orbit, its encoding one per vertex (Paley(61): 1.5 vs 92 MiB)."""
     stage, G = job
     return STAGE_KEYS[stage](G).encode()
-
-
-class CertificateError(RuntimeError):
-    """An isomorphism certificate failed re-verification: internal invariant violation."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,29 +234,3 @@ def partition_group(
         counts=tuple(counts),
         timings=tuple(timings),
     )
-
-
-def find_isomorphism(G: Graph, H: Graph) -> tuple[int, ...] | None:
-    """An isomorphism f from G onto H as a tuple, f[u] the image of u, or
-    None when there is none.
-
-    Runs the search of ``graph`` with no node bound, from H's root over every
-    vertex of each target cell, so None means H's tree holds no leaf that
-    maps G onto H, and then no isomorphism exists.  A found map is
-    re-verified, row by row by ``is_isomorphism``, before it is returned.
-    """
-    if G.n != H.n:
-        return None
-    f = _search(G, H, _first_path(G.rows, None), 0, [_root(H.rows)], None)
-    if f is None:
-        return None
-    certificate = tuple(f)
-    _verify_certificate(G, H, certificate)
-    return certificate
-
-
-def _verify_certificate(G: Graph, H: Graph, f: tuple[int, ...]) -> None:
-    if sorted(f) != list(range(G.n)):
-        raise CertificateError(f"certificate is not a permutation: {f}")
-    if not is_isomorphism(G, H, f):
-        raise CertificateError(f"certificate {f} does not map the edges of G onto those of H")

@@ -10,8 +10,11 @@ The strongly regular fixtures cover three parameter sets completely:
 * (36,10,4,2): the rook's graph on a 6x6 board is the unique such graph
   (uniqueness of L2(m) for m != 4).
 
-Latin square graphs of group Cayley tables give SRG(k^2, 3(k-1), k, 6); those
-of non-isotopic groups, such as Z6 and S3, are non-isomorphic.
+Latin square graphs give SRG(k^2, 3(k-1), k, 6); for k >= 5 two of them are
+isomorphic exactly when their squares share a main class.  So the graphs of
+the Cayley tables of non-isotopic groups, such as Z6 and S3, are
+non-isomorphic, and the 56 reduced Latin squares of order 5 give two
+isomorphism classes, as they fall into two main classes.
 """
 
 import itertools
@@ -184,3 +187,26 @@ def latin_square_graph(square) -> Graph:
         if any(a == b for a, b in zip(cells[i], cells[j]))
     ]
     return build_graph(k * k, edges)
+
+
+def reduced_latin_squares(k: int) -> list[list[list[int]]]:
+    """Every reduced k x k Latin square (first row and first column both
+    0..k-1), in lexicographic order, by backtracking over the other cells
+    row by row."""
+    square = [list(range(k))] + [[r] + [0] * (k - 1) for r in range(1, k)]
+    free = [(r, c) for r in range(1, k) for c in range(1, k)]
+    squares = []
+
+    def fill(i: int) -> None:
+        if i == len(free):
+            squares.append([row[:] for row in square])
+            return
+        r, c = free[i]
+        used = set(square[r][:c]).union(square[q][c] for q in range(r))
+        for x in range(k):
+            if x not in used:
+                square[r][c] = x
+                fill(i + 1)
+
+    fill(0)
+    return squares

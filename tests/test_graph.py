@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import permutations
 
 import pytest
 
@@ -14,10 +15,12 @@ from walkgi import (
     vertex_orbits,
 )
 from fixture_graphs import (
+    cayley_table,
     chang_graphs,
     complete,
     cycle,
     empty_graph,
+    latin_square_graph,
     paley,
     path,
     petersen,
@@ -317,6 +320,23 @@ def test_vertex_orbits_lie_inside_true_orbits_on_small_graphs():
         true_orbit = {v: orbit for orbit in automorphism_orbits(G) for v in orbit}
         for orbit in orbits:
             assert set(orbit) <= set(true_orbit[orbit[0]])
+
+
+def test_vertex_orbits_are_one_orbit_on_latin_square_graphs_of_groups():
+    """The Latin square graph of a group's Cayley table is vertex-transitive:
+    left and right translations move any cell to any other."""
+    rng = random.Random(55)
+    tables = {
+        "Z6": cayley_table(range(6), lambda a, b: (a + b) % 6),
+        "S3": cayley_table(list(permutations(range(3))), lambda a, b: tuple(a[i] for i in b)),
+        "Z8": cayley_table(range(8), lambda a, b: (a + b) % 8),
+    }
+    for name, table in tables.items():
+        G = latin_square_graph(table)
+        one = [tuple(range(G.n))]
+        assert vertex_orbits(G) == one, name
+        for _ in range(2):
+            assert vertex_orbits(relabeled(G, random_permutation(rng, G.n))) == one, name
 
 
 def test_vertex_orbits_without_search_nodes_are_singletons(monkeypatch):

@@ -278,17 +278,25 @@ def test_lc_walk_signature_without_orbit_search_is_unchanged(monkeypatch):
 def test_lc_walk_signature_walks_one_complement_per_orbit(monkeypatch):
     import walkgi.invariants
 
-    walked = []
+    walked, encoded = [], []
+    encode = WalkSignature.encode
 
     def counting(G, u):
         walked.append(u)
         return local_complement(G, u)
 
+    def counting_encode(sig, memo=None):
+        encoded.append(sig)
+        return encode(sig, memo)
+
     monkeypatch.setattr(walkgi.invariants, "local_complement", counting)
+    monkeypatch.setattr(WalkSignature, "encode", counting_encode)
     graphs = golden_graphs()
     counts = {}
     for name in ("T(8)", "Chang[0]", "Chang[1]", "Chang[2]", "Paley(37)"):
         walked.clear()
+        encoded.clear()
         lc_walk_signature(graphs[name])
         counts[name] = len(walked)
+        assert len(encoded) == len(walked), name  # one encoding per orbit
     assert counts == {"T(8)": 1, "Chang[0]": 2, "Chang[1]": 2, "Chang[2]": 2, "Paley(37)": 1}

@@ -21,7 +21,7 @@ from walkgi import (
     partition_group,
     walk_signature,
 )
-from walkgi.isotest import _verify_certificate
+from walkgi.graph import _verify_certificate
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -31,6 +31,7 @@ from fixture_graphs import (
     latin_square_graph,
     path,
     petersen,
+    reduced_latin_squares,
     rook,
     shrikhande,
     star,
@@ -326,7 +327,7 @@ def _check_oracle(G, H, isomorphic):
         assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
 
 
-def test_brute_force_agrees_with_exhaustive():
+def test_find_isomorphism_agrees_with_exhaustive():
     """``find_isomorphism`` against the permutation-by-permutation oracle."""
     rng = random.Random(66)
     for _ in range(150):
@@ -340,7 +341,7 @@ def test_brute_force_agrees_with_exhaustive():
         _check_oracle(G, H, exhaustive_isomorphic(G, H) is not None)
 
 
-def test_brute_force_certificate_is_checked_mapping():
+def test_find_isomorphism_certificate_is_checked_mapping():
     """A certificate of ``find_isomorphism`` maps G's edges onto H's."""
     G = petersen()
     rng = random.Random(67)
@@ -352,18 +353,18 @@ def test_brute_force_certificate_is_checked_mapping():
     assert sorted(cert) == list(range(10))
 
 
-def test_brute_force_vertex_count_mismatch():
+def test_find_isomorphism_vertex_count_mismatch():
     assert find_isomorphism(complete(3), complete(4)) is None
 
 
-def test_brute_force_respects_cap():
+def test_find_isomorphism_respects_cap():
     """The oracle has no vertex cap: n = 13 and the two SRG(16,6,2,2) are
     decided."""
     _check_oracle(complete(13), complete(13), True)
     _check_oracle(rook(4), shrikhande(), False)
 
 
-def test_brute_force_nonisomorphic_same_degrees():
+def test_find_isomorphism_nonisomorphic_same_degrees():
     a, b = cycle(6), disjoint_union(complete(3), complete(3))
     assert find_isomorphism(a, b) is None
 
@@ -408,6 +409,22 @@ def test_find_isomorphism_on_latin_square_graphs_of_z6_and_s3():
     _check_oracle(z6, s3, False)
     for G in (z6, s3):
         _check_oracle(G, relabeled(G, random_permutation(rng, 36)), True)
+
+
+def test_reduced_latin_squares_of_order_5_give_their_two_main_classes():
+    """All 56 reduced Latin squares of order 5 fall into 2 main classes, so
+    their graphs, SRG(25,12,5,6), form 2 isomorphism classes: the method
+    splits exactly those, and the oracle certifies every class."""
+    graphs = [latin_square_graph(square) for square in reduced_latin_squares(5)]
+    assert len(graphs) == 56
+    report = partition_group(graphs)
+    assert sorted(map(len, report.final_classes)) == [6, 50]
+    for members in report.final_classes:
+        first = graphs[int(members[0])]
+        for i in members[1:]:
+            assert find_isomorphism(first, graphs[int(i)]) is not None, i
+    a, b = (graphs[int(members[0])] for members in report.final_classes)
+    assert distinguish_pair(a, b) == Verdict(True, "lc-det-profile")
 
 
 def test_certificate_verification_rejects_bad_maps():
