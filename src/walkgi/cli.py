@@ -23,7 +23,6 @@ from .formats import (
     CatalogRecord,
     DatasetError,
     Graph6Error,
-    catalog_blobs,
     catalog_read,
     catalog_write,
     make_catalog_record,
@@ -39,7 +38,7 @@ from .graph import (
     srg_parameters,
 )
 from .invariants import default_m
-from .isotest import GROUP_STAGES, distinguish_pair, map_pool, partition_group
+from .isotest import distinguish_pair, map_pool, partition_group
 from .linalg import _row_starts, determinant, walk_powers
 
 
@@ -169,18 +168,9 @@ def cmd_group(args: argparse.Namespace) -> int:
     known: dict[str, CatalogRecord] = {}
     if args.catalog:
         if os.path.exists(args.catalog):
-            known = {rec.id: rec for rec in catalog_read(args.catalog)}
+            known = {rec.id: rec for rec in catalog_read(args.catalog, dict(entries))}
             print(f"catalog: {len(known)} cached records", file=sys.stderr)
-        # a record is reused only for the very graph it was computed from, and
-        # only the blobs of reused records are read
-        reused = [known[record_id] for record_id, G in entries
-                  if record_id in known and known[record_id].g6 == write_graph6(G)]
-        blobs = catalog_blobs(args.catalog, [d for rec in reused
-                                             for d in (rec.lc_profile_digest, rec.lc_walk_digest)])
-        # the catalog's two digest columns hold the keys of GROUP_STAGES
-        cache = {rec.id: {stage: blobs[d] for stage, d in
-                          zip(GROUP_STAGES, (rec.lc_profile_digest, rec.lc_walk_digest))
-                          if blobs[d] is not None} for rec in reused}
+        cache = {rec.id: enc for rec in known.values() if (enc := rec.encodings())}
         stale = sum(1 for record_id in ids if record_id in known and record_id not in cache)
         if stale:
             print(f"catalog: {stale} stale records (graph changed)", file=sys.stderr)
@@ -198,17 +188,15 @@ def cmd_group(args: argparse.Namespace) -> int:
             if used.keys() <= cached.keys():
                 continue  # the record holds everything this run used
             # an encoding the record holds and this run did not use is kept
-            merged = {**cached, **used}
-            known[record_id] = make_catalog_record(record_id, G, *(merged.get(s) for s in GROUP_STAGES))
+            known[record_id] = make_catalog_record(record_id, G, {**cached, **used})
             changed = True
         if changed:
             catalog_write([known[k] for k in sorted(known)], args.catalog)
 
-    stats = report.stats()
     if args.format == "text":
-        print(f"graphs: {stats['graphs']}")
-        print(f"coarse: {stats['coarse_classes']} classes ({_hist_text(report.coarse_size_counts())})")
-        final_line = f"final: {stats['final_classes']} classes ({_hist_text(report.final_size_counts())})"
+        print(f"graphs: {len(report.ids)}")
+        print(f"coarse: {len(report.coarse_classes)} classes ({_hist_text(report.coarse_size_counts())})")
+        final_line = f"final: {len(report.final_classes)} classes ({_hist_text(report.final_size_counts())})"
         if report.all_singletons():
             final_line += "; all singletons"
         print(final_line)
@@ -217,9 +205,9 @@ def cmd_group(args: argparse.Namespace) -> int:
         print(f"timing: {_timing_text(report.timings)}, total {elapsed:.3f}s")
     else:
         print(
-            f"record=group graphs={stats['graphs']} "
-            f"coarse_classes={stats['coarse_classes']} "
-            f"final_classes={stats['final_classes']} "
+            f"record=group graphs={len(report.ids)} "
+            f"coarse_classes={len(report.coarse_classes)} "
+            f"final_classes={len(report.final_classes)} "
             f"all_singletons={'true' if report.all_singletons() else 'false'}"
         )
         for kind, counts in (("coarse", report.coarse_size_counts()), ("final", report.final_size_counts())):

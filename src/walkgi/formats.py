@@ -8,14 +8,19 @@ huge-graph header is rejected.
 
 The catalog is a flat TSV file (header line "walkgi-catalog v1") holding one
 record per graph: its graph6 text, strong-regularity parameters, exact
-determinant as decimal text, and sha256 digests of the two local-complement
-invariant encodings.  The catalog computes neither encoding itself: records
-carry the encodings ``partition_group`` used, so the lc-walk digest is "-"
-for a graph whose coarse class was a singleton.  The encodings themselves live in a
-sidecar blob directory keyed by hex digest, so equality checks can always
-fall back to full byte comparison; ``catalog_blobs`` reads only the blobs of
-the records a caller reuses.  Every blob and then the TSV is written to
-a temp file and renamed into place, so an interrupted write leaves the
+determinant as decimal text, and sha256 digests of the encodings of the two
+stages of ``GROUP_STAGES``, in that order.  The catalog computes neither
+encoding itself: records carry the encodings ``partition_group`` used, so the
+lc-walk digest is "-" for a graph whose coarse class was a singleton.  The
+encodings themselves live in a sidecar blob directory keyed by hex digest, so
+equality checks can always fall back to full byte comparison.
+
+One reuse rule, in ``catalog_read``: a record is reused only for the graph it
+was computed from, that is when the caller's graph of the same id has the
+same graph6 text.  Only such records get their blobs, each distinct digest
+read and verified once; every other record comes back without encodings,
+and its blobs are never read.  Every blob and then the TSV is written to a
+temp file and renamed into place, so an interrupted write leaves the
 previous catalog readable; digest fields are validated before they name a
 file.  Once the new TSV is in place, blobs it no longer names are removed.
 """
@@ -27,9 +32,10 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 from .graph import MAX_VERTICES, Graph, SrgParams, srg_parameters
+from .isotest import GROUP_STAGES
 from .linalg import determinant
 
 GRAPH6_HEADER_TOKEN = ">>graph6<<"
@@ -175,9 +181,8 @@ def read_dataset(
 
 @dataclass(frozen=True, slots=True)
 class CatalogRecord:
-    """One catalog line.  Records built by ``make_catalog_record`` also carry
-    the invariant encodings ``catalog_write`` stores as sidecar blobs; records
-    ``catalog_read`` returns leave them unset."""
+    """One catalog line, with the encodings of its two digests where the
+    record was made by ``make_catalog_record`` or reused by ``catalog_read``."""
 
     id: str
     g6: str
@@ -188,22 +193,32 @@ class CatalogRecord:
     lc_profile_encoding: bytes | None = None
     lc_walk_encoding: bytes | None = None
 
+    def encodings(self) -> dict[str, bytes]:
+        """{stage name: encoding} over ``GROUP_STAGES``, for the encodings
+        the record carries."""
+        return {stage: enc for stage, enc in
+                zip(GROUP_STAGES, (self.lc_profile_encoding, self.lc_walk_encoding))
+                if enc is not None}
 
-def make_catalog_record(
-    record_id: str, G: Graph, lc_profile_encoding: bytes, lc_walk_encoding: bytes | None
-) -> CatalogRecord:
-    """A catalog record for one graph and the invariant encodings computed for
-    it; a None lc-walk encoding is recorded as the digest "-"."""
+
+def _digest(enc: bytes | None) -> str:
+    return NO_DIGEST if enc is None else hashlib.sha256(enc).hexdigest()
+
+
+def make_catalog_record(record_id: str, G: Graph, encodings: Mapping[str, bytes]) -> CatalogRecord:
+    """A catalog record for one graph and the {stage name: encoding} dict
+    computed for it; it must hold the first of ``GROUP_STAGES``, and a
+    missing lc-walk encoding is recorded as the digest "-"."""
+    profile, walk = encodings[GROUP_STAGES[0]], encodings.get(GROUP_STAGES[1])
     return CatalogRecord(
         id=record_id,
         g6=write_graph6(G),
         params=srg_parameters(G),
         det=determinant(G),
-        lc_profile_digest=hashlib.sha256(lc_profile_encoding).hexdigest(),
-        lc_walk_digest=(NO_DIGEST if lc_walk_encoding is None
-                        else hashlib.sha256(lc_walk_encoding).hexdigest()),
-        lc_profile_encoding=lc_profile_encoding,
-        lc_walk_encoding=lc_walk_encoding,
+        lc_profile_digest=_digest(profile),
+        lc_walk_digest=_digest(walk),
+        lc_profile_encoding=profile,
+        lc_walk_encoding=walk,
     )
 
 
@@ -267,19 +282,20 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
             )
         )
     blobs = blob_dir(path)
-    pending = []
+    pending: dict[str, bytes] = {}
     for rec in records:
         for digest, enc in (
             (rec.lc_profile_digest, rec.lc_profile_encoding),
             (rec.lc_walk_digest, rec.lc_walk_encoding),
         ):
-            if enc is not None:
+            # reused records share the bytes catalog_read loaded: hash each once
+            if enc is not None and pending.get(digest) is not enc:
                 if hashlib.sha256(enc).hexdigest() != digest:
                     raise CatalogError(f"record {rec.id!r}: digest does not match encoding")
-                pending.append((digest, enc))
+                pending[digest] = enc
     if pending:
         blobs.mkdir(parents=True, exist_ok=True)
-        for digest, enc in pending:
+        for digest, enc in pending.items():
             target = blobs / digest
             if not target.exists():
                 _replace_file(target, enc)
@@ -291,15 +307,30 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
                 blob.unlink(missing_ok=True)
 
 
-def catalog_read(path: str | os.PathLike) -> list[CatalogRecord]:
-    """Read a catalog's TSV records; their encodings are left unset, and
-    ``catalog_blobs`` loads the blobs their digests name."""
+def catalog_read(path: str | os.PathLike, graphs: Mapping[str, Graph]) -> list[CatalogRecord]:
+    """Read a catalog's records.  A record whose id names a graph of
+    ``graphs`` with the same graph6 text comes back with the verified blobs
+    its digests name, None for a missing blob or the digest "-"; each
+    distinct digest is read once.  Every other record comes back without
+    encodings, and its blobs are never read."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != CATALOG_HEADER:
         found = lines[0] if lines else "<empty file>"
         raise CatalogError(f"unsupported catalog version: {found!r}")
+    blobs = blob_dir(path)
+    loaded: dict[str, bytes | None] = {NO_DIGEST: None}
+
+    def blob(digest: str) -> bytes | None:
+        if digest not in loaded:
+            target = blobs / digest
+            data = target.read_bytes() if target.is_file() else None
+            if data is not None and hashlib.sha256(data).hexdigest() != digest:
+                raise CatalogError(f"{path}: sidecar blob {digest} fails digest check")
+            loaded[digest] = data
+        return loaded[digest]
+
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -319,6 +350,9 @@ def catalog_read(path: str | os.PathLike) -> list[CatalogRecord]:
             raise CatalogError(f"{where}: bad lc-profile digest {profile_digest!r}")
         if not (walk_digest == NO_DIGEST or _DIGEST.fullmatch(walk_digest)):
             raise CatalogError(f"{where}: bad lc-walk digest {walk_digest!r}")
+        profile = walk = None
+        if rec_id in graphs and write_graph6(graphs[rec_id]) == g6:
+            profile, walk = blob(profile_digest), blob(walk_digest)
         records.append(
             CatalogRecord(
                 id=rec_id,
@@ -327,23 +361,8 @@ def catalog_read(path: str | os.PathLike) -> list[CatalogRecord]:
                 det=det,
                 lc_profile_digest=profile_digest,
                 lc_walk_digest=walk_digest,
+                lc_profile_encoding=profile,
+                lc_walk_encoding=walk,
             )
         )
     return records
-
-
-def catalog_blobs(path: str | os.PathLike, digests: Iterable[str]) -> dict[str, bytes | None]:
-    """The verified blob of each digest in ``digests`` (digest fields of records
-    ``catalog_read`` returned), None for a missing blob or the digest "-".
-    Records of isomorphic graphs share blobs; each distinct digest is read
-    once."""
-    blobs = blob_dir(path)
-    loaded: dict[str, bytes | None] = {NO_DIGEST: None}
-    for digest in digests:
-        if digest not in loaded:
-            target = blobs / digest
-            data = target.read_bytes() if target.is_file() else None
-            if data is not None and hashlib.sha256(data).hexdigest() != digest:
-                raise CatalogError(f"{path}: sidecar blob {digest} fails digest check")
-            loaded[digest] = data
-    return loaded

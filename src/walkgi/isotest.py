@@ -114,25 +114,11 @@ class PartitionReport:
     def final_size_counts(self) -> dict[int, int]:
         return dict(Counter(len(c) for c in self.final_classes))
 
-    def multi_member_coarse(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(c for c in self.coarse_classes if len(c) > 1)
-
     def multi_member_final(self) -> tuple[tuple[str, ...], ...]:
         return tuple(c for c in self.final_classes if len(c) > 1)
 
     def all_singletons(self) -> bool:
         return all(len(c) == 1 for c in self.final_classes)
-
-    def stats(self) -> dict[str, int]:
-        multi_coarse = self.multi_member_coarse()
-        return {
-            "graphs": len(self.ids),
-            "coarse_classes": len(self.coarse_classes),
-            "coarse_multi_classes": len(multi_coarse),
-            "graphs_refined": sum(len(c) for c in multi_coarse),
-            "final_classes": len(self.final_classes),
-            "final_multi_classes": len(self.multi_member_final()),
-        }
 
 
 class _Pool:

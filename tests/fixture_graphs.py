@@ -14,7 +14,11 @@ Latin square graphs give SRG(k^2, 3(k-1), k, 6); for k >= 5 two of them are
 isomorphic exactly when their squares share a main class.  So the graphs of
 the Cayley tables of non-isotopic groups, such as Z6 and S3, are
 non-isomorphic, and the 56 reduced Latin squares of order 5 give two
-isomorphism classes, as they fall into two main classes.
+isomorphism classes, as they fall into two main classes.  The 9408 reduced
+squares of order 6 fall into 12 main classes (McKay, Meynert and Myrvold,
+Small Latin squares, quasigroups and loops, 2007).  The five groups of order
+8 are pairwise non-isotopic, so their Latin square graphs are five
+non-isomorphic SRG(64,21,8,6).
 """
 
 import itertools
@@ -174,6 +178,30 @@ def cayley_table(elements, op) -> list[list[int]]:
     """The Cayley table of a group, entries as indices into ``elements``."""
     index = {e: i for i, e in enumerate(elements)}
     return [[index[op(a, b)] for b in elements] for a in elements]
+
+
+def _quaternion_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def order_8_group_tables() -> dict[str, list[list[int]]]:
+    """The Cayley tables of the five groups of order 8, identity first.  D4
+    holds the pairs (r, s) for rotation^r reflection^s, Q8 the units
+    +-1, +-i, +-j, +-k as quaternion coordinate tuples."""
+    units = [tuple(sign * (i == axis) for i in range(4)) for axis in range(4) for sign in (1, -1)]
+    return {
+        "Z8": cayley_table(range(8), lambda a, b: (a + b) % 8),
+        "Z4xZ2": cayley_table(list(itertools.product(range(4), range(2))),
+                              lambda a, b: ((a[0] + b[0]) % 4, (a[1] + b[1]) % 2)),
+        "Z2^3": cayley_table(list(itertools.product(range(2), repeat=3)),
+                             lambda a, b: tuple(x ^ y for x, y in zip(a, b))),
+        "D4": cayley_table(list(itertools.product(range(4), range(2))),
+                           lambda a, b: ((a[0] + (-1) ** a[1] * b[0]) % 4, a[1] ^ b[1])),
+        "Q8": cayley_table(units, _quaternion_product),
+    }
 
 
 def latin_square_graph(square) -> Graph:

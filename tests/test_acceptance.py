@@ -37,7 +37,6 @@ from walkgi import (
     walk_signature,
     write_graph6,
 )
-from walkgi.formats import catalog_blobs
 from datasets import load_srg_group, srg_path
 from fixture_graphs import (
     chang_graphs,
@@ -326,18 +325,14 @@ def test_criterion_6_format_fidelity(tmp_path):
             assert sorted(tuple(sorted(e)) for e in ref.edges()) == sorted(G.edges())
 
         # catalog round-trip is lossless
+        graphs = {"pete": petersen(), "rook4": rook(4), "path5": path(5), "c4": cycle(4)}
         records = [
-            make_catalog_record(name, G, lc_determinant_profile(G).encode(),
-                                lc_walk_signature(G).encode())
-            for name, G in (("pete", petersen()), ("rook4", rook(4)), ("path5", path(5)),
-                            ("c4", cycle(4)))
+            make_catalog_record(name, G, {"lc-det-profile": lc_determinant_profile(G).encode(),
+                                          "lc-walk-signature": lc_walk_signature(G).encode()})
+            for name, G in graphs.items()
         ]
         cat = tmp_path / "acceptance.catalog"
         catalog_write(records, cat)
-        assert catalog_read(cat) == [
+        assert catalog_read(cat, graphs) == records
+        assert catalog_read(cat, {}) == [
             replace(r, lc_profile_encoding=None, lc_walk_encoding=None) for r in records]
-        blobs = catalog_blobs(cat, [d for r in records
-                                    for d in (r.lc_profile_digest, r.lc_walk_digest)])
-        for r in records:
-            assert blobs[r.lc_profile_digest] == r.lc_profile_encoding
-            assert blobs[r.lc_walk_digest] == r.lc_walk_encoding

@@ -297,8 +297,8 @@ def test_group_reuses_full_records(tmp_path, capsys):
     f = write_g6(tmp_path, "srg16.g6", *graphs)
     cat = tmp_path / "inv.catalog"
     catalog_write([
-        make_catalog_record(f"srg16.g6:{i}", G, lc_determinant_profile(G).encode(),
-                            lc_walk_signature(G).encode())
+        make_catalog_record(f"srg16.g6:{i}", G, dict(zip(GROUP_STAGES, (
+            lc_determinant_profile(G).encode(), lc_walk_signature(G).encode()))))
         for i, G in enumerate(graphs, start=1)
     ], cat)
     before = cat.read_bytes()

@@ -2,6 +2,7 @@ import hashlib
 import random
 import shutil
 from dataclasses import replace
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -23,25 +24,21 @@ from walkgi import (
     read_dataset,
     write_graph6,
 )
-from walkgi.formats import catalog_blobs
+from walkgi.isotest import GROUP_STAGES
 from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
 from oracles import random_graph
 
 
 def lc_encodings(G):
-    return lc_determinant_profile(G).encode(), lc_walk_signature(G).encode()
+    return dict(zip(GROUP_STAGES, (lc_determinant_profile(G).encode(), lc_walk_signature(G).encode())))
 
 
 def assert_roundtrip(cat, records):
-    """``catalog_read`` returns ``records`` without their encodings, and
-    ``catalog_blobs`` returns the encodings their digests name."""
-    assert catalog_read(cat) == [
+    """``catalog_read`` returns ``records`` with their encodings for the graphs
+    they were made from, and without them for no graphs."""
+    assert catalog_read(cat, {rec.id: parse_graph6(rec.g6) for rec in records}) == records
+    assert catalog_read(cat, {}) == [
         replace(rec, lc_profile_encoding=None, lc_walk_encoding=None) for rec in records]
-    blobs = catalog_blobs(cat, [d for rec in records
-                                for d in (rec.lc_profile_digest, rec.lc_walk_digest)])
-    for rec in records:
-        assert blobs[rec.lc_profile_digest] == rec.lc_profile_encoding
-        assert blobs[rec.lc_walk_digest] == rec.lc_walk_encoding
 
 
 def nx_to_graph(nxg):
@@ -191,7 +188,7 @@ def test_read_dataset_strict_raises(tmp_path):
 
 
 def test_make_catalog_record():
-    rec = make_catalog_record("pete", petersen(), *lc_encodings(petersen()))
+    rec = make_catalog_record("pete", petersen(), lc_encodings(petersen()))
     assert rec.id == "pete"
     assert parse_graph6(rec.g6) == petersen()
     assert rec.params == SrgParams(10, 3, 0, 1)
@@ -199,13 +196,14 @@ def test_make_catalog_record():
     assert rec.lc_profile_encoding is not None
     assert hashlib.sha256(rec.lc_profile_encoding).hexdigest() == rec.lc_profile_digest
     assert hashlib.sha256(rec.lc_walk_encoding).hexdigest() == rec.lc_walk_digest
+    assert rec.encodings() == lc_encodings(petersen())
 
 
 def test_catalog_roundtrip(tmp_path):
     records = [
-        make_catalog_record("pete", petersen(), *lc_encodings(petersen())),
-        make_catalog_record("c5", cycle(5), *lc_encodings(cycle(5))),
-        make_catalog_record("p4", path(4), *lc_encodings(path(4))),
+        make_catalog_record("pete", petersen(), lc_encodings(petersen())),
+        make_catalog_record("c5", cycle(5), lc_encodings(cycle(5))),
+        make_catalog_record("p4", path(4), lc_encodings(path(4))),
     ]
     cat = tmp_path / "test.catalog"
     catalog_write(records, cat)
@@ -215,9 +213,9 @@ def test_catalog_roundtrip(tmp_path):
 
 def test_catalog_read_without_blobs(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))], cat)
+    catalog_write([make_catalog_record("c4", cycle(4), lc_encodings(cycle(4)))], cat)
     shutil.rmtree(tmp_path / "test.catalog.blobs")  # the TSV alone is read
-    (rec,) = catalog_read(cat)
+    (rec,) = catalog_read(cat, {})
     assert rec.lc_profile_encoding is None
     assert rec.lc_walk_encoding is None
     assert rec.det == 0
@@ -226,80 +224,127 @@ def test_catalog_read_without_blobs(tmp_path):
 
 def test_catalog_missing_blobs_read_as_none(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))], cat)
+    catalog_write([make_catalog_record("c4", cycle(4), lc_encodings(cycle(4)))], cat)
     for blob in (tmp_path / "test.catalog.blobs").iterdir():
         blob.unlink()
-    (rec,) = catalog_read(cat)
-    blobs = catalog_blobs(cat, [rec.lc_profile_digest, rec.lc_walk_digest])
-    assert blobs[rec.lc_profile_digest] is None and blobs[rec.lc_walk_digest] is None
+    (rec,) = catalog_read(cat, {"c4": cycle(4)})
+    assert rec.lc_profile_encoding is None and rec.lc_walk_encoding is None
+    assert rec.encodings() == {}
 
 
 def test_catalog_detects_tampered_blob(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))], cat)
+    catalog_write([make_catalog_record("c4", cycle(4), lc_encodings(cycle(4)))], cat)
     blobs = sorted((tmp_path / "test.catalog.blobs").iterdir())
     blobs[0].write_bytes(b"garbage")
-    (rec,) = catalog_read(cat)
     with pytest.raises(CatalogError, match=f"sidecar blob {blobs[0].name} fails digest check"):
-        catalog_blobs(cat, [rec.lc_profile_digest, rec.lc_walk_digest])
+        catalog_read(cat, {"c4": cycle(4)})
+
+
+def test_catalog_read_loads_blobs_only_for_the_same_graph(tmp_path):
+    cat = tmp_path / "test.catalog"
+    rook_enc = lc_encodings(rook(4))
+    catalog_write([make_catalog_record("a", rook(4), rook_enc),
+                   make_catalog_record("b", rook(4), rook_enc),
+                   make_catalog_record("pete", petersen(), lc_encodings(petersen())),
+                   make_catalog_record("c5", cycle(5), lc_encodings(cycle(5)))], cat)
+    # the blobs of a record whose graph changed are never read
+    for enc in lc_encodings(petersen()).values():
+        (tmp_path / "test.catalog.blobs" / hashlib.sha256(enc).hexdigest()).write_bytes(b"garbage")
+    a, b, pete, c5 = catalog_read(cat, {"a": rook(4), "b": rook(4), "pete": cycle(10)})
+    assert a.encodings() == b.encodings() == rook_enc
+    # each distinct digest is read once: records of one graph share its bytes
+    assert a.lc_profile_encoding is b.lc_profile_encoding
+    assert a.lc_walk_encoding is b.lc_walk_encoding
+    assert pete.encodings() == c5.encodings() == {}
+
+
+def test_catalog_write_hashes_shared_bytes_once(tmp_path, monkeypatch):
+    import walkgi.formats
+
+    cat = tmp_path / "test.catalog"
+    catalog_write([make_catalog_record(i, rook(4), lc_encodings(rook(4))) for i in "abc"], cat)
+    records = catalog_read(cat, {i: rook(4) for i in "abc"})
+    hashed = []
+
+    def sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(walkgi.formats, "hashlib", SimpleNamespace(sha256=sha256))
+    catalog_write(records, cat)
+    assert len(hashed) == 2
+    # bytes equal to a hashed encoding but not the same object are hashed too
+    copy = bytes(bytearray(records[0].lc_profile_encoding))
+    catalog_write(records + [replace(records[0], id="d", lc_profile_encoding=copy)], cat)
+    assert len(hashed) == 5
+
+
+def test_catalog_write_rejects_encoding_that_fails_its_digest(tmp_path):
+    rec = make_catalog_record("a", cycle(4), lc_encodings(cycle(4)))
+    bad = replace(rec, id="b", lc_profile_encoding=b"other")
+    # also after a record with the same digest and the right bytes
+    for records in ([bad], [rec, bad]):
+        with pytest.raises(CatalogError, match="'b': digest does not match encoding"):
+            catalog_write(records, tmp_path / "test.catalog")
 
 
 def test_catalog_write_removes_unnamed_blobs(tmp_path):
     cat = tmp_path / "test.catalog"
     blobs = tmp_path / "test.catalog.blobs"
     rook_enc, shrikhande_enc = lc_encodings(rook(4)), lc_encodings(shrikhande())
-    catalog_write([make_catalog_record(i, rook(4), *rook_enc) for i in "ab"], cat)
+    catalog_write([make_catalog_record(i, rook(4), rook_enc) for i in "ab"], cat)
     rook_blobs = {p.name for p in blobs.iterdir()}
     others = [blobs / ".0123.4567.tmp", blobs / "notes.txt", blobs / ("f" * 63)]
     for other in others:
         other.write_bytes(b"not a blob")
     # both stale rook(4) records replaced by Shrikhande
-    catalog_write([make_catalog_record(i, shrikhande(), *shrikhande_enc) for i in "ab"], cat)
+    catalog_write([make_catalog_record(i, shrikhande(), shrikhande_enc) for i in "ab"], cat)
     named = {d for line in cat.read_text().splitlines()[1:] for d in line.split("\t")[4:]}
     assert len(named) == 2 and not named & rook_blobs
     assert {p.name for p in blobs.iterdir()} == named | {p.name for p in others}
-    assert_roundtrip(cat, [make_catalog_record(i, shrikhande(), *shrikhande_enc) for i in "ab"])
+    assert_roundtrip(cat, [make_catalog_record(i, shrikhande(), shrikhande_enc) for i in "ab"])
 
 
 def test_catalog_rejects_unknown_version(tmp_path):
     cat = tmp_path / "test.catalog"
     cat.write_text("walkgi-catalog v999\n")
     with pytest.raises(CatalogError, match="unsupported catalog version"):
-        catalog_read(cat)
+        catalog_read(cat, {})
     cat.write_text("")
     with pytest.raises(CatalogError, match="unsupported catalog version"):
-        catalog_read(cat)
+        catalog_read(cat, {})
 
 
 def test_catalog_rejects_malformed_lines(tmp_path):
     cat = tmp_path / "test.catalog"
     cat.write_text(CATALOG_HEADER + "\nonly\tthree\tfields\n")
     with pytest.raises(CatalogError, match="expected 6 fields"):
-        catalog_read(cat)
+        catalog_read(cat, {})
     cat.write_text(CATALOG_HEADER + "\nid\tBw\t-\tnotanumber\taa\tbb\n")
     with pytest.raises(CatalogError, match="determinant"):
-        catalog_read(cat)
+        catalog_read(cat, {})
     cat.write_text(CATALOG_HEADER + "\nid\tBw\t1,2\t0\taa\tbb\n")
     with pytest.raises(CatalogError, match="params"):
-        catalog_read(cat)
+        catalog_read(cat, {})
 
 
 def test_catalog_rejects_tab_in_id(tmp_path):
-    rec = make_catalog_record("bad\tid", cycle(4), *lc_encodings(cycle(4)))
+    rec = make_catalog_record("bad\tid", cycle(4), lc_encodings(cycle(4)))
     with pytest.raises(CatalogError, match="tab"):
         catalog_write([rec], tmp_path / "test.catalog")
 
 
 def test_catalog_params_roundtrip_non_srg(tmp_path):
     cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("p4", path(4), *lc_encodings(path(4)))], cat)
-    (rec,) = catalog_read(cat)
+    catalog_write([make_catalog_record("p4", path(4), lc_encodings(path(4)))], cat)
+    (rec,) = catalog_read(cat, {})
     assert rec.params is None
 
 
 def test_catalog_record_without_lc_walk_roundtrip(tmp_path):
-    profile_enc, _ = lc_encodings(petersen())
-    rec = make_catalog_record("pete", petersen(), profile_enc, None)
+    profile_enc = lc_encodings(petersen())["lc-det-profile"]
+    rec = make_catalog_record("pete", petersen(), {"lc-det-profile": profile_enc})
     assert rec.lc_walk_digest == "-"
     cat = tmp_path / "test.catalog"
     catalog_write([rec], cat)
@@ -322,8 +367,9 @@ def test_catalog_record_without_lc_walk_roundtrip(tmp_path):
 def test_catalog_rejects_bad_digest(tmp_path, profile_digest, walk_digest, field):
     cat = tmp_path / "test.catalog"
     cat.write_text(f"{CATALOG_HEADER}\nid\tBw\t-\t2\t{profile_digest}\t{walk_digest}\n")
+    # the line's graph is the run's, so a digest that passed would be read
     with pytest.raises(CatalogError, match=f"test.catalog:2: bad {field} digest"):
-        catalog_read(cat)
+        catalog_read(cat, {"id": complete(3)})
 
 
 class _CrashingWrite:
@@ -354,9 +400,9 @@ def test_catalog_write_failure_keeps_previous_catalog(tmp_path, monkeypatch, fai
 
     cat = tmp_path / "test.catalog"
     blobs = tmp_path / "test.catalog.blobs"
-    old = [make_catalog_record("c4", cycle(4), *lc_encodings(cycle(4)))]
+    old = [make_catalog_record("c4", cycle(4), lc_encodings(cycle(4)))]
     catalog_write(old, cat)
-    new = old + [make_catalog_record("pete", petersen(), *lc_encodings(petersen()))]
+    new = old + [make_catalog_record("pete", petersen(), lc_encodings(petersen()))]
 
     def previous_catalog_intact():
         assert_roundtrip(cat, old)

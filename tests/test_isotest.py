@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from itertools import combinations, permutations
 
 import pytest
@@ -22,6 +23,7 @@ from walkgi import (
     walk_signature,
 )
 from walkgi.graph import _verify_certificate
+from walkgi.isotest import map_pool
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -29,6 +31,7 @@ from fixture_graphs import (
     cycle,
     disjoint_union,
     latin_square_graph,
+    order_8_group_tables,
     path,
     petersen,
     reduced_latin_squares,
@@ -195,7 +198,7 @@ def test_partition_single_graph():
 def test_partition_srg_16_group():
     report = partition_group([rook(4), shrikhande()], ids=["rook", "shrik"])
     assert report.all_singletons()
-    assert report.stats()["coarse_classes"] == 2
+    assert len(report.coarse_classes) == 2
 
 
 def test_partition_groups_isomorphic_copies():
@@ -209,7 +212,7 @@ def test_partition_groups_isomorphic_copies():
     assert not report.all_singletons()
     assert report.final_size_counts() == {3: 1, 1: 1}
     assert report.coarse_size_counts() == {3: 1, 1: 1}
-    assert report.stats()["graphs_refined"] == 3
+    assert sum(len(c) for c in report.coarse_classes if len(c) > 1) == 3
 
 
 def test_partition_default_ids():
@@ -425,6 +428,87 @@ def test_reduced_latin_squares_of_order_5_give_their_two_main_classes():
             assert find_isomorphism(first, graphs[int(i)]) is not None, i
     a, b = (graphs[int(members[0])] for members in report.final_classes)
     assert distinguish_pair(a, b) == Verdict(True, "lc-det-profile")
+
+
+# the first reduced square of order 6, in lexicographic order, of each of the
+# 12 main classes, and the class sizes among the 9408 reduced squares
+ORDER_6_CLASS_FIRSTS = [0, 1, 4, 5, 33, 34, 38, 40, 51, 52, 237, 1745]
+ORDER_6_CLASS_SIZES = [20, 40, 60, 108, 180, 360, 540, 1080, 1080, 1080, 1620, 3240]
+
+
+def test_one_square_per_main_class_of_order_6_gives_12_classes():
+    """SRG(36,15,6,6) from one reduced square per main class, each beside a
+    relabelled copy: the method splits the 12 classes and nothing more."""
+    rng = random.Random(6)
+    squares = reduced_latin_squares(6)
+    assert len(squares) == 9408
+    graphs, ids = [], []
+    for i in ORDER_6_CLASS_FIRSTS:
+        G = latin_square_graph(squares[i])
+        graphs += [G, relabeled(G, random_permutation(rng, 36))]
+        ids += [f"{i}", f"{i}'"]
+    report = partition_group(graphs, ids=ids)
+    assert sorted(report.final_classes) == sorted((f"{i}", f"{i}'") for i in ORDER_6_CLASS_FIRSTS)
+
+
+def _profile_encoding(G):
+    return lc_determinant_profile(G).encode()
+
+
+@pytest.mark.slow
+def test_reduced_latin_squares_of_order_6_give_their_12_main_classes():
+    """The lc-det-profile alone splits all 9408 reduced squares of order 6
+    into exactly their 12 main classes."""
+    squares = reduced_latin_squares(6)
+    encodings = map_pool(_profile_encoding, [latin_square_graph(sq) for sq in squares], 2)
+    classes = defaultdict(list)
+    for i, enc in enumerate(encodings):
+        classes[enc].append(i)
+    assert sorted(members[0] for members in classes.values()) == ORDER_6_CLASS_FIRSTS
+    assert sorted(map(len, classes.values())) == ORDER_6_CLASS_SIZES
+
+
+def test_order_8_group_tables_are_the_five_groups():
+    """Each table is associative with identity 0, and the element orders
+    tell the five groups apart."""
+    orders = {}
+    for name, t in order_8_group_tables().items():
+        elements = range(8)
+        assert all(t[0][x] == t[x][0] == x for x in elements)
+        assert all(t[t[a][b]][c] == t[a][t[b][c]] for a in elements for b in elements for c in elements)
+        powers = [[x] for x in elements]
+        for x in elements:
+            while powers[x][-1] != 0:
+                powers[x].append(t[powers[x][-1]][x])
+        orders[name] = sorted(map(len, powers))
+    assert orders == {
+        "Z8": [1, 2, 4, 4, 8, 8, 8, 8],
+        "Z4xZ2": [1, 2, 2, 2, 4, 4, 4, 4],
+        "Z2^3": [1, 2, 2, 2, 2, 2, 2, 2],
+        "D4": [1, 2, 2, 2, 2, 2, 4, 4],
+        "Q8": [1, 2, 4, 4, 4, 4, 4, 4],
+    }
+
+
+def test_latin_square_graphs_of_the_groups_of_order_8():
+    """SRG(64,21,8,6) from the five groups of order 8, each beside a
+    relabelled copy.  The paper's claim holds: five final classes.  Z8 and
+    Q8 share their lc-det profile, and only the lc-walk signature splits
+    them."""
+    rng = random.Random(8)
+    graphs, ids = [], []
+    for name, table in order_8_group_tables().items():
+        G = latin_square_graph(table)
+        graphs += [G, relabeled(G, random_permutation(rng, 64))]
+        ids += [name, f"{name}'"]
+    report = partition_group(graphs, ids=ids)
+    pairs = {(name, f"{name}'") for name in order_8_group_tables()}
+    assert len(report.coarse_classes) == 4
+    assert ("Z8", "Z8'", "Q8", "Q8'") in report.coarse_classes
+    assert set(report.final_classes) == pairs
+    z8, q8 = graphs[ids.index("Z8")], graphs[ids.index("Q8")]
+    assert distinguish_pair(z8, q8) == Verdict(True, "lc-walk-signature")
+    assert find_isomorphism(z8, q8) is None
 
 
 def test_certificate_verification_rejects_bad_maps():
