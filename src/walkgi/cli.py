@@ -173,7 +173,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         cache = {rec.id: enc for rec in known.values() if (enc := rec.encodings())}
         stale = sum(1 for record_id in ids if record_id in known and record_id not in cache)
         if stale:
-            print(f"catalog: {stale} stale records (graph changed)", file=sys.stderr)
+            print(f"catalog: {stale} stale records (graph changed or blobs missing)", file=sys.stderr)
         if len(cache) < len(ids):
             print(f"catalog: computing {len(ids) - len(cache)} new records", file=sys.stderr)
 
@@ -182,15 +182,11 @@ def cmd_group(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - t0
 
     if args.catalog:
-        changed = False
-        for (record_id, G), used in zip(entries, report.encodings):
-            cached = cache.get(record_id, {})
-            if used.keys() <= cached.keys():
-                continue  # the record holds everything this run used
-            # an encoding the record holds and this run did not use is kept
-            known[record_id] = make_catalog_record(record_id, G, {**cached, **used})
-            changed = True
-        if changed:
+        grown = {record_id: make_catalog_record(record_id, G, enc)
+                 for (record_id, G), enc in zip(entries, report.encodings)
+                 if len(enc) > len(cache.get(record_id, ()))}
+        if grown:  # a rerun that computed nothing leaves the catalog alone
+            known.update(grown)
             catalog_write([known[k] for k in sorted(known)], args.catalog)
 
     if args.format == "text":
@@ -202,7 +198,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         print(final_line)
         for members in report.multi_member_final():
             print("unresolved: " + ", ".join(members))
-        print(f"timing: {_timing_text(report.timings)}, total {elapsed:.3f}s")
+        print(f"timing: {_timing_text(report.stages)}, total {elapsed:.3f}s")
     else:
         print(
             f"record=group graphs={len(report.ids)} "
@@ -215,9 +211,9 @@ def cmd_group(args: argparse.Namespace) -> int:
                 print(f"record={kind}-hist size={size} count={counts[size]}")
         for members in report.multi_member_final():
             print(f"record=class kind=final size={len(members)} members=" + ",".join(members))
-        print(f"timing: {_timing_text(report.timings)}, total {elapsed:.3f}s", file=sys.stderr)
+        print(f"timing: {_timing_text(report.stages)}, total {elapsed:.3f}s", file=sys.stderr)
     print("stages: " + ", ".join(f"{name} computed={computed} cached={cached}"
-                                 for name, computed, cached in report.counts), file=sys.stderr)
+                                 for name, computed, cached, _ in report.stages), file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -225,8 +221,8 @@ def _hist_text(counts: dict[int, int]) -> str:
     return ", ".join(f"{counts[size]} x{size}" for size in sorted(counts))
 
 
-def _timing_text(timings) -> str:
-    return ", ".join(f"{name} {seconds:.3f}s" for name, seconds in timings)
+def _timing_text(stages) -> str:
+    return ", ".join(f"{name} {seconds:.3f}s" for name, _, _, seconds in stages)
 
 
 def cmd_lc(args: argparse.Namespace) -> int:

@@ -94,19 +94,18 @@ class PartitionReport:
     dataset order; each stage splits a class into subclasses ordered by their
     encodings, in the class's place, so reports are deterministic.
 
-    ``encodings`` holds, in ``ids`` order, a {stage name: encoding} dict of
-    the stages the run used for that graph; a graph that is a singleton after
-    one stage has no key for the later ones.  ``counts`` holds (stage,
-    computed, cached) graph counts per stage, and ``timings`` (stage,
-    seconds), both in ``GROUP_STAGES`` order.
+    ``encodings`` holds, in ``ids`` order, a {stage name: encoding} dict per
+    graph: its cached encodings plus those the run computed.  A graph that
+    is a singleton after one stage gets no later key computed.  ``stages``
+    holds one (stage, computed, cached, seconds) row per stage, in
+    ``GROUP_STAGES`` order; the counts are over the graphs that stage ran on.
     """
 
     ids: tuple[str, ...]
     coarse_classes: tuple[tuple[str, ...], ...]
     final_classes: tuple[tuple[str, ...], ...]
     encodings: tuple[dict[str, bytes], ...] = field(compare=False)
-    counts: tuple[tuple[str, int, int], ...] = field(compare=False)
-    timings: tuple[tuple[str, float], ...] = field(compare=False)
+    stages: tuple[tuple[str, int, int, float], ...] = field(compare=False)
 
     def coarse_size_counts(self) -> dict[int, int]:
         return dict(Counter(len(c) for c in self.coarse_classes))
@@ -168,10 +167,11 @@ def partition_group(
     bytes.  The first stage runs on every graph, as every catalog record
     needs its key; each later one only on classes still holding more than
     one graph.  ``invariant_cache`` optionally maps a graph id to precomputed
-    {stage name: encoding} bytes, e.g. from a catalog; only what it lacks is
-    computed.  The report gives back the encodings the run used and the
-    computed and cached counts per stage, so a caller can store exactly what
-    was computed.  One worker pool serves all stages when ``workers`` > 1;
+    {stage name: encoding} bytes, e.g. from a catalog; each graph's dict
+    starts as a copy of its entry, and only what it lacks is computed.  The
+    report gives back each graph's whole dict and a (stage, computed,
+    cached, seconds) row per stage, so a caller can store exactly the dicts
+    that grew.  One worker pool serves all stages when ``workers`` > 1;
     classes are split over sorted encodings, so the result does not depend
     on the worker count.
     """
@@ -187,16 +187,13 @@ def partition_group(
     if len({g.n for g in graphs}) > 1:
         warnings.warn("graphs have mixed vertex counts; they separate trivially", stacklevel=2)
 
-    encodings: list[dict[str, bytes]] = [{} for _ in graphs]
+    encodings = [dict(cache.get(i, ())) for i in ids]
     classes: list[list[int]] = [list(range(len(graphs)))]
-    partitions, counts, timings = [], [], []
+    partitions, rows = [], []
     run: Sequence[int] = range(len(graphs))
     with _Pool(workers) as pool:
         for stage in GROUP_STAGES:
             start = time.perf_counter()
-            for i in run:
-                if stage in cache.get(ids[i], {}):
-                    encodings[i][stage] = cache[ids[i]][stage]
             missing = [i for i in run if stage not in encodings[i]]
             for i, key in zip(missing, pool.map(_stage_encoding, [(stage, graphs[i]) for i in missing])):
                 encodings[i][stage] = key
@@ -208,8 +205,7 @@ def partition_group(
                 split += (sub[key] for key in sorted(sub))
             classes = split
             partitions.append(tuple(tuple(ids[i] for i in members) for members in classes))
-            counts.append((stage, len(missing), len(run) - len(missing)))
-            timings.append((stage, time.perf_counter() - start))
+            rows.append((stage, len(missing), len(run) - len(missing), time.perf_counter() - start))
             run = [i for members in classes if len(members) > 1 for i in members]
 
     return PartitionReport(
@@ -217,6 +213,5 @@ def partition_group(
         coarse_classes=partitions[0],
         final_classes=partitions[-1],
         encodings=tuple(encodings),
-        counts=tuple(counts),
-        timings=tuple(timings),
+        stages=tuple(rows),
     )

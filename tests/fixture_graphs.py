@@ -10,6 +10,9 @@ The strongly regular fixtures cover three parameter sets completely:
 * (36,10,4,2): the rook's graph on a 6x6 board is the unique such graph
   (uniqueness of L2(m) for m != 4).
 
+The Clebsch graph, SRG(16,5,0,2), and the Hoffman-Singleton graph,
+SRG(50,7,0,1), are each the unique graph of their parameters.
+
 Latin square graphs give SRG(k^2, 3(k-1), k, 6); for k >= 5 two of them are
 isomorphic exactly when their squares share a main class.  So the graphs of
 the Cayley tables of non-isotopic groups, such as Z6 and S3, are
@@ -102,6 +105,31 @@ def shrikhande() -> Graph:
                 if u < v:
                     edges.append((u, v))
     return build_graph(16, edges)
+
+
+def clebsch() -> Graph:
+    """The folded 5-cube: 4-bit words, adjacent iff they differ in exactly
+    one bit or in all four.  SRG(16,5,0,2)."""
+    return build_graph(16, [(u, v) for u, v in itertools.combinations(range(16), 2)
+                            if (u ^ v).bit_count() in (1, 4)])
+
+
+def hoffman_singleton() -> Graph:
+    """Robertson's construction: pentagons P_0..P_4 and pentagrams Q_0..Q_4
+    on Z5, vertex j of P_h joined to vertex h*i + j of Q_i.  SRG(50,7,0,1),
+    the unique such graph."""
+    def p(h, j):
+        return 5 * h + j % 5
+
+    def q(i, j):
+        return 25 + 5 * i + j % 5
+
+    edges = []
+    for h in range(5):
+        for j in range(5):
+            edges += [(p(h, j), p(h, j + 1)), (q(h, j), q(h, j + 2))]
+            edges += [(p(h, j), q(i, h * i + j)) for i in range(5)]
+    return build_graph(50, edges)
 
 
 def triangular(m: int) -> Graph:

@@ -190,6 +190,67 @@ def test_group_catalog_recomputes_changed_graph(tmp_path, capsys):
     assert _without_timing(cached.out) == _without_timing(fresh)
 
 
+def test_group_catalog_recomputes_records_whose_blobs_are_missing(tmp_path, capsys):
+    G = rook(4)
+    f = write_g6(tmp_path, "d.g6", G, shrikhande(),
+                 relabeled(G, random_permutation(random.Random(83), 16)))
+    cat = tmp_path / "c.tsv"
+    blobs = tmp_path / "c.tsv.blobs"
+    assert main(["group", f, "--format", "records", "--workers", "1"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["group", f, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
+    capsys.readouterr()
+    tsv = cat.read_bytes()
+    blob_bytes = {p.name: p.read_bytes() for p in blobs.iterdir()}
+
+    # the graphs still match their records, but no blob is left to reuse
+    for p in blobs.iterdir():
+        p.unlink()
+    assert main(["group", f, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
+    rerun = capsys.readouterr()
+    assert "catalog: 3 stale records (graph changed or blobs missing)" in rerun.err
+    assert "computing 3 new records" in rerun.err
+    assert rerun.out == fresh
+    assert cat.read_bytes() == tsv
+    assert {p.name: p.read_bytes() for p in blobs.iterdir()} == blob_bytes
+
+
+def test_group_catalog_is_rewritten_only_when_a_record_grows(tmp_path, capsys):
+    G = rook(4)
+    a = write_g6(tmp_path, "a.g6", G)
+    b = write_g6(tmp_path, "b.g6", relabeled(G, random_permutation(random.Random(87), 16)))
+    cat = tmp_path / "inv.catalog"
+
+    def group(*files):
+        assert main(["group", *files, "--catalog", str(cat), "--workers", "1"]) == 0
+        return capsys.readouterr().err
+
+    def stamp():
+        st = cat.stat()
+        return st.st_ino, st.st_mtime_ns
+
+    group(a)
+    assert _catalog_fields(cat)["a.g6:1"][5] == "-"
+    before = stamp()
+    # a rerun that computes nothing leaves the file in place
+    assert _stages(group(a)) == (
+        "stages: lc-det-profile computed=0 cached=1, lc-walk-signature computed=0 cached=0"
+    )
+    assert stamp() == before
+
+    # a's record holds only its profile; once b makes it ambiguous, its
+    # lc-walk digest is added and the catalog rewritten
+    group(a, b)
+    walk_digest = hashlib.sha256(lc_walk_signature(G).encode()).hexdigest()
+    assert _catalog_fields(cat)["a.g6:1"][5] == walk_digest
+    after = stamp()
+    assert after[0] != before[0]
+    assert _stages(group(a, b)) == (
+        "stages: lc-det-profile computed=0 cached=2, lc-walk-signature computed=0 cached=2"
+    )
+    assert stamp() == after
+
+
 def _without_timing(out: str) -> list[str]:
     return [line for line in out.splitlines() if not line.startswith("timing:")]
 

@@ -17,9 +17,11 @@ from walkgi import (
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
+    clebsch,
     complete,
     cycle,
     empty_graph,
+    hoffman_singleton,
     latin_square_graph,
     paley,
     path,
@@ -187,6 +189,11 @@ def test_srg_parameters_known_graphs():
     assert srg_parameters(cycle(4)) == SrgParams(4, 2, 0, 2)
     assert srg_parameters(rook(4)) == SrgParams(16, 6, 2, 2)
     assert srg_parameters(shrikhande()) == SrgParams(16, 6, 2, 2)
+
+
+def test_srg_parameters_clebsch_and_hoffman_singleton():
+    assert srg_parameters(clebsch()) == SrgParams(16, 5, 0, 2)
+    assert srg_parameters(hoffman_singleton()) == SrgParams(50, 7, 0, 1)
 
 
 def test_srg_parameters_non_srg():

@@ -256,7 +256,7 @@ def test_partition_starts_one_pool_for_both_stages(monkeypatch):
     rng = random.Random(67)
     graphs = [rook(4), shrikhande(), relabeled(rook(4), random_permutation(rng, 16))]
     report = partition_group(graphs, ids=list("abc"), workers=2)
-    assert dict((stage, computed) for stage, computed, _ in report.counts) == {
+    assert dict((stage, computed) for stage, computed, _, _ in report.stages) == {
         "lc-det-profile": 3, "lc-walk-signature": 2}
     assert report.final_classes == (("b",), ("a", "c"))
     assert started == [2]
@@ -274,24 +274,28 @@ def test_partition_uses_invariant_cache():
             "lc-walk-signature": lc_walk_signature(G).encode()}
         for i, G in zip(ids, graphs)
     }
-    # the stages the run uses: the singleton b has no lc-walk key
-    used = (full["a"], {"lc-det-profile": full["b"]["lc-det-profile"]}, full["c"])
+    # a run with no cache computes no lc-walk key for the singleton b
+    computed = (full["a"], {"lc-det-profile": full["b"]["lc-det-profile"]}, full["c"])
     # a holds only its profile, c nothing, and the singleton b an lc-walk
     # encoding the run does not need, which is not counted as cached
     partial = {"a": {"lc-det-profile": full["a"]["lc-det-profile"]}, "b": full["b"]}
     plain = partition_group(graphs, ids=ids)
-    assert plain.counts == (("lc-det-profile", 3, 0), ("lc-walk-signature", 2, 0))
-    assert plain.encodings == used
+    assert [row[:3] for row in plain.stages] == [("lc-det-profile", 3, 0), ("lc-walk-signature", 2, 0)]
+    assert all(row[3] >= 0 for row in plain.stages)
+    assert plain.encodings == computed
     for cache, counts in (
-        (full, (("lc-det-profile", 0, 3), ("lc-walk-signature", 0, 2))),
-        (partial, (("lc-det-profile", 1, 2), ("lc-walk-signature", 2, 0))),
+        (full, [("lc-det-profile", 0, 3), ("lc-walk-signature", 0, 2)]),
+        (partial, [("lc-det-profile", 1, 2), ("lc-walk-signature", 2, 0)]),
     ):
         cached = partition_group(graphs, ids=ids, invariant_cache=cache)
         assert plain.coarse_classes == cached.coarse_classes
         assert plain.final_classes == cached.final_classes
         assert cached.final_classes == (("b",), ("a", "c"))
-        assert cached.counts == counts
-        assert cached.encodings == used
+        assert [row[:3] for row in cached.stages] == counts
+        # each graph's dict is its cache entry plus what the run computed
+        assert cached.encodings == (full["a"], full["b"], full["c"])
+    # the cache's own dicts are copied, never filled in
+    assert partial["a"] == {"lc-det-profile": full["a"]["lc-det-profile"]}
 
 
 def test_pair_and_group_read_one_stage_table():

@@ -8,11 +8,13 @@ from walkgi import (build_graph, determinant, lc_determinants, local_complement,
 from walkgi.linalg import _HankelPivots, _bareiss, _lane, _packed, _scaled_inverse
 from fixture_graphs import (
     chang_graphs,
+    clebsch,
     complete,
     complete_multipartite,
     cycle,
     disjoint_union,
     empty_graph,
+    hoffman_singleton,
     paley,
     path,
     petersen,
@@ -268,6 +270,33 @@ def test_srg_lc_determinants_follow_local_spectra():
     for G in chang_graphs():
         assert len({local_traces(G, u) for u in range(G.n)}) == 2
         assert len(set(lc_determinants(G))) == 2
+
+
+def test_popcount_bound_narrows_hoffman_singleton_lanes(monkeypatch):
+    # the one SRG fixture whose row popcounts give a smaller bound than n
+    # alone: 7^25 for A (9 bytes), and, as two adjacent vertices share no
+    # neighbour, rows of 13 ones in each A_u (10 bytes), against 12 bytes
+    # for any 0/1 matrix of order 50.  Clebsch's lanes are n-bound either way
+    import walkgi.linalg as linalg
+
+    lanes = []
+
+    def recorded(n, product):
+        lanes.append(_lane(n, product))
+        return lanes[-1]
+
+    monkeypatch.setattr(linalg, "_lane", recorded)
+    HS = hoffman_singleton()
+    dets = lc_determinants(HS)
+    det = determinant(HS)
+    assert lanes == [10, 9] and _lane(50, 0) == 12
+    assert det == fraction_gauss_determinant(adjacency_matrix(HS).rows)
+    for u in (0, 17, 42):
+        assert dets[u] == fraction_gauss_determinant(adjacency_matrix(local_complement(HS, u)).rows)
+    lanes.clear()
+    C = clebsch()  # vertex-transitive: every local complement has one determinant
+    assert lc_determinants(C) == [fraction_gauss_determinant(adjacency_matrix(local_complement(C, 0)).rows)] * 16
+    assert lanes == [_lane(16, 0)]
 
 
 def sylvester_core(m):
