@@ -38,7 +38,7 @@ from .graph import (
     srg_parameters,
 )
 from .invariants import default_m
-from .isotest import distinguish_pair, map_pool, partition_group
+from .isotest import Pool, distinguish_pair, partition_group
 from .linalg import _row_starts, determinant, walk_powers
 
 
@@ -101,22 +101,22 @@ def _info_worker(G: Graph) -> tuple[int, int]:
 
 def cmd_info(args: argparse.Namespace) -> int:
     entries, failed = _read_graphs(args.files, args.strict)
-    numeric = map_pool(_info_worker, [G for _, G in entries], args.workers)
-    for (record_id, G), (det, m) in zip(entries, numeric):
-        degrees = _degree_text(G)
-        params = srg_parameters(G)
-        srg = None if params is None else f"{params.n},{params.d},{params.alpha},{params.beta}"
-        if args.format == "text":
-            srg_text = "not SRG" if srg is None else f"SRG({srg})"
-            print(
-                f"{record_id}: n={G.n}, edges={G.edge_count()}, degrees={degrees}, "
-                f"{srg_text}, det={det}, m={m}"
-            )
-        else:
-            print(
-                f"record=info id={record_id} n={G.n} edges={G.edge_count()} "
-                f"degrees={degrees} srg={srg or '-'} det={det} m={m}"
-            )
+    with Pool(args.workers) as pool:
+        for (record_id, G), (det, m) in zip(entries, pool.map(_info_worker, [G for _, G in entries])):
+            degrees = _degree_text(G)
+            params = srg_parameters(G)
+            srg = None if params is None else f"{params.n},{params.d},{params.alpha},{params.beta}"
+            if args.format == "text":
+                srg_text = "not SRG" if srg is None else f"SRG({srg})"
+                print(
+                    f"{record_id}: n={G.n}, edges={G.edge_count()}, degrees={degrees}, "
+                    f"{srg_text}, det={det}, m={m}"
+                )
+            else:
+                print(
+                    f"record=info id={record_id} n={G.n} edges={G.edge_count()} "
+                    f"degrees={degrees} srg={srg or '-'} det={det} m={m}"
+                )
     return 1 if failed else 0
 
 
@@ -365,13 +365,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (Graph6Error, DatasetError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, Graph6Error, DatasetError, CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificateError as exc:

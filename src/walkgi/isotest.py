@@ -11,7 +11,9 @@ lc-walk signature only on classes that remain ambiguous.  Per-graph
 encodings are {stage name: bytes} dicts, and classes are keyed by exact
 encoding bytes; hashes are never trusted to merge anything.  With more
 than one worker, one process pool, started by the first stage that has more
-than one graph to compute, serves every stage of a run.
+than one graph to compute, serves every stage of a run.  ``Pool.map``
+yields each result as it arrives, and graphs whose computed encodings are
+equal, such as relabelled copies, share one bytes object.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import time
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph import Graph, degree_sequence
 from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
@@ -120,24 +122,26 @@ class PartitionReport:
         return all(len(c) == 1 for c in self.final_classes)
 
 
-class _Pool:
+class Pool:
     """``map`` in one process pool of ``workers`` processes, started on the
-    first call that has more than one item, and shut down on exit."""
+    first call that has more than one item, and shut down on exit.  ``map``
+    returns an iterator that yields results in item order as they arrive;
+    consume it inside the ``with`` block."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
         self.executor = None
 
-    def __enter__(self) -> _Pool:
+    def __enter__(self) -> Pool:
         return self
 
     def __exit__(self, *exc) -> None:
         if self.executor is not None:
             self.executor.shutdown()
 
-    def map(self, fn, items: Sequence) -> list:
+    def map(self, fn, items: Sequence) -> Iterator:
         if self.workers <= 1 or len(items) <= 1:
-            return [fn(x) for x in items]
+            return map(fn, items)
         if self.executor is None:
             # imported here: the pool machinery is the costliest import of
             # the package, and serial runs and the single-graph commands
@@ -146,13 +150,7 @@ class _Pool:
 
             self.executor = ProcessPoolExecutor(max_workers=self.workers)
         chunk = max(1, len(items) // (self.workers * 8))
-        return list(self.executor.map(fn, items, chunksize=chunk))
-
-
-def map_pool(fn, items: Sequence, workers: int) -> list:
-    """``[fn(x) for x in items]``, in a process pool when ``workers`` > 1."""
-    with _Pool(workers) as pool:
-        return pool.map(fn, items)
+        return self.executor.map(fn, items, chunksize=chunk)
 
 
 def partition_group(
@@ -188,15 +186,16 @@ def partition_group(
         warnings.warn("graphs have mixed vertex counts; they separate trivially", stacklevel=2)
 
     encodings = [dict(cache.get(i, ())) for i in ids]
+    distinct: dict[bytes, bytes] = {}  # one object per computed encoding
     classes: list[list[int]] = [list(range(len(graphs)))]
     partitions, rows = [], []
     run: Sequence[int] = range(len(graphs))
-    with _Pool(workers) as pool:
+    with Pool(workers) as pool:
         for stage in GROUP_STAGES:
             start = time.perf_counter()
             missing = [i for i in run if stage not in encodings[i]]
             for i, key in zip(missing, pool.map(_stage_encoding, [(stage, graphs[i]) for i in missing])):
-                encodings[i][stage] = key
+                encodings[i][stage] = distinct.setdefault(key, key)
             split = []
             for members in classes:
                 sub = defaultdict(list)  # a singleton class may have no key at this stage

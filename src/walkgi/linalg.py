@@ -23,12 +23,12 @@ of two bounds on a minor of an n x n 0/1 matrix, plus a sign bit: the 0/1
 Hadamard bound (n+1)^((n+1)/2) / 2^n, and Hadamard's inequality on the row
 popcounts, sqrt(prod r_i).
 
-``lc_determinants`` packs G once, with one lane width for all n local
-complements G_u, and builds no ``Graph`` for any of them.  G_u differs
-from G only in the rows v in N(u), which become row_v ^ row_u ^ {v}; on
-the block N x N, N = N(u) with d = |N|, A_u = A + M_u with
-M_u = J - I - 2 A_N.  When A is nonsingular, the matrix determinant lemma
-gives det(A_u) = det(A) det(Z_N), where Z = A_u A^-1 and its d x d block
+``lc_determinants`` packs G once and builds no ``Graph`` for a local
+complement G_u unless A is singular.  G_u differs from G only in the rows
+v in N(u), which become row_v ^ row_u ^ {v}; on the block N x N,
+N = N(u) with d = |N|, A_u = A + M_u with M_u = J - I - 2 A_N.  When A is
+nonsingular, the matrix determinant lemma gives
+det(A_u) = det(A) det(Z_N), where Z = A_u A^-1 and its d x d block
 Z_N = I + M_u (A^-1)_NN.  Fraction-free Gauss-Jordan elimination on
 [A | I], once per graph, gives p = det(PA), P the permutation of its pivot
 swaps, and B = p A^-1, whose entries are minors of A.  Then
@@ -47,21 +47,15 @@ elimination of the bordered matrix [[A, -E], [M_u E^T, I]] past its first
 n pivots, E the n x d matrix of the unit columns e_w, w in N.  Nothing is
 divided by a power of det A at the end, so no entry outgrows those lanes.
 
-A singular A, or one with a zero row, has no inverse, and each G_u is
-eliminated in full.  Each lane of a packed 0/1 row is 0 or 1, a single
-bit, so packing commutes with XOR, and G_u's packed rows are G's, with
-P[v] ^ P[u] ^ E[v] in row v (E[v] the unit in lane v).  No ``Graph`` is
-needed to validate them: row_v ^ row_u ^ {v} flips bit w exactly when w is
-in N(u) - {v}, which is symmetric in v and w and never sets bit v or a bit
-outside 0..n-1.  It keeps bit u, so no row of G_u is zero unless G has
-one.
+A singular A, or one with a zero row, has no inverse.  There each
+det(G_u) is taken by its definition, ``determinant(local_complement(G, u))``.
 
-One lane width serves every matrix either path reads.  The 0/1 bound
+One lane width serves A, its scaled inverse and every K_u.  The 0/1 bound
 depends on n alone.  The popcount bound follows from bit counts of G, since
-|row_v ^ row_u ^ {v}| = r_v + r_u - 1 - 2 |row_v & row_u|: for each u, the
-product of each row's larger popcount in A and in A_u bounds the mixed
-matrices above and G_u itself, and the largest product over u holds for
-all.  The lane holds the smaller of the two bounds.
+row v of A_u has |row_v ^ row_u ^ {v}| = r_v + r_u - 1 - 2 |row_v & row_u|
+bits: for each u, the product of each row's larger popcount in A and in
+A_u bounds the mixed matrices above, and the largest product over u holds
+for all.  The lane holds the smaller of the two bounds.
 
 ``walk_powers`` computes each row of A*P as a sum of packed rows of P, in
 lanes of whole 64-bit words.  Walk counts are nonnegative, and an entry of
@@ -93,7 +87,7 @@ from itertools import repeat
 from math import isqrt, prod
 from operator import lshift, mul, or_
 
-from .graph import Graph
+from .graph import Graph, local_complement
 
 
 def determinant(G: Graph) -> int:
@@ -115,9 +109,8 @@ def lc_determinants(G: Graph) -> list[int]:
     of B = p A^-1 once per graph.  Each vertex then takes one |N| x |N| Bareiss
     elimination of K_u = p I + M_u B_NN started from prev = p, which returns
     sign * det(G_u) (see the module docstring).  A singular A, or one with a
-    zero row, takes one full elimination per vertex instead, on G_u's packed
-    rows derived from G's by XOR.  One lane width serves every matrix either
-    path reads.
+    zero row, has no inverse, and each det(G_u) is then computed from G_u
+    itself.
     """
     n, rows = G.n, G.rows
     neighbours = [G.neighbors(u) for u in range(n)]
@@ -131,17 +124,9 @@ def lc_determinants(G: Graph) -> list[int]:
         largest = max(largest, prod(counts))
     lane = _lane(n, largest)
     bits = 8 * lane
-    packed = _packed(rows, lane)
-    p, sign, inverse = _scaled_inverse(packed, lane) if all(rows) else (0, 1, [])
+    p, sign, inverse = _scaled_inverse(_packed(rows, lane), lane) if all(rows) else (0, 1, [])
     if not p:
-        dets = []
-        for u, nbrs in enumerate(neighbours):
-            M = packed.copy()
-            Pu = packed[u]
-            for v in nbrs:
-                M[v] ^= Pu ^ (1 << bits * v)
-            dets.append(_bareiss(M, lane))
-        return dets
+        return [determinant(local_complement(G, u)) for u in range(n)]
     # the lanes of each row of B as bytes, each biased by X / 2 to be
     # unsigned, so that B_NN's rows are picked lane by lane
     bias = int.from_bytes((bytes(lane - 1) + b"\x80") * n, "little")

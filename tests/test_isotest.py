@@ -23,7 +23,7 @@ from walkgi import (
     walk_signature,
 )
 from walkgi.graph import _verify_certificate
-from walkgi.isotest import map_pool
+from walkgi.isotest import GROUP_STAGES, Pool
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -266,6 +266,20 @@ def test_partition_starts_one_pool_for_both_stages(monkeypatch):
     assert started == [2]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_partition_keeps_one_bytes_object_per_distinct_encoding(workers):
+    # equal encodings are one object, whichever process computed them, so a
+    # family of relabelled copies holds each lc-walk encoding (T(8)'s is
+    # 1 MiB) once; the Chang graph is a coarse singleton beside them
+    rng = random.Random(69)
+    graphs = [relabeled(triangular(8), random_permutation(rng, 28)) for _ in range(2)]
+    graphs.append(chang_graphs()[0])
+    report = partition_group(graphs, workers=workers)
+    assert sorted(report.final_classes) == [("0", "1"), ("2",)]
+    for stage in GROUP_STAGES:
+        assert report.encodings[0][stage] is report.encodings[1][stage]
+
+
 def test_partition_uses_invariant_cache():
     graphs = [rook(4), shrikhande(), rook(4)]
     ids = ["a", "b", "c"]
@@ -464,10 +478,10 @@ def test_reduced_latin_squares_of_order_6_give_their_12_main_classes():
     """The lc-det-profile alone splits all 9408 reduced squares of order 6
     into exactly their 12 main classes."""
     squares = reduced_latin_squares(6)
-    encodings = map_pool(_profile_encoding, [latin_square_graph(sq) for sq in squares], 2)
     classes = defaultdict(list)
-    for i, enc in enumerate(encodings):
-        classes[enc].append(i)
+    with Pool(2) as pool:
+        for i, enc in enumerate(pool.map(_profile_encoding, [latin_square_graph(sq) for sq in squares])):
+            classes[enc].append(i)
     assert sorted(members[0] for members in classes.values()) == ORDER_6_CLASS_FIRSTS
     assert sorted(map(len, classes.values())) == ORDER_6_CLASS_SIZES
 

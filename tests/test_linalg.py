@@ -175,8 +175,9 @@ def graph_with_isolated_vertices(rng, n, p):
 
 
 def test_lc_determinants_match_per_complement_determinants():
-    # G is packed once and every complement's rows are derived by XOR, with
-    # one lane width for all of them; zero rows must still give 0
+    # the lemma path, with one lane width for A, its scaled inverse and every
+    # K_u, must agree with each complement's own determinant; a singular A,
+    # or a zero row, takes the definition itself
     rng = random.Random(15)
     graphs = [empty_graph(1), *(empty_graph(n) for n in (2, 5, 9)), *(star(k) for k in range(1, 12)),
               *(complete(n) for n in range(2, 21)), path(9), cycle(8), petersen()]
@@ -189,11 +190,20 @@ def test_lc_determinants_match_per_complement_determinants():
     pendant = build_graph(11, [*petersen().edges(), (0, 10)])
     graphs += [complete_multipartite(3, 3, 3), complete_multipartite(2, 3, 4), pendant]
     assert determinant(complete_multipartite(3, 3, 3)) == 0 and determinant(pendant) != 0
-    # both paths run: the shared inverse when det A != 0, one full
-    # elimination per complement when det A = 0
+    # both paths run: the shared inverse when det A != 0, the definition
+    # when det A = 0
     assert {determinant(G) == 0 for G in graphs} == {True, False}
+    checked = 0
     for G in graphs:
-        assert lc_determinants(G) == [determinant(local_complement(G, u)) for u in range(G.n)]
+        dets = lc_determinants(G)
+        assert dets == [determinant(local_complement(G, u)) for u in range(G.n)]
+        # the definition is the code under test on a singular A, so there an
+        # elimination over Fraction checks it as well
+        if all(G.rows) and G.n <= 13 and determinant(G) == 0:
+            checked += 1
+            assert dets == [fraction_gauss_determinant(adjacency_matrix(local_complement(G, u)).rows)
+                            for u in range(G.n)]
+    assert checked == 29
 
 
 def unpacked(row, lane, n):
