@@ -28,7 +28,8 @@ phi.  A search that is not cut short is therefore complete.
 Each child the search refines takes one token from an iterator its caller
 hands it; once the tokens run out, that search and every later one sharing
 the iterator return None.  The first path takes no token: it is at most
-n - 1 refinements, and every search needs it.  The search has two callers:
+n - 1 refinements, and every search needs it.  The search has three
+callers:
 
 - ``vertex_orbits`` searches G's own tree with n times
   ``ORBIT_SEARCH_NODES_PER_VERTEX`` tokens.  From the deepest level up,
@@ -45,6 +46,12 @@ n - 1 refinements, and every search needs it.  The search has two callers:
   there is one.  A found map is checked again, as a permutation whose rows
   ``is_isomorphism`` accepts, before it is returned; a failure raises
   ``CertificateError``.
+- ``copy_representatives`` searches each graph's tree from its root
+  against the first paths of the representatives found so far, with n
+  tokens for all of one graph's attempts.  A found map is checked again as
+  ``find_isomorphism`` checks it.  Running out only leaves a copy as a
+  representative of its own, so no two graphs are joined without a
+  verified certificate.
 """
 
 from __future__ import annotations
@@ -291,7 +298,42 @@ def find_isomorphism(G: Graph, H: Graph) -> tuple[int, ...] | None:
     """
     if G.n != H.n:
         return None
-    f = _search(G, H, _first_path(G.rows), 0, [_root(H.rows)], repeat(None))
+    return _certificate(G, _first_path(G.rows), H, repeat(None))
+
+
+def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
+    """For each graph, the index of the graph it is a certified copy of, or
+    its own index when it is a representative.
+
+    The first ``known`` graphs are representatives.  Each later graph is
+    tried against the representatives in order, by the search of the module
+    docstring from its root, with n tokens shared across its attempts; a
+    graph that gets no certificate becomes a representative itself.  A map
+    is taken only once ``_verify_certificate`` has accepted it.  Running out
+    of tokens only leaves copies apart, never joins two graphs.
+    """
+    representatives = list(range(known))
+    paths: dict[int, list[_PathNode]] = {}
+    copies = list(range(len(graphs)))
+    for i in range(known, len(graphs)):
+        H = graphs[i]
+        nodes = repeat(None, H.n)
+        for r in representatives:
+            if r not in paths:
+                paths[r] = _first_path(graphs[r].rows)
+            if _certificate(graphs[r], paths[r], H, nodes) is not None:
+                copies[i] = r
+                break
+        else:
+            representatives.append(i)
+    return copies
+
+
+def _certificate(G: Graph, path: list[_PathNode], H: Graph,
+                 nodes: Iterator[None]) -> tuple[int, ...] | None:
+    """A map of G onto H found by searching H's tree from its root, ``path``
+    G's first path, re-verified before it is returned, or None."""
+    f = _search(G, H, path, 0, [_root(H.rows)], nodes)
     if f is None:
         return None
     certificate = tuple(f)

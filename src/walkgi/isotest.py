@@ -14,6 +14,13 @@ than one worker, one process pool, started by the first stage that has more
 than one graph to compute, serves every stage of a run.  ``Pool.map``
 yields each result as it arrives, and graphs whose computed encodings are
 equal, such as relabelled copies, share one bytes object.
+
+Every stage after the first splits each class into certified copies before
+it computes anything (``graph.copy_representatives``, serially in this
+process): an encoding is an isomorphism invariant, so a member with a
+verified isomorphism from a representative takes the representative's
+bytes object and only representatives are computed.  Bytes are shared only
+on a certificate that passed re-verification, never on a hash match.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graph import Graph, degree_sequence
+from .graph import Graph, copy_representatives, degree_sequence
 from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
 from .linalg import determinant
 
@@ -100,7 +107,9 @@ class PartitionReport:
     graph: its cached encodings plus those the run computed.  A graph that
     is a singleton after one stage gets no later key computed.  ``stages``
     holds one (stage, computed, cached, seconds) row per stage, in
-    ``GROUP_STAGES`` order; the counts are over the graphs that stage ran on.
+    ``GROUP_STAGES`` order; the counts are over the graphs that stage ran on,
+    and ``computed`` counts the encodings the run added to them, whether
+    computed or taken from a certified copy's representative.
     """
 
     ids: tuple[str, ...]
@@ -166,12 +175,21 @@ def partition_group(
     needs its key; each later one only on classes still holding more than
     one graph.  ``invariant_cache`` optionally maps a graph id to precomputed
     {stage name: encoding} bytes, e.g. from a catalog; each graph's dict
-    starts as a copy of its entry, and only what it lacks is computed.  The
-    report gives back each graph's whole dict and a (stage, computed,
-    cached, seconds) row per stage, so a caller can store exactly the dicts
-    that grew.  One worker pool serves all stages when ``workers`` > 1;
-    classes are split over sorted encodings, so the result does not depend
-    on the worker count.
+    starts as a copy of its entry, and only what it lacks is computed.
+
+    Each later stage first splits every class into certified copies with
+    ``copy_representatives``: the members holding the stage's encoding
+    are representatives first, and every other member is tried against the
+    representatives in order, with n search tokens for all its attempts.  A
+    certified member takes its representative's bytes object; the others
+    become representatives and are computed in the pool.
+
+    The report gives back each graph's whole dict and a (stage, computed,
+    cached, seconds) row per stage, ``computed`` counting the encodings
+    added, walked or certified alike, so a caller can store exactly the
+    dicts that grew.  One worker pool serves all stages when ``workers`` >
+    1; classes are split over sorted encodings, so the result does not
+    depend on the worker count.
     """
     graphs = list(graphs)
     if ids is None:
@@ -194,8 +212,19 @@ def partition_group(
         for stage in GROUP_STAGES:
             start = time.perf_counter()
             missing = [i for i in run if stage not in encodings[i]]
-            for i, key in zip(missing, pool.map(_stage_encoding, [(stage, graphs[i]) for i in missing])):
+            copies = {}  # member -> the representative whose bytes it takes
+            if stage != GROUP_STAGES[0]:
+                for members in classes:
+                    if len(members) > 1:
+                        held = [i for i in members if stage in encodings[i]]
+                        order = held + [i for i in members if stage not in encodings[i]]
+                        reps = copy_representatives([graphs[i] for i in order], len(held))
+                        copies.update((i, order[r]) for i, r in zip(order, reps) if order[r] != i)
+            pending = [i for i in missing if i not in copies]
+            for i, key in zip(pending, pool.map(_stage_encoding, [(stage, graphs[i]) for i in pending])):
                 encodings[i][stage] = distinct.setdefault(key, key)
+            for i, r in copies.items():
+                encodings[i][stage] = encodings[r][stage]
             split = []
             for members in classes:
                 sub = defaultdict(list)  # a singleton class may have no key at this stage

@@ -47,7 +47,8 @@ elimination of the bordered matrix [[A, -E], [M_u E^T, I]] past its first
 n pivots, E the n x d matrix of the unit columns e_w, w in N.  Nothing is
 divided by a power of det A at the end, so no entry outgrows those lanes.
 
-A singular A, or one with a zero row, has no inverse.  There each
+A zero row of A stays zero in every A_u, as no N(u) holds its vertex, so
+every det(G_u) is then 0.  Any other singular A has no inverse.  There each
 det(G_u) is taken by its definition, ``determinant(local_complement(G, u))``.
 
 One lane width serves A, its scaled inverse and every K_u.  The 0/1 bound
@@ -108,11 +109,14 @@ def lc_determinants(G: Graph) -> list[int]:
     is nonsingular.  ``_scaled_inverse`` gives det A = sign * p and the rows
     of B = p A^-1 once per graph.  Each vertex then takes one |N| x |N| Bareiss
     elimination of K_u = p I + M_u B_NN started from prev = p, which returns
-    sign * det(G_u) (see the module docstring).  A singular A, or one with a
-    zero row, has no inverse, and each det(G_u) is then computed from G_u
-    itself.
+    sign * det(G_u) (see the module docstring).  A zero row of G stays zero
+    in every G_u, as no N(u) holds its vertex, so every entry is then 0.  Any
+    other singular A has no inverse, and each det(G_u) is then computed from
+    G_u itself.
     """
     n, rows = G.n, G.rows
+    if not all(rows):
+        return [0] * n
     neighbours = [G.neighbors(u) for u in range(n)]
     degrees = [len(nbrs) for nbrs in neighbours]
     largest = 0
@@ -124,7 +128,7 @@ def lc_determinants(G: Graph) -> list[int]:
         largest = max(largest, prod(counts))
     lane = _lane(n, largest)
     bits = 8 * lane
-    p, sign, inverse = _scaled_inverse(_packed(rows, lane), lane) if all(rows) else (0, 1, [])
+    p, sign, inverse = _scaled_inverse(_packed(rows, lane), lane)
     if not p:
         return [determinant(local_complement(G, u)) for u in range(n)]
     # the lanes of each row of B as bytes, each biased by X / 2 to be

@@ -304,6 +304,45 @@ def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys):
     assert (tmp_path / "inv.catalog.blobs" / walk_digest).is_file()
 
 
+def _blob_digests(cat) -> dict[str, str]:
+    blobs = cat.parent / f"{cat.name}.blobs"
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in blobs.iterdir()}
+
+
+def test_group_catalog_copy_takes_a_cached_representatives_lc_walk(tmp_path, capsys, monkeypatch):
+    walked = []
+
+    def counting(G):
+        walked.append(G)
+        return lc_walk_signature(G)
+
+    monkeypatch.setattr("walkgi.isotest.lc_walk_signature", counting)
+    rng = random.Random(85)
+    G = rook(4)
+    copies = [relabeled(G, random_permutation(rng, 16)) for _ in range(2)]
+    files = [write_g6(tmp_path, name, H) for name, H in zip(("a.g6", "b.g6", "c.g6"), [G, *copies])]
+    cat = tmp_path / "inv.catalog"
+    # one cached copy, a, whose class then gains b: a is walked, b takes its bytes
+    assert main(["group", files[0], "--catalog", str(cat), "--workers", "1"]) == 0
+    assert main(["group", *files[:2], "--catalog", str(cat), "--workers", "1"]) == 0
+    assert walked == [G]
+    capsys.readouterr()
+    # c joins a class whose members both hold cached bytes, and is not walked
+    assert main(["group", *files, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
+    cached = capsys.readouterr()
+    assert walked == [G]
+    assert _stages(cached.err) == (
+        "stages: lc-det-profile computed=1 cached=2, lc-walk-signature computed=1 cached=2"
+    )
+
+    fresh = tmp_path / "fresh.catalog"
+    assert main(["group", *files, "--format", "records", "--catalog", str(fresh), "--workers", "1"]) == 0
+    assert capsys.readouterr().out == cached.out
+    assert walked == [G, G]
+    assert fresh.read_text() == cat.read_text()
+    assert _blob_digests(fresh) == _blob_digests(cat)
+
+
 def test_group_catalog_reads_only_reused_blobs(tmp_path, capsys):
     files = [write_g6(tmp_path, f"{name}.g6", G)
              for name, G in (("a", cycle(6)), ("b", path(6)), ("c", complete(6)))]

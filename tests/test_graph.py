@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import permutations
+from itertools import permutations, repeat
 
 import pytest
 
@@ -9,11 +9,13 @@ from walkgi import (
     SrgParams,
     build_graph,
     degree_sequence,
+    find_isomorphism,
     is_isomorphism,
     local_complement,
     srg_parameters,
     vertex_orbits,
 )
+from walkgi.graph import _certificate, _first_path, copy_representatives
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -23,6 +25,7 @@ from fixture_graphs import (
     empty_graph,
     hoffman_singleton,
     latin_square_graph,
+    order_8_group_tables,
     paley,
     path,
     petersen,
@@ -350,3 +353,31 @@ def test_vertex_orbits_without_search_nodes_are_singletons(monkeypatch):
     monkeypatch.setattr("walkgi.graph.ORBIT_SEARCH_NODES_PER_VERTEX", 0)
     for G in (triangular(8), paley(13), complete(5), empty_graph(1)):
         assert vertex_orbits(G) == [(v,) for v in range(G.n)]
+
+
+def test_copy_certificates_take_at_most_n_tokens():
+    # a failed attempt spends the whole budget and gives no certificate
+    tables = order_8_group_tables()
+    z8, q8 = latin_square_graph(tables["Z8"]), latin_square_graph(tables["Q8"])
+    nodes = repeat(None, 64)
+    assert _certificate(z8, _first_path(z8.rows), q8, nodes) is None
+    assert next(nodes, "spent") == "spent"
+    assert copy_representatives([z8, q8], 1) == [0, 1]
+    # a relabelled T(8) is certified within n tokens, by a verified map
+    rng = random.Random(57)
+    G = triangular(8)
+    H = relabeled(G, random_permutation(rng, 28))
+    f = _certificate(G, _first_path(G.rows), H, repeat(None, 28))
+    assert f is not None and is_isomorphism(G, H, f)
+    assert copy_representatives([G, H], 1) == [0, 0]
+    assert copy_representatives([G, H], 0) == [0, 0]
+    assert copy_representatives([G, H], 2) == [0, 1]
+
+
+def test_copy_representatives_keep_copies_apart_when_the_budget_runs_out():
+    # n tokens do not certify every copy: this relabelled pair of a Chang
+    # graph needs more, so both stay representatives, though isomorphic
+    rng = random.Random(4)
+    A, B = (relabeled(chang_graphs()[0], random_permutation(rng, 28)) for _ in range(2))
+    assert find_isomorphism(A, B) is not None
+    assert copy_representatives([A, B], 1) == [0, 1]

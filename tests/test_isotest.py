@@ -280,6 +280,51 @@ def test_partition_keeps_one_bytes_object_per_distinct_encoding(workers):
         assert report.encodings[0][stage] is report.encodings[1][stage]
 
 
+def _count_walks(monkeypatch):
+    """The graphs ``lc_walk_signature`` runs on in this process, in order."""
+    walked = []
+
+    def counting(G):
+        walked.append(G)
+        return lc_walk_signature(G)
+
+    monkeypatch.setattr("walkgi.isotest.lc_walk_signature", counting)
+    return walked
+
+
+def _copies_of_t8_and_chang():
+    # n tokens certify each of these copies onto the first of its class
+    rng = random.Random(72)
+    return [relabeled(G, random_permutation(rng, 28))
+            for G in (triangular(8), chang_graphs()[0]) for _ in range(3)]
+
+
+def test_partition_walks_each_certified_isomorphism_class_once(monkeypatch):
+    walked = _count_walks(monkeypatch)
+    graphs = _copies_of_t8_and_chang()
+    report = partition_group(graphs, workers=1)
+    assert sorted(report.final_classes) == [("0", "1", "2"), ("3", "4", "5")]
+    # the first member of each class is its representative
+    assert sorted(map(graphs.index, walked)) == [0, 3]
+    # the copies take the representative's bytes object, and count as computed
+    for first, copies in ((0, (1, 2)), (3, (4, 5))):
+        for i in copies:
+            assert report.encodings[i]["lc-walk-signature"] is report.encodings[first]["lc-walk-signature"]
+    assert [row[:3] for row in report.stages] == [("lc-det-profile", 6, 0), ("lc-walk-signature", 6, 0)]
+
+
+def test_partition_without_certificates_walks_every_member_to_the_same_report(monkeypatch):
+    graphs = _copies_of_t8_and_chang()
+    certified = partition_group(graphs, workers=1)
+    walked = _count_walks(monkeypatch)
+    monkeypatch.setattr("walkgi.graph._certificate", lambda G, path, H, nodes: None)
+    plain = partition_group(graphs, workers=1)
+    assert len(walked) == 6
+    assert plain == certified
+    assert plain.encodings == certified.encodings
+    assert [row[:3] for row in plain.stages] == [row[:3] for row in certified.stages]
+
+
 def test_partition_uses_invariant_cache():
     graphs = [rook(4), shrikhande(), rook(4)]
     ids = ["a", "b", "c"]
@@ -508,7 +553,7 @@ def test_order_8_group_tables_are_the_five_groups():
     }
 
 
-def test_latin_square_graphs_of_the_groups_of_order_8():
+def test_latin_square_graphs_of_the_groups_of_order_8(monkeypatch):
     """SRG(64,21,8,6) from the five groups of order 8, each beside a
     relabelled copy.  The paper's claim holds: five final classes.  Z8 and
     Q8 share their lc-det profile, and only the lc-walk signature splits
@@ -519,12 +564,15 @@ def test_latin_square_graphs_of_the_groups_of_order_8():
         G = latin_square_graph(table)
         graphs += [G, relabeled(G, random_permutation(rng, 64))]
         ids += [name, f"{name}'"]
+    walked = _count_walks(monkeypatch)
     report = partition_group(graphs, ids=ids)
     pairs = {(name, f"{name}'") for name in order_8_group_tables()}
     assert len(report.coarse_classes) == 4
     assert ("Z8", "Z8'", "Q8", "Q8'") in report.coarse_classes
     assert set(report.final_classes) == pairs
     z8, q8 = graphs[ids.index("Z8")], graphs[ids.index("Q8")]
+    # Z8 has no certificate onto Q8, so both are walked
+    assert any(G is z8 for G in walked) and any(G is q8 for G in walked)
     assert distinguish_pair(z8, q8) == Verdict(True, "lc-walk-signature")
     assert find_isomorphism(z8, q8) is None
 

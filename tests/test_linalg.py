@@ -176,8 +176,8 @@ def graph_with_isolated_vertices(rng, n, p):
 
 def test_lc_determinants_match_per_complement_determinants():
     # the lemma path, with one lane width for A, its scaled inverse and every
-    # K_u, must agree with each complement's own determinant; a singular A,
-    # or a zero row, takes the definition itself
+    # K_u, must agree with each complement's own determinant; a zero row
+    # gives all zeros at once, and any other singular A takes the definition
     rng = random.Random(15)
     graphs = [empty_graph(1), *(empty_graph(n) for n in (2, 5, 9)), *(star(k) for k in range(1, 12)),
               *(complete(n) for n in range(2, 21)), path(9), cycle(8), petersen()]
@@ -204,6 +204,17 @@ def test_lc_determinants_match_per_complement_determinants():
             assert dets == [fraction_gauss_determinant(adjacency_matrix(local_complement(G, u)).rows)
                             for u in range(G.n)]
     assert checked == 29
+
+
+def test_lc_determinants_of_a_graph_with_a_zero_row_builds_no_complement(monkeypatch):
+    # a zero row stays zero in every G_u, so every entry is 0 at once
+    def refuse(G, u):
+        raise AssertionError("local_complement called")
+
+    monkeypatch.setattr("walkgi.linalg.local_complement", refuse)
+    G = disjoint_union(petersen(), empty_graph(1))
+    assert lc_determinants(G) == [0] * 11
+    assert lc_determinants(empty_graph(1)) == [0]
 
 
 def unpacked(row, lane, n):
