@@ -48,9 +48,10 @@ callers:
   ``CertificateError``.
 - ``copy_representatives`` searches each graph's tree from its root
   against the first paths of the representatives found so far, with n
-  tokens for all of one graph's attempts.  A found map is checked again as
-  ``find_isomorphism`` checks it.  Running out only leaves a copy as a
-  representative of its own, so no two graphs are joined without a
+  tokens for all of one graph's attempts, and stops searching once more
+  graphs have failed than have been certified.  A found map is checked
+  again as ``find_isomorphism`` checks it.  Running out only leaves a copy
+  as a representative of its own, so no two graphs are joined without a
   verified certificate.
 """
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 4096
@@ -298,7 +299,7 @@ def find_isomorphism(G: Graph, H: Graph) -> tuple[int, ...] | None:
     """
     if G.n != H.n:
         return None
-    return _certificate(G, _first_path(G.rows), H, repeat(None))
+    return _certificate(G, _first_path(G.rows), H, _root(H.rows), repeat(None))
 
 
 def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
@@ -308,32 +309,46 @@ def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
     The first ``known`` graphs are representatives.  Each later graph is
     tried against the representatives in order, by the search of the module
     docstring from its root, with n tokens shared across its attempts; a
-    graph that gets no certificate becomes a representative itself.  A map
-    is taken only once ``_verify_certificate`` has accepted it.  Running out
-    of tokens only leaves copies apart, never joins two graphs.
+    graph that gets no certificate becomes a representative itself.  Its
+    root is refined once, a representative's first path only when a graph
+    with tokens left is tried against it, and no attempt starts once the
+    tokens are spent.  Once more graphs have failed than have been
+    certified, the rest stay representatives unsearched, so the failed
+    searches number at most one more than the certificates.  A map is taken
+    only once ``_verify_certificate`` has accepted it.  Running out of
+    tokens only leaves copies apart, never joins two graphs.
     """
     representatives = list(range(known))
     paths: dict[int, list[_PathNode]] = {}
     copies = list(range(len(graphs)))
+    certified = failed = 0
     for i in range(known, len(graphs)):
+        if failed > certified:
+            break
         H = graphs[i]
-        nodes = repeat(None, H.n)
+        root, nodes = _root(H.rows), repeat(None, H.n)
         for r in representatives:
+            if not length_hint(nodes):
+                break
             if r not in paths:
                 paths[r] = _first_path(graphs[r].rows)
-            if _certificate(graphs[r], paths[r], H, nodes) is not None:
+            if _certificate(graphs[r], paths[r], H, root, nodes) is not None:
                 copies[i] = r
                 break
+        if copies[i] != i:
+            certified += 1
         else:
+            failed += bool(representatives)
             representatives.append(i)
     return copies
 
 
-def _certificate(G: Graph, path: list[_PathNode], H: Graph,
+def _certificate(G: Graph, path: list[_PathNode], H: Graph, root: list[list[int]],
                  nodes: Iterator[None]) -> tuple[int, ...] | None:
-    """A map of G onto H found by searching H's tree from its root, ``path``
-    G's first path, re-verified before it is returned, or None."""
-    f = _search(G, H, path, 0, [_root(H.rows)], nodes)
+    """A map of G onto H found by searching H's tree from ``root``, H's
+    root, with ``path`` G's first path, re-verified before it is returned,
+    or None."""
+    f = _search(G, H, path, 0, [root], nodes)
     if f is None:
         return None
     certificate = tuple(f)

@@ -15,7 +15,8 @@ from walkgi import (
     srg_parameters,
     vertex_orbits,
 )
-from walkgi.graph import _certificate, _first_path, copy_representatives
+import walkgi.graph as graph_module
+from walkgi.graph import _certificate, _first_path, _root, copy_representatives
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -360,14 +361,14 @@ def test_copy_certificates_take_at_most_n_tokens():
     tables = order_8_group_tables()
     z8, q8 = latin_square_graph(tables["Z8"]), latin_square_graph(tables["Q8"])
     nodes = repeat(None, 64)
-    assert _certificate(z8, _first_path(z8.rows), q8, nodes) is None
+    assert _certificate(z8, _first_path(z8.rows), q8, _root(q8.rows), nodes) is None
     assert next(nodes, "spent") == "spent"
     assert copy_representatives([z8, q8], 1) == [0, 1]
     # a relabelled T(8) is certified within n tokens, by a verified map
     rng = random.Random(57)
     G = triangular(8)
     H = relabeled(G, random_permutation(rng, 28))
-    f = _certificate(G, _first_path(G.rows), H, repeat(None, 28))
+    f = _certificate(G, _first_path(G.rows), H, _root(H.rows), repeat(None, 28))
     assert f is not None and is_isomorphism(G, H, f)
     assert copy_representatives([G, H], 1) == [0, 0]
     assert copy_representatives([G, H], 0) == [0, 0]
@@ -381,3 +382,44 @@ def test_copy_representatives_keep_copies_apart_when_the_budget_runs_out():
     A, B = (relabeled(chang_graphs()[0], random_permutation(rng, 28)) for _ in range(2))
     assert find_isomorphism(A, B) is not None
     assert copy_representatives([A, B], 1) == [0, 1]
+
+
+def _z8_q8_copies():
+    rng = random.Random(8)
+    tables = order_8_group_tables()
+    z8, q8 = latin_square_graph(tables["Z8"]), latin_square_graph(tables["Q8"])
+    return z8, relabeled(z8, random_permutation(rng, 64)), q8, relabeled(q8, random_permutation(rng, 64))
+
+
+def _counting(monkeypatch, name):
+    """The calls to the graph module's function ``name`` from here on."""
+    calls = []
+    function = getattr(graph_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(graph_module, name, counted)
+    return calls
+
+
+def test_copy_representatives_stop_trying_once_the_tokens_are_spent(monkeypatch):
+    # the Q8 copy spends its 64 tokens on Z8, so Q8's first path is never built
+    z8, z8_copy, q8, q8_copy = _z8_q8_copies()
+    paths = _counting(monkeypatch, "_first_path")
+    assert copy_representatives([z8, z8_copy, q8, q8_copy], 0) == [0, 0, 2, 3]
+    assert [args[0] for args in paths] == [z8.rows]
+
+
+def test_copy_representatives_stop_searching_once_failures_outnumber_certificates(monkeypatch):
+    z8, z8_copy, q8, q8_copy = _z8_q8_copies()
+    searches = _counting(monkeypatch, "_search")
+    # Q8 fails against Z8 with nothing certified yet: its copy is not searched
+    assert copy_representatives([z8, q8, q8_copy], 0) == [0, 1, 2]
+    assert len(searches) == 1
+    # one certificate pays for one failure, so a second Q8 copy is searched
+    searches.clear()
+    q8_again = relabeled(q8, random_permutation(random.Random(9), 64))
+    assert copy_representatives([q8, q8_copy, z8, q8_again], 0) == [0, 0, 2, 0]
+    assert len(searches) == 3
