@@ -5,9 +5,9 @@ progress, warnings, and timings for the records format go to stderr.  The
 records format is line-oriented ``record=... key=value ...`` and is
 byte-identical across worker counts for the same inputs and flags.
 
-Exit codes: 0 success, 1 usage or parse error, 2 internal invariant
-violation (a certificate that fails re-verification is never reported as
-success).
+Exit codes: 0 success, 1 usage, parse or catalog error or a worker process
+that died, 2 internal invariant violation (a certificate that fails
+re-verification is never reported as success).
 """
 
 from __future__ import annotations
@@ -371,6 +371,14 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a worker that died (killed for memory, say) breaks the whole pool;
+        # the pool machinery is imported only by runs that started one
+        process = sys.modules.get("concurrent.futures.process")
+        if process is None or not isinstance(exc, process.BrokenProcessPool):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

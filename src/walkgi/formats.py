@@ -6,20 +6,24 @@ characters, wrong body lengths, and nonzero padding bits, and writing always
 round-trips.  Size headers cover 1 and 4 byte forms (n <= 4096); the 8-byte
 huge-graph header is rejected.
 
-The catalog is a flat TSV file (header line "walkgi-catalog v1") holding one
+The catalog is a flat TSV file (header line "walkgi-catalog v2") holding one
 record per graph: its graph6 text, strong-regularity parameters, exact
 determinant as decimal text, and sha256 digests of the encodings of the two
-stages of ``GROUP_STAGES``, in that order.  The catalog computes neither
-encoding itself: records carry the encodings ``partition_group`` used, so the
-lc-walk digest is "-" for a graph whose coarse class was a singleton.  The
-encodings themselves live in a sidecar blob directory keyed by hex digest, so
-equality checks can always fall back to full byte comparison.
+stages of ``GROUP_STAGES``, in that order: a DP1 lc-det profile and an LW2
+lc-walk signature.  The catalog computes neither encoding itself: records
+carry the encodings ``partition_group`` used, so the lc-walk digest is "-"
+for a graph whose coarse class was a singleton.  The encodings themselves
+live in a sidecar blob directory keyed by hex digest, so equality checks can
+always fall back to full byte comparison.
 
 One reuse rule, in ``catalog_read``: a record is reused only for the graph it
 was computed from, that is when the caller's graph of the same id has the
 same graph6 text.  Only such records get their blobs, each distinct digest
 read and verified once; every other record comes back without encodings,
-and its blobs are never read.  Every blob and then the TSV is written to a
+and its blobs are never read.  A v1 file is read too: it has the same
+columns, but its lc-walk digests name LW1 encodings, which must never meet
+LW2 bytes in one class, so they come back as "-" and their blobs are
+neither read nor written back.  Every blob and then the TSV is written to a
 temp file and renamed into place, so an interrupted write leaves the
 previous catalog readable; digest fields are validated before they name a
 file.  Once the new TSV is in place, blobs it no longer names are removed.
@@ -39,7 +43,9 @@ from .isotest import GROUP_STAGES
 from .linalg import determinant
 
 GRAPH6_HEADER_TOKEN = ">>graph6<<"
-CATALOG_HEADER = "walkgi-catalog v1"
+CATALOG_HEADER = "walkgi-catalog v2"
+# same columns; its lc-walk digests name LW1 encodings, which are dropped
+_CATALOG_HEADER_V1 = "walkgi-catalog v1"
 NO_DIGEST = "-"
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
@@ -312,13 +318,15 @@ def catalog_read(path: str | os.PathLike, graphs: Mapping[str, Graph]) -> list[C
     ``graphs`` with the same graph6 text comes back with the verified blobs
     its digests name, None for a missing blob or the digest "-"; each
     distinct digest is read once.  Every other record comes back without
-    encodings, and its blobs are never read."""
+    encodings, and its blobs are never read.  A v1 record's lc-walk digest
+    comes back as "-", so its LW1 blob is neither read nor kept."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
-    if not lines or lines[0] != CATALOG_HEADER:
+    if not lines or lines[0] not in (CATALOG_HEADER, _CATALOG_HEADER_V1):
         found = lines[0] if lines else "<empty file>"
         raise CatalogError(f"unsupported catalog version: {found!r}")
+    v1 = lines[0] == _CATALOG_HEADER_V1
     blobs = blob_dir(path)
     loaded: dict[str, bytes | None] = {NO_DIGEST: None}
 
@@ -350,6 +358,8 @@ def catalog_read(path: str | os.PathLike, graphs: Mapping[str, Graph]) -> list[C
             raise CatalogError(f"{where}: bad lc-profile digest {profile_digest!r}")
         if not (walk_digest == NO_DIGEST or _DIGEST.fullmatch(walk_digest)):
             raise CatalogError(f"{where}: bad lc-walk digest {walk_digest!r}")
+        if v1:
+            walk_digest = NO_DIGEST
         profile = walk = None
         if rec_id in graphs and write_graph6(graphs[rec_id]) == g6:
             profile, walk = blob(profile_digest), blob(walk_digest)

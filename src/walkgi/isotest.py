@@ -54,9 +54,10 @@ GROUP_STAGES = ("lc-det-profile", "lc-walk-signature")
 
 def _stage_encoding(job: tuple[str, Graph]) -> bytes:
     """The encoding of a graph's key at a stage: a module-level function of
-    one argument, so that a process pool can pickle it.  ``distinguish_pair``
-    compares the keys themselves: an lc-walk signature holds one part per
-    vertex orbit, its encoding one per vertex (Paley(61): 1.5 vs 92 MiB)."""
+    one argument, so that a process pool can pickle it.  An lc-walk encoding
+    holds each distinct part once, so it weighs about what the signature
+    does (Paley(61): 49 KiB as LW2, 92 MiB as LW1, with one part per
+    vertex)."""
     stage, G = job
     return STAGE_KEYS[stage](G).encode()
 

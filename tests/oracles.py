@@ -4,7 +4,8 @@ Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: cofactor expansion instead of fraction-free
 elimination, walk enumeration and dense matrix products instead of packed
 lanes, an echelon rank test on flattened powers instead of Hankel trace
-minors, permutation enumeration instead of pruned backtracking.  The one
+minors, permutation enumeration instead of pruned backtracking, decoders
+and the superseded WS1/LW1 encoders written from the byte layouts.  The one
 exception is ``dense_walk_signature``, which hands dense powers to the
 package's own canonical sorting (``WalkSignature.from_powers``) so that a
 signature can be had at any chosen horizon.
@@ -397,3 +398,108 @@ def edge_swapped(G: Graph, swaps: int, rng: random.Random) -> Graph:
         edges |= set(new)
         done += 1
     return build_graph(G.n, edges)
+
+
+# ------------------------------------------------------ walk encodings
+#
+# The WS2/LW2 decoders and the first published WS1/LW1 encoders, written
+# from the byte layouts alone: a uint is 4 bytes big-endian; an int is a
+# 4-byte length and then that many bytes of big-endian two's complement, the
+# fewest that hold it.
+
+
+def _uint(x: int) -> bytes:
+    return x.to_bytes(4, "big")
+
+
+def _int(x: int) -> bytes:
+    length = 1
+    while not -(1 << (8 * length - 1)) <= x < 1 << (8 * length - 1):
+        length += 1
+    return _uint(length) + x.to_bytes(length, "big", signed=True)
+
+
+def ws1(sig: WalkSignature) -> bytes:
+    """WS1: n, m, then every tuple of every row in full, in order."""
+    return b"".join([b"WS1", _uint(sig.n), _uint(sig.m),
+                     *(_int(x) for row in sig.rows for tup in row for x in tup)])
+
+
+def lw1(parts: Sequence[tuple[int, WalkSignature]]) -> bytes:
+    """LW1 of the (multiplicity, part) pairs ``decode_lw2`` returns: n, then
+    every part's WS1 bytes, once per vertex, sorted, each after its length."""
+    encodings = sorted(enc for count, sig in parts for enc in [ws1(sig)] * count)
+    return b"".join([b"LW1", _uint(len(encodings)), *(_uint(len(enc)) + enc for enc in encodings)])
+
+
+class _Reader:
+    def __init__(self, data: bytes) -> None:
+        self.data, self.pos = data, 0
+
+    def take(self, k: int) -> bytes:
+        if self.pos + k > len(self.data):
+            raise ValueError(f"truncated at byte {self.pos}")
+        self.pos += k
+        return self.data[self.pos - k:self.pos]
+
+    def uint(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def signed(self) -> int:
+        length = self.uint()
+        value = int.from_bytes(self.take(length), "big", signed=True)
+        if _int(value) != _uint(length) + self.data[self.pos - length:self.pos]:
+            raise ValueError(f"int at byte {self.pos - length} is not minimal")
+        return value
+
+    def done(self) -> bool:
+        return self.pos == len(self.data)
+
+
+def decode_ws2(data: bytes) -> WalkSignature:
+    """The signature WS2 bytes encode.  Rejects any layout the encoder never
+    writes: a table out of order or with repeats, runs out of table order,
+    a row not of n entries, rows out of order, or trailing bytes."""
+    r = _Reader(data)
+    if r.take(3) != b"WS2":
+        raise ValueError("not WS2")
+    n, m, t = r.uint(), r.uint(), r.uint()
+    table = [tuple(r.signed() for _ in range(m)) for _ in range(t)]
+    if any(a >= b for a, b in zip(table, table[1:])):
+        raise ValueError("table not strictly sorted")
+    rows = []
+    for _ in range(n):
+        row, last = [], -1
+        for _ in range(r.uint()):
+            index, count = r.uint(), r.uint()
+            if not last < index < t or count == 0:
+                raise ValueError(f"bad run ({index}, {count})")
+            row += [table[index]] * count
+            last = index
+        if len(row) != n:
+            raise ValueError(f"row of {len(row)} entries, n = {n}")
+        rows.append(tuple(row))
+    if not r.done() or rows != sorted(rows) or {tup for row in rows for tup in row} != set(table):
+        raise ValueError("not canonical WS2")
+    return WalkSignature(m=m, rows=tuple(rows))
+
+
+def decode_lw2(data: bytes) -> list[tuple[int, WalkSignature]]:
+    """The (multiplicity, part) pairs LW2 bytes encode, in their order.
+    Rejects parts out of order or repeated, multiplicities that do not sum
+    to n, or trailing bytes."""
+    r = _Reader(data)
+    if r.take(3) != b"LW2":
+        raise ValueError("not LW2")
+    n = r.uint()
+    parts, encodings = [], []
+    while not r.done():
+        count = r.uint()
+        enc = r.take(r.uint())
+        if count == 0 or (encodings and encodings[-1] >= enc):
+            raise ValueError("parts not strictly sorted")
+        encodings.append(enc)
+        parts.append((count, decode_ws2(enc)))
+    if sum(count for count, _ in parts) != n:
+        raise ValueError(f"multiplicities do not sum to n = {n}")
+    return parts

@@ -1,9 +1,15 @@
 import hashlib
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from walkgi import (
+    CATALOG_HEADER,
     build_graph,
     catalog_write,
     lc_determinant_profile,
@@ -12,9 +18,21 @@ from walkgi import (
     write_graph6,
 )
 from walkgi.cli import main
-from walkgi.isotest import GROUP_STAGES
-from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande, star
-from oracles import count_walks, random_graph, random_permutation, relabeled
+from walkgi.isotest import GROUP_STAGES, STAGE_KEYS
+from fixture_graphs import (
+    complete,
+    cycle,
+    empty_graph,
+    latin_square_graph,
+    path,
+    petersen,
+    reduced_latin_squares,
+    rook,
+    shrikhande,
+    star,
+    triangular,
+)
+from oracles import count_walks, decode_lw2, lw1, random_graph, random_permutation, relabeled
 
 
 def write_g6(dirpath, name, *graphs):
@@ -411,6 +429,85 @@ def test_group_reuses_full_records(tmp_path, capsys):
         "stages: lc-det-profile computed=0 cached=3, lc-walk-signature computed=0 cached=2"
     )
     assert cat.read_bytes() == before
+
+
+@pytest.mark.parametrize("certify", [True, False])
+def test_group_never_compares_a_v1_catalogs_lc_walk_bytes(tmp_path, capsys, monkeypatch, certify):
+    # a v1 catalog holds A's LW1 encoding; B, a relabelled copy of A, is
+    # walked as LW2 when no certificate makes it A's copy.  Reusing A's LW1
+    # bytes would put the pair in two final classes: a false Distinguished.
+    if not certify:
+        monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
+    G = triangular(8)
+    a = write_g6(tmp_path, "a.g6", G)
+    b = write_g6(tmp_path, "b.g6", relabeled(G, random_permutation(random.Random(87), 28)))
+    lw2 = lc_walk_signature(G).encode()
+    v1_walk = lw1(decode_lw2(lw2))
+    cat = tmp_path / "inv.catalog"
+    catalog_write([make_catalog_record("a.g6:1", G, dict(zip(GROUP_STAGES, (
+        lc_determinant_profile(G).encode(), v1_walk))))], cat)
+    cat.write_text(cat.read_text().replace(CATALOG_HEADER, "walkgi-catalog v1", 1))
+    v1_digest = hashlib.sha256(v1_walk).hexdigest()
+    assert _catalog_fields(cat)["a.g6:1"][5] == v1_digest
+
+    assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "unresolved: a.g6:1, b.g6:1" in out
+    assert _stages(err) == (
+        "stages: lc-det-profile computed=1 cached=1, lc-walk-signature computed=2 cached=0"
+    )
+    assert cat.read_text().splitlines()[0] == CATALOG_HEADER
+    lw2_digest = hashlib.sha256(lw2).hexdigest()
+    fields = _catalog_fields(cat)
+    assert fields["a.g6:1"][5] == fields["b.g6:1"][5] == lw2_digest
+    blobs = list((tmp_path / "inv.catalog.blobs").iterdir())
+    assert v1_digest not in {p.name for p in blobs}
+    assert not any(p.read_bytes().startswith(b"LW1") for p in blobs)
+
+
+def _die(G):
+    os._exit(3)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched stage key reaches workers only by fork")
+def test_group_reports_a_dead_worker_without_a_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(STAGE_KEYS, "lc-det-profile", _die)
+    f = write_g6(tmp_path, "four.g6", cycle(5), path(5), star(4), complete(5))
+    assert main(["group", f, "--workers", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a worker process died") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# ru_maxrss of a child counts the RSS its spawner had before exec, so a small
+# launcher spawns the run and prints the run's peak after the run's own output
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(f"exit={os.waitstatus_to_exitcode(status)} maxrss_kb={usage.ru_maxrss}")
+"""
+
+
+@pytest.mark.slow
+def test_group_on_1000_order_6_squares_fits_in_memory(tmp_path):
+    """``group --workers 2`` on the first 1000 reduced Latin squares of
+    order 6, 11 main classes, within 256 MiB: every lc-walk result a worker
+    hands back is an LW2 encoding of a few KiB.  As LW1 each weighed about
+    4.2 MiB, and the run peaked near 1 GiB."""
+    f = write_g6(tmp_path, "ls6.g6", *map(latin_square_graph, reduced_latin_squares(6)[:1000]))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
+         sys.executable, "-m", "walkgi.cli", "group", f, "--workers", "2", "--format", "records"],
+        capture_output=True, text=True, timeout=900, env=dict(os.environ, PYTHONPATH=str(src)))
+    *records, last = done.stdout.splitlines()
+    peak = dict(field.split("=") for field in last.split())
+    assert peak["exit"] == "0", done.stderr
+    assert "final_classes=11 " in records[0]
+    assert int(peak["maxrss_kb"]) < 256 * 1024
 
 
 def test_group_no_graphs(tmp_path, capsys):

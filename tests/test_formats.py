@@ -26,7 +26,7 @@ from walkgi import (
 )
 from walkgi.isotest import GROUP_STAGES
 from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
-from oracles import random_graph
+from oracles import decode_lw2, lw1, random_graph
 
 
 def lc_encodings(G):
@@ -314,6 +314,27 @@ def test_catalog_rejects_unknown_version(tmp_path):
     cat.write_text("")
     with pytest.raises(CatalogError, match="unsupported catalog version"):
         catalog_read(cat, {})
+
+
+def test_catalog_reads_v1_without_its_lc_walk_digests(tmp_path):
+    # a v1 file: the same columns, its lc-walk digests naming LW1 bytes
+    graphs = {"pete": petersen(), "c5": cycle(5)}
+    records = []
+    for name, G in graphs.items():
+        enc = lc_encodings(G)
+        enc["lc-walk-signature"] = lw1(decode_lw2(enc["lc-walk-signature"]))
+        records.append(make_catalog_record(name, G, enc))
+    cat = tmp_path / "test.catalog"
+    catalog_write(records, cat)
+    lines = cat.read_text().splitlines()
+    cat.write_text("\n".join(["walkgi-catalog v1", *lines[1:]]) + "\n")
+    # the LW1 blobs are never read: a corrupt one fails nothing
+    for rec in records:
+        (tmp_path / "test.catalog.blobs" / rec.lc_walk_digest).write_bytes(b"garbage")
+    read = catalog_read(cat, graphs)
+    assert read == [replace(rec, lc_walk_digest="-", lc_walk_encoding=None) for rec in records]
+    assert [rec.encodings() for rec in read] == [
+        {"lc-det-profile": lc_encodings(G)["lc-det-profile"]} for G in graphs.values()]
 
 
 def test_catalog_rejects_malformed_lines(tmp_path):

@@ -1,6 +1,8 @@
 import hashlib
 import random
 
+import pytest
+
 from walkgi import (
     DetProfile,
     LcWalkSignature,
@@ -29,12 +31,16 @@ from fixture_graphs import (
 from oracles import (
     adjacency_matrix,
     cofactor_determinant,
+    decode_lw2,
+    decode_ws2,
     dense_walk_signature,
     edge_swapped,
+    lw1,
     mat_pow,
     random_graph,
     random_permutation,
     relabeled,
+    ws1,
 )
 
 
@@ -170,8 +176,9 @@ def test_negative_entries_encode_distinctly():
     assert DetProfile((0,)).encode() != DetProfile((256,)).encode()
 
 
-# sha256 of the encodings as first published; catalogs store these bytes, so
-# any change to the walk kernel or the encoders must reproduce them exactly
+# sha256 of the LW1 and WS1 encodings as first published, of the bytes the
+# reference encoders in ``oracles`` make from the decoded LW2 and WS2 bytes:
+# they pin the walk kernel, and matching them proves the round trip
 LC_WALK_DIGESTS = {
     "T(8)": "e7203fe928cd501d21b4b28f137cb96979e79f90a12604515c226981c2f8049a",
     "Chang[0]": "96a200cd1edb860445ab2a5bb24d7964dc8c9fa6d92297f30d4863105c5e67eb",
@@ -193,6 +200,24 @@ LC_WALK_DIGESTS = {
 WALK_3_DIGESTS = {
     "rook(4)": "282cdab334eba627489802c8c1f1ef2c9ef41c3384489582962f063bb4491dcc",
     "T(8)": "6c612a0505236c4c33640d31ad09f25036d8fe48954397eba9887b1cc38d0974",
+}
+# the LW2 and WS2 encodings themselves; catalogs store these bytes, so any
+# change to the walk kernel or the encoders must reproduce them exactly
+LC_WALK_2_DIGESTS = {
+    "T(8)": "28862e40320083140216bf6fe39af8b9c3e9ca4316549583a204b7490638b6d0",
+    "Chang[0]": "1895bdd1b3d1cb9a09dbe79c7732a83f37241ecfae09dfe44e38dcdd7cd51916",
+    "Chang[1]": "a8180f7cc358e85ad4b7967b0e4fc45e8ed765a004952d179a3e551a6b6007cc",
+    "Chang[2]": "e87219ed8714be2c3994eb7158db65ab05c46946c155744381f7677623dab166",
+    "rook(4)": "41433be80ffcfe9a8e541f5a0c57c290460dd8fa1b51f5de6e386d83a6fcefd8",
+    "Shrikhande": "dfbf40c3f55d2c6c614dd5fd267001654eeae0b6fa0d8bc1f7ee10ef3048a768",
+    "Paley(13)": "09a29004044bea769fa88d8944b1b3e21a0ff953c27231e15fbd3c8b645d073b",
+    "Paley(17)": "29664eb67cbd22ccf322c6ed12bab62a0d781ad80fa31be22aeb5d4c1a01d636",
+    "Paley(37)": "bf53012f3a85e289bd6e1476dbd5060e5fcc16e431219259a89d69c432777186",
+    "Paley(61)": "f2a72414462414ff9cd20efa82229cb8588d355aa26d0532c8b6089a103c4218",
+}
+WALK_3_2_DIGESTS = {
+    "rook(4)": "4f2e9c700250a74c188714b7fc0a9872e28b308f8813116e9d970db3356138e9",
+    "T(8)": "a6456dca604ae99c6765a50b7baef724c3343e8f0970b27286a2396571e63291",
 }
 # lc_determinant_profile encodings (DP1)
 DET_PROFILE_DIGESTS = {
@@ -222,14 +247,23 @@ def golden_graphs():
             "rook(6)": rook(6)}
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_golden_encodings_are_byte_identical():
     graphs = golden_graphs()
     for name, digest in LC_WALK_DIGESTS.items():
-        assert hashlib.sha256(lc_walk_signature(graphs[name]).encode()).hexdigest() == digest, name
+        enc = lc_walk_signature(graphs[name]).encode()
+        assert _sha256(enc) == LC_WALK_2_DIGESTS[name], name
+        assert _sha256(lw1(decode_lw2(enc))) == digest, name
     for name, digest in WALK_3_DIGESTS.items():
         sig = walk_signature(graphs[name])
         assert sig.m == 3, name
-        assert hashlib.sha256(sig.encode()).hexdigest() == digest, name
+        enc = sig.encode()
+        assert _sha256(enc) == WALK_3_2_DIGESTS[name], name
+        assert decode_ws2(enc) == sig, name
+        assert _sha256(ws1(decode_ws2(enc))) == digest, name
         assert dense_walk_signature(graphs[name], 3) == sig, name
 
 
@@ -254,7 +288,7 @@ def test_walk_signature_default_horizon():
 
 
 def test_lc_walk_part_encodings():
-    # the shared memo yields each complement's own WS1 bytes, sorted
+    # one walk per orbit yields each complement's own WS2 bytes, sorted
     for G in (cycle(5), cycle(6), path(4), triangular(8)):
         sig = lc_walk_signature(G)
         assert sig.n == G.n
@@ -270,9 +304,9 @@ def test_lc_walk_signature_without_orbit_search_is_unchanged(monkeypatch):
     # complements are walked; the bytes must not move
     graphs = golden_graphs()
     monkeypatch.setattr("walkgi.graph.ORBIT_SEARCH_NODES_PER_VERTEX", 0)
-    for name, digest in LC_WALK_DIGESTS.items():
+    for name, digest in LC_WALK_2_DIGESTS.items():
         if name != "Paley(61)":  # 61 complements of ~0.1 s each
-            assert hashlib.sha256(lc_walk_signature(graphs[name]).encode()).hexdigest() == digest, name
+            assert _sha256(lc_walk_signature(graphs[name]).encode()) == digest, name
 
 
 def test_lc_walk_signature_walks_one_complement_per_orbit(monkeypatch):
@@ -285,9 +319,9 @@ def test_lc_walk_signature_walks_one_complement_per_orbit(monkeypatch):
         walked.append(u)
         return local_complement(G, u)
 
-    def counting_encode(sig, memo=None):
+    def counting_encode(sig):
         encoded.append(sig)
-        return encode(sig, memo)
+        return encode(sig)
 
     monkeypatch.setattr(walkgi.invariants, "local_complement", counting)
     monkeypatch.setattr(WalkSignature, "encode", counting_encode)
@@ -300,3 +334,34 @@ def test_lc_walk_signature_walks_one_complement_per_orbit(monkeypatch):
         counts[name] = len(walked)
         assert len(encoded) == len(walked), name  # one encoding per orbit
     assert counts == {"T(8)": 1, "Chang[0]": 2, "Chang[1]": 2, "Chang[2]": 2, "Paley(37)": 1}
+
+
+def test_walk_encodings_decode_back_to_the_signature():
+    rng = random.Random(45)
+    for _ in range(60):
+        G = random_graph(rng, rng.randint(1, 9))
+        sig = walk_signature(G)
+        assert decode_ws2(sig.encode()) == sig
+        lc = lc_walk_signature(G)
+        parts = decode_lw2(lc.encode())
+        # each distinct part once, with its multiplicity
+        assert [part.encode() for _, part in parts] == sorted(set(lc.part_encodings))
+        assert [count for count, _ in parts] == [lc.part_encodings.count(part.encode())
+                                                 for _, part in parts]
+
+
+def test_lc_walk_encoding_holds_each_distinct_part_once():
+    graphs = golden_graphs()
+    t8 = lc_walk_signature(graphs["T(8)"]).encode()
+    ((count, part),) = decode_lw2(t8)
+    assert count == 28 and part == walk_signature(local_complement(graphs["T(8)"], 0))
+    assert len(t8) < 4096  # 1.03 MiB as LW1
+    assert [count for count, _ in decode_lw2(lc_walk_signature(graphs["Chang[0]"]).encode())] in ([4, 24], [24, 4])
+    assert len(lc_walk_signature(graphs["Paley(61)"]).encode()) < 64 * 1024  # 92 MiB as LW1
+
+
+def test_walk_signature_decoder_rejects_what_the_encoder_never_writes():
+    enc = walk_signature(cycle(5)).encode()
+    for bad in (enc[:-1], enc + b"\0", b"WS1" + enc[3:]):
+        with pytest.raises(ValueError):
+            decode_ws2(bad)
