@@ -15,7 +15,7 @@ equality is exactly byte equality:
   members.  Orbits come from ``graph.vertex_orbits`` and merge vertices only
   by automorphisms it has verified, so the bytes never depend on the
   search.  On a graph with no automorphisms the search is a small fraction
-  of its lc-walk: about 5 ms beside about 0.5 s for 12-regular graphs at
+  of its lc-walk: about 3.5 ms beside 0.45-0.7 s for 12-regular graphs at
   n = 28 (Python 3.11, 2-vCPU VM).
 
 The two walk encodings are dictionary encodings.  WS2 writes a signature's

@@ -18,10 +18,9 @@ can take.
 ``determinant`` runs Bareiss elimination on the packed rows of A, pivoting
 on the first nonzero entry of each column.  Its divisions are exact for a
 whole row at once, its entries are signed minors of A, and each step leaves
-the eliminated column zero and drops that lane.  A lane holds the smaller
-of two bounds on a minor of an n x n 0/1 matrix, plus a sign bit: the 0/1
-Hadamard bound (n+1)^((n+1)/2) / 2^n, and Hadamard's inequality on the row
-popcounts, sqrt(prod r_i).
+the eliminated column zero and drops that lane.  A lane holds the 0/1
+Hadamard bound (n+1)^((n+1)/2) / 2^n on a minor of an n x n 0/1 matrix,
+plus a sign bit.
 
 ``lc_determinants`` packs G once and builds no ``Graph`` for a local
 complement G_u unless A is singular.  G_u differs from G only in the rows
@@ -51,12 +50,8 @@ A zero row of A stays zero in every A_u, as no N(u) holds its vertex, so
 every det(G_u) is then 0.  Any other singular A has no inverse.  There each
 det(G_u) is taken by its definition, ``determinant(local_complement(G, u))``.
 
-One lane width serves A, its scaled inverse and every K_u.  The 0/1 bound
-depends on n alone.  The popcount bound follows from bit counts of G, since
-row v of A_u has |row_v ^ row_u ^ {v}| = r_v + r_u - 1 - 2 |row_v & row_u|
-bits: for each u, the product of each row's larger popcount in A and in
-A_u bounds the mixed matrices above, and the largest product over u holds
-for all.  The lane holds the smaller of the two bounds.
+One lane width serves A, its scaled inverse and every K_u: the 0/1 bound
+depends on n alone, so it holds for every 0/1 matrix of order n.
 
 ``walk_powers`` computes each row of A*P as a sum of packed rows of P, in
 lanes of whole 64-bit words.  Walk counts are nonnegative, and an entry of
@@ -85,7 +80,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import repeat
-from math import isqrt, prod
+from math import isqrt
 from operator import lshift, mul, or_
 
 from .graph import Graph, local_complement
@@ -96,7 +91,7 @@ def determinant(G: Graph) -> int:
     elimination on packed rows (see ``_bareiss``)."""
     if not all(G.rows):
         return 0
-    lane = _lane(G.n, prod(row.bit_count() for row in G.rows))
+    lane = _lane(G.n)
     return _bareiss(_packed(G.rows, lane), lane)
 
 
@@ -118,15 +113,7 @@ def lc_determinants(G: Graph) -> list[int]:
     if not all(rows):
         return [0] * n
     neighbours = [G.neighbors(u) for u in range(n)]
-    degrees = [len(nbrs) for nbrs in neighbours]
-    largest = 0
-    for u, nbrs in enumerate(neighbours):
-        counts = degrees.copy()
-        for v in nbrs:
-            flipped = degrees[u] + degrees[v] - 1 - 2 * (rows[v] & rows[u]).bit_count()
-            counts[v] = max(counts[v], flipped)
-        largest = max(largest, prod(counts))
-    lane = _lane(n, largest)
+    lane = _lane(n)
     bits = 8 * lane
     p, sign, inverse = _scaled_inverse(_packed(rows, lane), lane)
     if not p:
@@ -198,23 +185,15 @@ def _scaled_inverse(packed: list[int], lane: int) -> tuple[int, int, list[int]]:
     return prev, sign, M
 
 
-def _lane(n: int, popcount_product: int) -> int:
-    """Bytes per signed lane that hold every minor of an n x n 0/1 matrix
-    whose row popcounts multiply to at most ``popcount_product``.
+def _lane(n: int) -> int:
+    """Bytes per signed lane that hold every minor of an n x n 0/1 matrix.
 
-    Two bounds hold for every k x k minor, k <= n.  The 0/1 Hadamard bound
-    (n+1)^((n+1)/2) / 2^n grows with n, and it is reached whenever a
-    Hadamard matrix of order n+1 exists.  The popcount bound is
-    Hadamard's inequality, sqrt of the product of the row popcounts, valid
-    when no row is zero: a minor's rows are parts of the matrix's rows, and
-    every factor is at least 1.  A product of 0 stands for a zero row, where
-    only the first bound holds.  A lane holds the smaller bound B with its
+    Every k x k minor, k <= n, is at most the 0/1 Hadamard bound
+    (n+1)^((n+1)/2) / 2^n, which grows with n and is reached whenever a
+    Hadamard matrix of order n+1 exists.  A lane holds the bound B with its
     sign in B.bit_length() + 1 bits, rounded up to whole bytes.
     """
-    bound = isqrt((n + 1) ** (n + 1)) >> n
-    if popcount_product:
-        bound = min(bound, isqrt(popcount_product))
-    return (bound.bit_length() + 8) // 8
+    return ((isqrt((n + 1) ** (n + 1)) >> n).bit_length() + 8) // 8
 
 
 def _bareiss(M: list[int], lane: int, prev: int = 1) -> int:

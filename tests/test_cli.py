@@ -17,8 +17,9 @@ from walkgi import (
     make_catalog_record,
     write_graph6,
 )
+from walkgi import cli
 from walkgi.cli import main
-from walkgi.isotest import GROUP_STAGES, STAGE_KEYS
+from walkgi.isotest import GROUP_STAGES, STAGE_KEYS, Pool
 from fixture_graphs import (
     complete,
     cycle,
@@ -65,6 +66,26 @@ def test_info_records(tmp_path, capsys):
     assert out == (
         "record=info id=pete.g6:1 n=10 edges=15 degrees=3^10 srg=10,3,0,1 det=48 m=3\n"
     )
+
+
+def test_info_records_identical_with_one_and_two_workers(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class RecordedPool(Pool):
+        def __exit__(self, *exc):
+            pools.append(self.executor)
+            super().__exit__(*exc)
+
+    monkeypatch.setattr(cli, "Pool", RecordedPool)
+    f = write_g6(tmp_path, "mixed.g6", petersen(), cycle(5), path(4), complete(5), rook(3))
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(["info", f, "--format", "records", "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    # one worker maps serially, two run the process pool
+    assert pools[0] is None and pools[1] is not None
+    assert outputs[0].count("\n") == 5
+    assert outputs[0] == outputs[1]
 
 
 def test_pair_distinguished(tmp_path, capsys):
