@@ -366,19 +366,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, Graph6Error, DatasetError, CatalogError, OSError) as exc:
+        # OSError includes the ChildProcessError of a worker process that died
+        # (killed for memory, say), which names its exit status or signal
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # a worker that died (killed for memory, say) breaks the whole pool;
-        # the pool machinery is imported only by runs that started one
-        process = sys.modules.get("concurrent.futures.process")
-        if process is None or not isinstance(exc, process.BrokenProcessPool):
-            raise
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

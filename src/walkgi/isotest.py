@@ -10,10 +10,11 @@ dataset scale: the lc-det-profile on every graph, the far more expensive
 lc-walk signature only on classes that remain ambiguous.  Per-graph
 encodings are {stage name: bytes} dicts, and classes are keyed by exact
 encoding bytes; hashes are never trusted to merge anything.  With more
-than one worker, one process pool, started by the first stage that has more
-than one graph to compute, serves every stage of a run.  ``Pool.map``
-yields each result as it arrives, and graphs whose computed encodings are
-equal, such as relabelled copies, share one bytes object.
+than one worker, each stage that has more than one graph to compute forks
+its own worker processes (``Pool``): they inherit the graphs through the
+fork, and only the encodings come back, through pipes.  ``Pool.map`` yields
+each result as it arrives, and graphs whose computed encodings are equal,
+such as relabelled copies, share one bytes object.
 
 Every stage after the first splits each class into certified copies before
 it computes anything (``graph.copy_representatives``, serially in this
@@ -25,11 +26,13 @@ on a certificate that passed re-verification, never on a hash match.
 
 from __future__ import annotations
 
+import gc
+import os
 import time
 import warnings
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .graph import Graph, copy_representatives, degree_sequence
 from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
@@ -53,8 +56,8 @@ GROUP_STAGES = ("lc-det-profile", "lc-walk-signature")
 
 
 def _stage_encoding(job: tuple[str, Graph]) -> bytes:
-    """The encoding of a graph's key at a stage: a module-level function of
-    one argument, so that a process pool can pickle it.  An lc-walk encoding
+    """The encoding of a graph's key at a stage, the one-argument function
+    that ``partition_group`` maps over its workers.  An lc-walk encoding
     holds each distinct part once, so it weighs about what the signature
     does (Paley(61): 49 KiB as LW2, 92 MiB as LW1, with one part per
     vertex)."""
@@ -133,34 +136,152 @@ class PartitionReport:
 
 
 class Pool:
-    """``map`` in one process pool of ``workers`` processes, started on the
-    first call that has more than one item, and shut down on exit.  ``map``
-    returns an iterator that yields results in item order as they arrive;
-    consume it inside the ``with`` block."""
+    """``map`` over worker processes forked for each call: a call with more
+    than one item forks W = min(workers, len(items)) children, and child k
+    computes ``fn`` over ``items[k::W]``, inherited through the fork, writing
+    each result to its own pipe as a length-prefixed pickle.  ``map`` returns
+    an iterator that forks on its first ``next``, yields results in item
+    order as they arrive and has reaped every child by its last result;
+    consume it inside the ``with`` block.
+
+    An exception ``fn`` raises in a child is raised again here, with its
+    type; a child that exits before sending all its results raises
+    ``ChildProcessError`` naming its exit status or signal.  Closing a map
+    early, or leaving the ``with`` block, which closes every map, kills and
+    reaps the children still running.  One worker, one item, or a platform
+    without ``os.fork`` maps serially in this process.
+
+    Map only from a process with one thread: a child inherits no other
+    thread, so a lock another thread held at the fork stays held in it.
+    walkgi's commands start no thread."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.executor = None
+        self._maps: list[Generator] = []
 
     def __enter__(self) -> Pool:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.executor is not None:
-            self.executor.shutdown()
+        for results in self._maps:
+            results.close()
 
     def map(self, fn, items: Sequence) -> Iterator:
-        if self.workers <= 1 or len(items) <= 1:
+        if self.workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
             return map(fn, items)
-        if self.executor is None:
-            # imported here: the pool machinery is the costliest import of
-            # the package, and serial runs and the single-graph commands
-            # never need it
-            from concurrent.futures import ProcessPoolExecutor
+        results = _forked_map(fn, items, min(self.workers, len(items)))
+        self._maps.append(results)
+        return results
 
-            self.executor = ProcessPoolExecutor(max_workers=self.workers)
-        chunk = max(1, len(items) // (self.workers * 8))
-        return self.executor.map(fn, items, chunksize=chunk)
+
+def _forked_map(fn, items: Sequence, stride: int) -> Generator:
+    # imported here, as only forking runs need them
+    import pickle
+    import selectors
+
+    count = len(items)
+    pids: list[int] = []
+    children: dict[int, int] = {}  # running child pid -> read end of its pipe
+    queues = [deque() for _ in range(stride)]  # (ok, result or exception) per child
+    buffers = [bytearray() for _ in range(stride)]
+    received = [0] * stride
+    selector = selectors.DefaultSelector()
+
+    def reap(pid: int) -> int:
+        os.close(children.pop(pid))
+        return os.waitpid(pid, 0)[1]
+
+    try:
+        # what exists at the fork stays out of the children's collections,
+        # which would otherwise copy every page they traverse (unfrozen when
+        # the map ends)
+        gc.freeze()
+        for k in range(stride):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _serve(fn, items[k::stride], w, [r, *children.values()])  # never returns
+            os.close(w)
+            pids.append(pid)
+            children[pid] = r
+            selector.register(r, selectors.EVENT_READ, k)
+        for i in range(count):
+            k = i % stride
+            # before the last result, every child has sent all it will:
+            # wait for each to exit, so that a finished map leaves none
+            while not queues[k] or (i == count - 1 and children):
+                for key, _ in selector.select():
+                    j = key.data
+                    data = os.read(key.fd, 1 << 16)
+                    if not data:  # the child has closed its pipe to exit
+                        selector.unregister(key.fd)
+                        status = reap(pids[j])
+                        # short of results, and not because it sent an exception
+                        if received[j] < len(range(j, count, stride)) and (not queues[j] or queues[j][-1][0]):
+                            raise ChildProcessError(f"a worker process died ({_exit_text(status)})")
+                        continue
+                    buf = buffers[j]
+                    buf += data
+                    pos = 0
+                    while len(buf) - pos >= 8:
+                        end = pos + 8 + int.from_bytes(buf[pos:pos + 8], "little")
+                        if len(buf) < end:
+                            break
+                        queues[j].append(pickle.loads(buf[pos + 8:end]))
+                        received[j] += 1
+                        pos = end
+                    del buf[:pos]
+            ok, value = queues[k].popleft()
+            if not ok:
+                raise value
+            yield value
+    finally:
+        gc.unfreeze()
+        selector.close()
+        if children:  # the map was closed, or failed, before its end
+            import signal
+
+            for pid in list(children):
+                os.kill(pid, signal.SIGKILL)
+                reap(pid)
+
+
+def _serve(fn, items: Sequence, fd: int, unused: list[int]) -> NoReturn:
+    """A forked worker's whole life: close the ``unused`` read ends it
+    inherited, write each result of ``fn`` over ``items``, or the exception
+    that stopped it, to ``fd`` as an 8-byte length and a pickle of
+    (ok, value), then ``os._exit``, so that nothing of the parent, such as
+    its buffered output or its cleanup, runs here after the work."""
+    import pickle
+
+    status = 1
+    try:
+        for r in unused:
+            os.close(r)
+        with open(fd, "wb") as out:
+            for item in items:
+                try:
+                    ok, message = True, pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    ok, message = False, pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                out.write(len(message).to_bytes(8, "little"))
+                out.write(message)
+                out.flush()
+                if not ok:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _exit_text(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
 
 
 def partition_group(
@@ -183,13 +304,13 @@ def partition_group(
     are representatives first, and every other member is tried against the
     representatives in order, with n search tokens for all its attempts.  A
     certified member takes its representative's bytes object; the others
-    become representatives and are computed in the pool.
+    become representatives and are computed by the workers.
 
     The report gives back each graph's whole dict and a (stage, computed,
     cached, seconds) row per stage, ``computed`` counting the encodings
     added, walked or certified alike, so a caller can store exactly the
-    dicts that grew.  One worker pool serves all stages when ``workers`` >
-    1; classes are split over sorted encodings, so the result does not
+    dicts that grew.  When ``workers`` > 1, each stage forks its own
+    workers; classes are split over sorted encodings, so the result does not
     depend on the worker count.
     """
     graphs = list(graphs)

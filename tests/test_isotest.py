@@ -1,4 +1,6 @@
+import os
 import random
+import signal
 from collections import defaultdict
 from itertools import combinations, permutations
 
@@ -242,28 +244,132 @@ def test_partition_worker_count_does_not_change_result():
     assert serial.final_classes == parallel.final_classes
 
 
-def test_partition_starts_one_pool_for_both_stages(monkeypatch):
-    import concurrent.futures
+def _count_forks(monkeypatch):
+    """The ``os.fork`` calls of this process from now on, one entry each."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
-    started = []
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+@pytest.mark.usefixtures("forking")
+def test_partition_forks_workers_for_each_stage_with_items_to_hand_out(monkeypatch):
+    forks = _count_forks(monkeypatch)
     rng = random.Random(67)
     graphs = [rook(4), shrikhande(), relabeled(rook(4), random_permutation(rng, 16))]
     report = partition_group(graphs, ids=list("abc"), workers=2)
     assert dict((stage, computed) for stage, computed, _, _ in report.stages) == {
         "lc-det-profile": 3, "lc-walk-signature": 2}
     assert report.final_classes == (("b",), ("a", "c"))
-    assert started == [2]
-    # a serial run, or a run with nothing to hand out, starts none
+    # two workers for the 3 profiles; c is a's certified copy, so a is the
+    # only walk, and it runs here
+    assert len(forks) == 2
+    # a serial run, or a run with nothing to hand out, forks none
     partition_group(graphs, ids=list("abc"), workers=1)
     partition_group(graphs[:1], ids=["a"], workers=2)
-    assert started == [2]
+    assert len(forks) == 2
+    # with a copy of b, the walks of a and b fork two workers of their own
+    graphs.append(relabeled(shrikhande(), random_permutation(rng, 16)))
+    report = partition_group(graphs, ids=list("abcd"), workers=2)
+    assert report.final_classes == (("b", "d"), ("a", "c"))
+    assert len(forks) == 6
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _square(x):
+    return x * x
+
+
+def _fail_at_5(x):
+    if x == 5:
+        raise KeyError(f"item {x}")
+    return x
+
+
+@pytest.fixture
+def forking():
+    """Skip without ``os.fork``; fail, rather than hang, a map that never ends."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the pool maps serially without os.fork")
+
+    def expire(signum, frame):
+        raise TimeoutError("the map did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("forking")
+@pytest.mark.parametrize("workers, count", [(2, 7), (3, 10), (3, 2), (5, 4)])
+def test_pool_yields_results_in_item_order(monkeypatch, workers, count):
+    forks = _count_forks(monkeypatch)
+    with Pool(workers) as pool:
+        results = pool.map(_square, list(range(count)))
+        assert [next(results) for _ in range(count)] == [x * x for x in range(count)]
+        # more workers than items fork one child per item
+        assert len(forks) == min(workers, count)
+        # every child is reaped by the last result, as callers that zip the
+        # results with their items never ask for more
+        assert _no_child_left()
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_raises_a_childs_exception_in_the_parent():
+    with Pool(3) as pool:
+        results = pool.map(_fail_at_5, list(range(10)))
+        assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
+        with pytest.raises(KeyError, match="item 5"):
+            next(results)
+        assert _no_child_left()
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_leaves_no_child_when_a_map_is_closed_early_or_left_open():
+    with Pool(2) as pool:
+        results = pool.map(_square, list(range(10)))
+        assert next(results) == 0
+        results.close()
+        assert _no_child_left()
+    with Pool(2) as pool:
+        results = pool.map(_square, list(range(10)))
+        assert next(results) == 0
+        unstarted = pool.map(_square, list(range(10)))
+    assert _no_child_left()
+    assert list(results) == [] and list(unstarted) == []
+
+
+def _kill_at_3(x):
+    if x == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_names_the_signal_that_killed_a_worker():
+    with Pool(2) as pool:
+        with pytest.raises(ChildProcessError, match=r"a worker process died \(killed by signal 9\)"):
+            list(pool.map(_kill_at_3, list(range(6))))
+    assert _no_child_left()
+
+
+def _large(x):
+    return bytes(range(256)) * (1024 * x)  # x * 256 KiB, beyond a 64 KiB pipe buffer
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_round_trips_a_result_larger_than_a_pipe_buffer():
+    with Pool(2) as pool:
+        assert list(pool.map(_large, [1, 2, 3])) == [_large(1), _large(2), _large(3)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
