@@ -12,7 +12,8 @@ encodings are {stage name: bytes} dicts, and classes are keyed by exact
 encoding bytes; hashes are never trusted to merge anything.  With more
 than one worker, each stage that has more than one graph to compute forks
 its own worker processes (``Pool``): they inherit the graphs through the
-fork, and only the encodings come back, through pipes.  ``Pool.map`` yields
+fork, take graph indices from the parent one at a time as they finish,
+and only the encodings come back, through pipes.  ``Pool.map`` yields
 each result as it arrives, and graphs whose computed encodings are equal,
 such as relabelled copies, share one bytes object.
 
@@ -137,19 +138,23 @@ class PartitionReport:
 
 class Pool:
     """``map`` over worker processes forked for each call: a call with more
-    than one item forks W = min(workers, len(items)) children, and child k
-    computes ``fn`` over ``items[k::W]``, inherited through the fork, writing
-    each result to its own pipe as a length-prefixed pickle.  ``map`` returns
-    an iterator that forks on its first ``next``, yields results in item
-    order as they arrive and has reaped every child by its last result;
-    consume it inside the ``with`` block.
+    than one item forks W = min(workers, len(items)) children, which inherit
+    the items through the fork.  The parent hands out item indices in order
+    on a task pipe per child, at most two outstanding per child, and sends a
+    child its next index as each of its results arrives, so a fast child
+    takes more items than a slow one.  A child writes each result to its
+    own pipe as a length-prefixed pickle.  ``map`` returns an iterator that
+    forks on its first ``next``, yields results in item order as they arrive
+    and has reaped every child by its last result; consume it inside the
+    ``with`` block.
 
     An exception ``fn`` raises in a child is raised again here, with its
-    type; a child that exits before sending all its results raises
-    ``ChildProcessError`` naming its exit status or signal.  Closing a map
-    early, or leaving the ``with`` block, which closes every map, kills and
-    reaps the children still running.  One worker, one item, or a platform
-    without ``os.fork`` maps serially in this process.
+    type, at its item's place; a child that exits holding indices it has
+    not answered, and sent no exception, raises ``ChildProcessError``
+    naming its exit status or signal.  Closing a map early, or leaving the
+    ``with`` block, which closes every map, kills and reaps the children
+    still running.  One worker, one item, or a platform without ``os.fork``
+    maps serially in this process.
 
     Map only from a process with one thread: a child inherits no other
     thread, so a lock another thread held at the fork stays held in it.
@@ -174,21 +179,38 @@ class Pool:
         return results
 
 
-def _forked_map(fn, items: Sequence, stride: int) -> Generator:
+def _forked_map(fn, items: Sequence, workers: int) -> Generator:
     # imported here, as only forking runs need them
     import pickle
     import selectors
 
     count = len(items)
-    pids: list[int] = []
-    children: dict[int, int] = {}  # running child pid -> read end of its pipe
-    queues = [deque() for _ in range(stride)]  # (ok, result or exception) per child
-    buffers = [bytearray() for _ in range(stride)]
-    received = [0] * stride
+    children: dict[int, tuple[int, int]] = {}  # running child k -> (pid, read end of its results)
+    tasks: dict[int, int] = {}  # child k -> write end of its task pipe, until every index is out
+    held = [deque() for _ in range(workers)]  # indices child k holds, in the order it answers them
+    buffers = [bytearray() for _ in range(workers)]
+    done: dict[int, tuple] = {}  # index -> (ok, result or exception), until yielded
+    handed = 0
     selector = selectors.DefaultSelector()
 
-    def reap(pid: int) -> int:
-        os.close(children.pop(pid))
+    def hand_out(k: int) -> None:
+        nonlocal handed
+        held[k].append(handed)
+        try:  # at most 16 bytes are ever pending in the pipe, so this never blocks
+            os.write(tasks[k], handed.to_bytes(8, "little"))
+        except BrokenPipeError:  # the child is gone; the end of its results tells how
+            pass
+        handed += 1
+        if handed == count:  # each child exits once it has answered what it holds
+            for fd in tasks.values():
+                os.close(fd)
+            tasks.clear()
+
+    def reap(k: int) -> int:
+        pid, r = children.pop(k)
+        os.close(r)
+        if k in tasks:
+            os.close(tasks.pop(k))
         return os.waitpid(pid, 0)[1]
 
     try:
@@ -196,47 +218,56 @@ def _forked_map(fn, items: Sequence, stride: int) -> Generator:
         # which would otherwise copy every page they traverse (unfrozen when
         # the map ends)
         gc.freeze()
-        for k in range(stride):
-            r, w = os.pipe()
+        for k in range(workers):
+            fds: list[int] = []
             try:
+                fds += os.pipe()
+                fds += os.pipe()
                 pid = os.fork()
             except BaseException:
-                os.close(r)
-                os.close(w)
+                for fd in fds:
+                    os.close(fd)
                 raise
-            if pid == 0:
-                _serve(fn, items[k::stride], w, [r, *children.values()])  # never returns
+            r, w, task_r, task_w = fds
+            if pid == 0:  # never returns
+                unused = [r, task_w, *tasks.values(), *(fd for _, fd in children.values())]
+                _serve(fn, items, task_r, w, unused)
             os.close(w)
-            pids.append(pid)
-            children[pid] = r
+            os.close(task_r)
+            children[k] = pid, r
+            tasks[k] = task_w
             selector.register(r, selectors.EVENT_READ, k)
+        for k in [*range(workers)] * 2:  # two indices per child to start, in item order
+            if handed < count:
+                hand_out(k)
         for i in range(count):
-            k = i % stride
             # before the last result, every child has sent all it will:
             # wait for each to exit, so that a finished map leaves none
-            while not queues[k] or (i == count - 1 and children):
+            while i not in done or (i == count - 1 and children):
                 for key, _ in selector.select():
-                    j = key.data
+                    k = key.data
                     data = os.read(key.fd, 1 << 16)
                     if not data:  # the child has closed its pipe to exit
                         selector.unregister(key.fd)
-                        status = reap(pids[j])
-                        # short of results, and not because it sent an exception
-                        if received[j] < len(range(j, count, stride)) and (not queues[j] or queues[j][-1][0]):
+                        status = reap(k)
+                        if held[k]:  # unanswered indices, and not because it sent an exception
                             raise ChildProcessError(f"a worker process died ({_exit_text(status)})")
                         continue
-                    buf = buffers[j]
+                    buf = buffers[k]
                     buf += data
                     pos = 0
                     while len(buf) - pos >= 8:
                         end = pos + 8 + int.from_bytes(buf[pos:pos + 8], "little")
                         if len(buf) < end:
                             break
-                        queues[j].append(pickle.loads(buf[pos + 8:end]))
-                        received[j] += 1
+                        done[held[k].popleft()] = message = pickle.loads(buf[pos + 8:end])
+                        if not message[0]:  # an exception: the child stops and answers nothing more
+                            held[k].clear()
+                        elif handed < count:
+                            hand_out(k)
                         pos = end
                     del buf[:pos]
-            ok, value = queues[k].popleft()
+            ok, value = done.pop(i)
             if not ok:
                 raise value
             yield value
@@ -246,27 +277,30 @@ def _forked_map(fn, items: Sequence, stride: int) -> Generator:
         if children:  # the map was closed, or failed, before its end
             import signal
 
-            for pid in list(children):
+            for k, (pid, _) in list(children.items()):
                 os.kill(pid, signal.SIGKILL)
-                reap(pid)
+                reap(k)
 
 
-def _serve(fn, items: Sequence, fd: int, unused: list[int]) -> NoReturn:
-    """A forked worker's whole life: close the ``unused`` read ends it
-    inherited, write each result of ``fn`` over ``items``, or the exception
-    that stopped it, to ``fd`` as an 8-byte length and a pickle of
-    (ok, value), then ``os._exit``, so that nothing of the parent, such as
-    its buffered output or its cleanup, runs here after the work."""
+def _serve(fn, items: Sequence, tasks: int, fd: int, unused: list[int]) -> NoReturn:
+    """A forked worker's whole life: close the ``unused`` pipe ends it
+    inherited, then read 8-byte item indices from ``tasks`` until the
+    parent closes it, and write the result of ``fn`` on each indexed item,
+    or the exception that stopped it, to ``fd`` as an 8-byte length and a
+    pickle of (ok, value), in the order the indices came.  It leaves through
+    ``os._exit``, so that nothing of the parent, such as its buffered output
+    or its cleanup, runs here after the work."""
     import pickle
 
     status = 1
     try:
         for r in unused:
             os.close(r)
-        with open(fd, "wb") as out:
-            for item in items:
+        with open(tasks, "rb") as indices, open(fd, "wb") as out:
+            while index := indices.read(8):
                 try:
-                    ok, message = True, pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
+                    ok, message = True, pickle.dumps(
+                        (True, fn(items[int.from_bytes(index, "little")])), pickle.HIGHEST_PROTOCOL)
                 except Exception as exc:
                     ok, message = False, pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
                 out.write(len(message).to_bytes(8, "little"))

@@ -32,14 +32,16 @@ Z_N = I + M_u (A^-1)_NN.  Fraction-free Gauss-Jordan elimination on
 [A | I], once per graph, gives p = det(PA), P the permutation of its pivot
 swaps, and B = p A^-1, whose entries are minors of A.  Then
 K_u = p Z_N = p I + M_u B_NN, and its row c is
-T - B_NN[c] - 2 (sum of B_NN[w] over w in N(c) & N) + p e_c, T the sum of
-the rows of B_NN: a few packed row sums per row.  Bareiss elimination of
-K_u started from prev = p rather than 1 keeps each entry p times the entry
-the elimination of Z_N would keep, and ends at p det(Z_N) =
-sign(P) det(A_u).  Each such entry is p times a minor of Z on rows S and
-columns T inside N.  That is +- the determinant of the n x n 0/1 matrix
-with A_u's rows in S and A's rows outside T: it is A times the matrix with
-Z's rows in S and unit rows outside T.  So every division is exact, and
+p e_c - B_NN[c] - 2 (sum of B_NN[w] over w in N(c) & N): a few packed row
+sums per row.  M_u's J term drops out: it adds to every row the sum of
+the rows of B_NN, which is row u of A B = p I on the columns N, zero as
+u is not in N.  Bareiss elimination of K_u started from prev = p rather
+than 1 keeps each entry p times the entry the elimination of Z_N would
+keep, and ends at p det(Z_N) = sign(P) det(A_u).  Each such entry is
+p times a minor of Z on rows S and columns T inside N.  That is +- the
+determinant of the n x n 0/1 matrix with A_u's rows in S and A's rows
+outside T: it is A times the matrix with Z's rows in S and unit rows
+outside T.  So every division is exact, and
 the lane holds every entry when it holds the determinants of n x n 0/1
 matrices whose rows are rows of A or of A_u.  The same steps continue the
 elimination of the bordered matrix [[A, -E], [M_u E^T, I]] past its first
@@ -131,8 +133,7 @@ def lc_determinants(G: Graph) -> list[int]:
         picked = [0] * n  # row w of B_NN at w in N, zero elsewhere
         for w in nbrs:
             picked[w] = int.from_bytes(b"".join(map(lanes[w].__getitem__, nbrs)), "little") - d_bias
-        total = sum(map(picked.__getitem__, nbrs))
-        K = [total - picked[v] - 2 * sum(map(picked.__getitem__, neighbours[v])) + (p << bits * c)
+        K = [(p << bits * c) - picked[v] - 2 * sum(map(picked.__getitem__, neighbours[v]))
              for c, v in enumerate(nbrs)]
         dets.append(sign * _bareiss(K, lane, p))
     return dets

@@ -1,6 +1,7 @@
 import os
 import random
 import signal
+import time
 from collections import defaultdict
 from itertools import combinations, permutations
 
@@ -370,6 +371,51 @@ def _large(x):
 def test_pool_round_trips_a_result_larger_than_a_pipe_buffer():
     with Pool(2) as pool:
         assert list(pool.map(_large, [1, 2, 3])) == [_large(1), _large(2), _large(3)]
+
+
+def _pid_after_slow_0(x):
+    if x == 0:
+        time.sleep(0.5)
+    return x, os.getpid()
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_hands_a_slow_childs_share_to_the_others():
+    # indices go out in order, two at a time per child: item 0's child
+    # holds 0 and 2, and the other child takes everything after them
+    with Pool(2) as pool:
+        results = list(pool.map(_pid_after_slow_0, list(range(12))))
+    assert [x for x, _ in results] == list(range(12))
+    slow = results[0][1]
+    assert sum(pid == slow for _, pid in results) <= 2
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_leaves_no_pipe_end_open_however_a_map_ends():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list open descriptors")
+    before = _open_fds()
+    with Pool(3) as pool:
+        assert list(pool.map(_square, list(range(10)))) == [x * x for x in range(10)]
+    assert _open_fds() == before
+    with Pool(3) as pool:
+        results = pool.map(_square, list(range(10)))
+        assert next(results) == 0
+        results.close()
+    assert _open_fds() == before
+    with Pool(3) as pool:
+        with pytest.raises(KeyError, match="item 5"):
+            list(pool.map(_fail_at_5, list(range(10))))
+    assert _open_fds() == before
+    with Pool(3) as pool:
+        with pytest.raises(ChildProcessError, match="killed by signal 9"):
+            list(pool.map(_kill_at_3, list(range(10))))
+    assert _open_fds() == before
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

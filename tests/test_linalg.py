@@ -261,6 +261,24 @@ def test_scaled_inverse_on_extremal_01_matrices(m):
     assert abs(check_scaled_inverse(sylvester_core(m), n)) == isqrt((n + 1) ** (n + 1)) >> n
 
 
+def test_scaled_inverse_rows_over_a_neighbourhood_sum_to_p_e_u():
+    # A B = p I, so the rows of B = p A^-1 over N(u) sum to p e_u; on the
+    # columns N(u), which do not hold u, the sum is zero, which is why
+    # lc_determinants starts each row of K_u without it
+    graphs = [petersen(), rook(4), shrikhande(), triangular(8), *chang_graphs(), paley(13), path(8)]
+    for G in graphs:
+        n = G.n
+        lane = _lane(n)
+        p, _, packed = _scaled_inverse(_packed(G.rows, lane), lane)
+        assert p != 0
+        B = [unpacked(row, lane, n) for row in packed]
+        for u in range(n):
+            nbrs = G.neighbors(u)
+            total = [sum(B[w][j] for w in nbrs) for j in range(n)]
+            assert total == [p * (j == u) for j in range(n)]
+            assert all(total[j] == 0 for j in nbrs)
+
+
 def local_traces(G, u):
     """tr A_N^k for k = 1..d, A_N the adjacency matrix of the d neighbours
     of u: by Newton's identities, the spectrum of the local graph."""
