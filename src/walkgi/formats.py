@@ -31,12 +31,10 @@ file.  Once the new TSV is in place, blobs it no longer names are removed.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .graph import MAX_VERTICES, Graph, SrgParams, srg_parameters
 from .isotest import GROUP_STAGES
@@ -48,6 +46,11 @@ CATALOG_HEADER = "walkgi-catalog v2"
 _CATALOG_HEADER_V1 = "walkgi-catalog v1"
 NO_DIGEST = "-"
 _DIGEST = re.compile(r"[0-9a-f]{64}")
+# a graph6 character, "?" (63) to "~" (126), as its six bits, most
+# significant first, and back
+_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_SIX_CHARS = {bits: chr(c) for c, bits in _SIX_BITS.items()}
+_NOT_GRAPH6 = re.compile(r"[^?-~]")
 
 
 class Graph6Error(ValueError):
@@ -63,29 +66,33 @@ class CatalogError(ValueError):
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse one graph6 line into a Graph."""
+    """Parse one graph6 line into a Graph.
+
+    The body becomes one text of binary digits, the upper triangle column
+    by column.  Column j, the digits for the pairs (i, j) with i < j, is
+    laid out as row j of an n x n text, so the text holds the lower
+    triangle and its transpose the upper; row i is then read from both
+    with its digits reversed, vertex 0 least significant.  Every step is a
+    string or int operation on a whole row, with no Python step per bit.
+    """
     s = text.strip()
     if s.startswith(GRAPH6_HEADER_TOKEN):
         s = s[len(GRAPH6_HEADER_TOKEN):]
     if not s:
         raise Graph6Error("empty graph6 text")
-    vals = []
-    for pos, ch in enumerate(s):
-        b = ord(ch)
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"invalid graph6 byte at position {pos}")
-        vals.append(b - 63)
+    bad = _NOT_GRAPH6.search(s)
+    if bad:
+        raise Graph6Error(f"invalid graph6 byte at position {bad.start()}")
+    data = s.encode("ascii")
 
-    if vals[0] < 63:
-        n = vals[0]
-        body = vals[1:]
+    if data[0] < 126:
+        n, body = data[0] - 63, data[1:]
     else:
-        if len(vals) >= 2 and vals[1] == 63:
+        if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("8-byte size header (n > 258047) not supported")
-        if len(vals) < 4:
+        if len(data) < 4:
             raise Graph6Error("truncated size header")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = vals[4:]
+        n, body = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63), data[4:]
     if n == 0:
         raise Graph6Error("graph must have at least one vertex")
     if n > MAX_VERTICES:
@@ -97,56 +104,38 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"truncated/overlong body: expected {expected} characters for n={n}, got {len(body)}"
         )
+    bits = "".join(map(_SIX_BITS.__getitem__, body))
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits in graph6 body")
 
-    rows = [0] * n
-    t = 0
-    i, j = 0, 1
-    for val in body:
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = (val >> shift) & 1
-            if t < nbits:
-                if bit:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                i += 1
-                if i == j:
-                    i = 0
-                    j += 1
-            elif bit:
-                raise Graph6Error("nonzero padding bits in graph6 body")
-            t += 1
-    return Graph(tuple(rows))
+    zeros = "0" * n
+    lower = "".join([bits[j * (j - 1) // 2:j * (j + 1) // 2] + zeros[j:] for j in range(n)])
+    upper = "".join([lower[c::n] for c in range(n)])
+    # reversed whole, the two texts are the matrix's digits from vertex
+    # (n-1, n-1) down to (0, 0): row n-1 first, each row's digits reversed
+    text = format(int(lower[::-1], 2) | int(upper[::-1], 2), f"0{n * n}b")
+    rows = [int(text[k:k + n], 2) for k in range(0, n * n, n)]
+    return Graph(tuple(reversed(rows)))
 
 
 def write_graph6(G: Graph) -> str:
-    """Canonical graph6 line; parse_graph6 reconstructs G exactly."""
+    """Canonical graph6 line; parse_graph6 reconstructs G exactly.  Column j
+    of the upper triangle is the low j bits of row j, least significant
+    first; the digits are cut into groups of six with no Python step per
+    bit."""
     n = G.n
-    out = []
     if n <= 62:
-        out.append(chr(63 + n))
+        head = chr(63 + n)
     else:
-        out.append("~")
-        out.append(chr(63 + ((n >> 12) & 63)))
-        out.append(chr(63 + ((n >> 6) & 63)))
-        out.append(chr(63 + (n & 63)))
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row_j = G.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((row_j >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+        head = "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
+    bits = "".join([format(row & ((1 << j) - 1), f"0{j}b")[::-1] for j, row in enumerate(G.rows) if j])
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(map(_SIX_CHARS.__getitem__, map("".join, zip(*[iter(bits)] * 6))))
 
 
-@dataclass(frozen=True, slots=True)
-class ParseFailure:
+class ParseFailure(NamedTuple):
+    """A dataset line that failed to parse."""
+
     path: str
     lineno: int
     message: str
@@ -185,8 +174,7 @@ def read_dataset(
     return entries, failures
 
 
-@dataclass(frozen=True, slots=True)
-class CatalogRecord:
+class CatalogRecord(NamedTuple):
     """One catalog line, with the encodings of its two digests where the
     record was made by ``make_catalog_record`` or reused by ``catalog_read``."""
 
@@ -208,7 +196,12 @@ class CatalogRecord:
 
 
 def _digest(enc: bytes | None) -> str:
-    return NO_DIGEST if enc is None else hashlib.sha256(enc).hexdigest()
+    """The hex sha256 of ``enc``, or "-" for None."""
+    if enc is None:
+        return NO_DIGEST
+    import hashlib  # imported here, so that runs without a catalog never load it
+
+    return hashlib.sha256(enc).hexdigest()
 
 
 def make_catalog_record(record_id: str, G: Graph, encodings: Mapping[str, bytes]) -> CatalogRecord:
@@ -296,7 +289,7 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
         ):
             # reused records share the bytes catalog_read loaded: hash each once
             if enc is not None and pending.get(digest) is not enc:
-                if hashlib.sha256(enc).hexdigest() != digest:
+                if _digest(enc) != digest:
                     raise CatalogError(f"record {rec.id!r}: digest does not match encoding")
                 pending[digest] = enc
     if pending:
@@ -334,7 +327,7 @@ def catalog_read(path: str | os.PathLike, graphs: Mapping[str, Graph]) -> list[C
         if digest not in loaded:
             target = blobs / digest
             data = target.read_bytes() if target.is_file() else None
-            if data is not None and hashlib.sha256(data).hexdigest() != digest:
+            if data is not None and _digest(data) != digest:
                 raise CatalogError(f"{path}: sidecar blob {digest} fails digest check")
             loaded[digest] = data
         return loaded[digest]

@@ -57,10 +57,9 @@ callers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import itemgetter, length_hint
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 4096
 ORBIT_SEARCH_NODES_PER_VERTEX = 4
@@ -69,8 +68,7 @@ ORBIT_SEARCH_NODES_PER_VERTEX = 4
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True, slots=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     """Parameters (n, d, alpha, beta) of a strongly regular graph."""
 
     n: int
@@ -79,19 +77,18 @@ class SrgParams:
     beta: int
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``rows[i]`` is the neighbourhood of vertex i as a bitmask.  Construction
     validates the invariants: no loops, symmetric adjacency, no vertex index
-    outside 0..n-1.
+    outside 0..n-1.  Graphs are equal, and hash alike, when their rows are.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        rows = self.rows
+    def __init__(self, rows: tuple[int, ...]) -> None:
         n = len(rows)
         if not 1 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
@@ -111,6 +108,25 @@ class Graph:
         if text != transpose:
             r, c = divmod(next(k for k, (a, b) in enumerate(zip(text, transpose)) if a != b), n)
             raise ValueError(f"asymmetric adjacency between vertices {n - 1 - r} and {n - 1 - c}")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Graph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Graph is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.rows == other.rows if other.__class__ is Graph else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Graph(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return Graph, (self.rows,)
 
     @property
     def n(self) -> int:

@@ -34,11 +34,11 @@ finds it from the same powers the walk signature is built from.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from .graph import Graph, local_complement, vertex_orbits
 from .linalg import _row_starts, lc_determinants, walk_powers
@@ -54,8 +54,7 @@ def _encode_int(x: int) -> bytes:
     return length.to_bytes(4, "big") + x.to_bytes(length, "big", signed=True)
 
 
-@dataclass(frozen=True, slots=True)
-class WalkSignature:
+class WalkSignature(NamedTuple):
     """Canonical multiset-of-multisets of length-m walk-count tuples.
 
     ``rows[i][j]`` is a tuple (w_1, ..., w_m) of exact walk counts; tuples
@@ -114,8 +113,7 @@ def _row_getters(n: int) -> tuple[itemgetter, ...]:
                  for i in range(n))
 
 
-@dataclass(frozen=True, slots=True)
-class DetProfile:
+class DetProfile(NamedTuple):
     """Ordered sequence of the n local-complement adjacency determinants.
 
     Ordering is ascending by absolute value, ties broken negative-first.
@@ -136,7 +134,6 @@ class DetProfile:
         return b"".join(out)
 
 
-@dataclass(frozen=True, slots=True)
 class LcWalkSignature:
     """Sorted multiset of the walk signatures of all n local complements,
     held as their WS2 encodings.
@@ -146,10 +143,28 @@ class LcWalkSignature:
     bytes.  Encoding is injective, so nothing else of a part is kept.
     """
 
+    __slots__ = ("part_encodings",)
     part_encodings: tuple[bytes, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "part_encodings", tuple(sorted(self.part_encodings)))
+    def __init__(self, part_encodings: tuple[bytes, ...]) -> None:
+        object.__setattr__(self, "part_encodings", tuple(sorted(part_encodings)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an LcWalkSignature is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LcWalkSignature:
+            return NotImplemented
+        return self.part_encodings == other.part_encodings
+
+    def __hash__(self) -> int:
+        return hash(self.part_encodings)
+
+    def __repr__(self) -> str:
+        return f"LcWalkSignature(part_encodings={self.part_encodings!r})"
+
+    def __reduce__(self):
+        return LcWalkSignature, (self.part_encodings,)
 
     @property
     def n(self) -> int:

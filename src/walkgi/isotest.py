@@ -10,12 +10,14 @@ dataset scale: the lc-det-profile on every graph, the far more expensive
 lc-walk signature only on classes that remain ambiguous.  Per-graph
 encodings are {stage name: bytes} dicts, and classes are keyed by exact
 encoding bytes; hashes are never trusted to merge anything.  With more
-than one worker, each stage that has more than one graph to compute forks
-its own worker processes (``Pool``): they inherit the graphs through the
-fork, take graph indices from the parent one at a time as they finish,
-and only the encodings come back, through pipes.  ``Pool.map`` yields
-each result as it arrives, and graphs whose computed encodings are equal,
-such as relabelled copies, share one bytes object.
+than one worker, each stage maps its graphs through ``Pool``: the map
+starts in this process, and only once it has run for ``FORK_AFTER_S``, the
+cost of forking, does it fork worker processes for the graphs left.  They
+inherit the graphs through the fork, take graph indices from the parent
+one at a time as they finish, and only the encodings come back, through
+pipes.  ``Pool.map`` yields each result as it arrives, and graphs whose
+computed encodings are equal, such as relabelled copies, share one bytes
+object.
 
 Every stage after the first splits each class into certified copies before
 it computes anything (``graph.copy_representatives``, serially in this
@@ -32,7 +34,6 @@ import os
 import time
 import warnings
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
 from typing import Generator, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .graph import Graph, copy_representatives, degree_sequence
@@ -54,6 +55,12 @@ STAGE_KEYS = {
 STAGES = tuple(STAGE_KEYS)
 # the stages that refine a group partition, by their keys' exact encodings
 GROUP_STAGES = ("lc-det-profile", "lc-walk-signature")
+# Seconds a map runs in this process before it forks workers for the rest:
+# the measured cost of forking.  A two-worker map of four trivial items makes
+# a whole `walkgi` process about 10 ms slower than the same map in process
+# (importing pickle and selectors, the forks, the join, and the parent's page
+# faults after the fork; medians of 40 runs each, Python 3.11, 2-vCPU VM).
+FORK_AFTER_S = 0.01
 
 
 def _stage_encoding(job: tuple[str, Graph]) -> bytes:
@@ -66,19 +73,39 @@ def _stage_encoding(job: tuple[str, Graph]) -> bytes:
     return STAGE_KEYS[stage](G).encode()
 
 
-@dataclass(frozen=True, slots=True)
 class Verdict:
-    """Outcome of a staged distinguishing run."""
+    """Outcome of a staged distinguishing run: ``stage`` names the stage
+    that distinguished, and is None exactly when nothing did."""
 
+    __slots__ = ("distinguished", "stage")
     distinguished: bool
-    stage: str | None = None
+    stage: str | None
 
-    def __post_init__(self) -> None:
-        if self.distinguished:
-            if self.stage not in STAGES:
-                raise ValueError(f"unknown stage {self.stage!r}")
-        elif self.stage is not None:
+    def __init__(self, distinguished: bool, stage: str | None = None) -> None:
+        if distinguished:
+            if stage not in STAGES:
+                raise ValueError(f"unknown stage {stage!r}")
+        elif stage is not None:
             raise ValueError("NotDistinguished verdicts carry no stage")
+        object.__setattr__(self, "distinguished", distinguished)
+        object.__setattr__(self, "stage", stage)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Verdict is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Verdict:
+            return NotImplemented
+        return (self.distinguished, self.stage) == (other.distinguished, other.stage)
+
+    def __hash__(self) -> int:
+        return hash((self.distinguished, self.stage))
+
+    def __repr__(self) -> str:
+        return f"Verdict(distinguished={self.distinguished!r}, stage={self.stage!r})"
+
+    def __reduce__(self):
+        return Verdict, (self.distinguished, self.stage)
 
 
 def distinguish_pair(G: Graph, H: Graph) -> Verdict:
@@ -98,7 +125,6 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
     return Verdict(False)
 
 
-@dataclass(frozen=True)
 class PartitionReport:
     """Equivalence classes of a group partition run.
 
@@ -114,14 +140,40 @@ class PartitionReport:
     holds one (stage, computed, cached, seconds) row per stage, in
     ``GROUP_STAGES`` order; the counts are over the graphs that stage ran on,
     and ``computed`` counts the encodings the run added to them, whether
-    computed or taken from a certified copy's representative.
+    computed or taken from a certified copy's representative.  Reports are
+    equal, and hash alike, when their ids and classes are: ``encodings``
+    and ``stages`` are left out.
     """
 
+    __slots__ = ("ids", "coarse_classes", "final_classes", "encodings", "stages")
     ids: tuple[str, ...]
     coarse_classes: tuple[tuple[str, ...], ...]
     final_classes: tuple[tuple[str, ...], ...]
-    encodings: tuple[dict[str, bytes], ...] = field(compare=False)
-    stages: tuple[tuple[str, int, int, float], ...] = field(compare=False)
+    encodings: tuple[dict[str, bytes], ...]
+    stages: tuple[tuple[str, int, int, float], ...]
+
+    def __init__(self, ids, coarse_classes, final_classes, encodings, stages) -> None:
+        for name, value in zip(self.__slots__, (ids, coarse_classes, final_classes, encodings, stages)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a PartitionReport is immutable")
+
+    def _key(self) -> tuple:
+        return self.ids, self.coarse_classes, self.final_classes
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is PartitionReport else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"PartitionReport({fields})"
+
+    def __reduce__(self):
+        return PartitionReport, tuple(getattr(self, name) for name in self.__slots__)
 
     def coarse_size_counts(self) -> dict[int, int]:
         return dict(Counter(len(c) for c in self.coarse_classes))
@@ -137,18 +189,23 @@ class PartitionReport:
 
 
 class Pool:
-    """``map`` over worker processes forked for each call: a call with more
-    than one item forks W = min(workers, len(items)) children, which inherit
-    the items through the fork.  The parent hands out item indices in order
-    on a task pipe per child, at most two outstanding per child, and sends a
-    child its next index as each of its results arrives, so a fast child
-    takes more items than a slow one.  A child writes each result to its
-    own pipe as a length-prefixed pickle.  ``map`` returns an iterator that
-    forks on its first ``next``, yields results in item order as they arrive
-    and has reaped every child by its last result; consume it inside the
-    ``with`` block.
+    """``map`` that starts in this process and forks worker processes only
+    for a long map.  ``map`` returns an iterator that computes items here,
+    in order, from its first ``next``.  Once the map has run for
+    ``FORK_AFTER_S`` and more than one item is left, it forks
+    W = min(workers, items left) children, which inherit the items through
+    the fork.  So a map that finishes within ``FORK_AFTER_S`` never forks,
+    and a long one loses at most that long, and one item, of parallelism.
 
-    An exception ``fn`` raises in a child is raised again here, with its
+    The parent hands out the indices of the items left in order on a task
+    pipe per child, at most two outstanding per child, and sends a child its
+    next index as each of its results arrives, so a fast child takes more
+    items than a slow one.  A child writes each result to its own pipe as a
+    length-prefixed pickle.  The iterator yields results in item order as
+    they arrive and has reaped every child by its last result; consume it
+    inside the ``with`` block.
+
+    An exception ``fn`` raises, here or in a child, is raised here, with its
     type, at its item's place; a child that exits holding indices it has
     not answered, and sent no exception, raises ``ChildProcessError``
     naming its exit status or signal.  Closing a map early, or leaving the
@@ -174,9 +231,20 @@ class Pool:
     def map(self, fn, items: Sequence) -> Iterator:
         if self.workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
             return map(fn, items)
-        results = _forked_map(fn, items, min(self.workers, len(items)))
+        results = self._map(fn, items)
         self._maps.append(results)
         return results
+
+    def _map(self, fn, items: Sequence) -> Generator:
+        """Map in this process until the map has run for ``FORK_AFTER_S``,
+        then fork for what is left, if that is more than one item."""
+        start = time.perf_counter()
+        for i, item in enumerate(items):
+            left = len(items) - i
+            if left > 1 and time.perf_counter() - start >= FORK_AFTER_S:
+                yield from _forked_map(fn, items[i:], min(self.workers, left))
+                return
+            yield fn(item)
 
 
 def _forked_map(fn, items: Sequence, workers: int) -> Generator:
@@ -338,14 +406,16 @@ def partition_group(
     are representatives first, and every other member is tried against the
     representatives in order, with n search tokens for all its attempts.  A
     certified member takes its representative's bytes object; the others
-    become representatives and are computed by the workers.
+    become representatives and are computed.
 
     The report gives back each graph's whole dict and a (stage, computed,
     cached, seconds) row per stage, ``computed`` counting the encodings
     added, walked or certified alike, so a caller can store exactly the
-    dicts that grew.  When ``workers`` > 1, each stage forks its own
-    workers; classes are split over sorted encodings, so the result does not
-    depend on the worker count.
+    dicts that grew.  When ``workers`` > 1, each stage maps its graphs
+    through ``Pool.map``, which forks workers only once the stage's map has
+    run for ``FORK_AFTER_S``; classes are split over sorted encodings, so
+    the result does not depend on the worker count or on where an encoding
+    was computed.
     """
     graphs = list(graphs)
     if ids is None:

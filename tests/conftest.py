@@ -1,4 +1,28 @@
+import os
+import signal
+
+import pytest
+
 import acceptance_report
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Make every ``Pool`` map of two or more items fork before its first
+    item, with ``FORK_AFTER_S`` at 0; skip without ``os.fork``; fail, rather
+    than hang, a map that never ends."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the pool maps serially without os.fork")
+    monkeypatch.setattr("walkgi.isotest.FORK_AFTER_S", 0)
+
+    def expire(signum, frame):
+        raise TimeoutError("the map did not end within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package internals: cofactor expansion instead of fraction-free
-elimination, walk enumeration and dense matrix products instead of packed
+elimination, a graph6 codec that steps bit by bit instead of whole-row
+string operations, walk enumeration and dense matrix products instead of packed
 lanes, an echelon rank test on flattened powers instead of Hankel trace
 minors, permutation enumeration instead of pruned backtracking, decoders
 and the superseded WS1/LW1 encoders written from the byte layouts.  The one
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from walkgi import Graph, WalkSignature, build_graph
+from walkgi import MAX_VERTICES, Graph, Graph6Error, WalkSignature, build_graph
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,3 +504,88 @@ def decode_lw2(data: bytes) -> list[tuple[int, WalkSignature]]:
     if sum(count for count, _ in parts) != n:
         raise ValueError(f"multiplicities do not sum to n = {n}")
     return parts
+
+
+# The graph6 codec one bit at a time, with the package's checks and their
+# messages, as the reference for ``parse_graph6`` and ``write_graph6``.
+
+
+def parse_graph6_bitwise(text: str) -> Graph:
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty graph6 text")
+    vals = []
+    for pos, ch in enumerate(s):
+        b = ord(ch)
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"invalid graph6 byte at position {pos}")
+        vals.append(b - 63)
+
+    if vals[0] < 63:
+        n = vals[0]
+        body = vals[1:]
+    else:
+        if len(vals) >= 2 and vals[1] == 63:
+            raise Graph6Error("8-byte size header (n > 258047) not supported")
+        if len(vals) < 4:
+            raise Graph6Error("truncated size header")
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        body = vals[4:]
+    if n == 0:
+        raise Graph6Error("graph must have at least one vertex")
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"vertex count {n} exceeds cap {MAX_VERTICES}")
+
+    nbits = n * (n - 1) // 2
+    expected = (nbits + 5) // 6
+    if len(body) != expected:
+        raise Graph6Error(
+            f"truncated/overlong body: expected {expected} characters for n={n}, got {len(body)}"
+        )
+
+    rows = [0] * n
+    t = 0
+    i, j = 0, 1
+    for val in body:
+        for shift in (5, 4, 3, 2, 1, 0):
+            bit = (val >> shift) & 1
+            if t < nbits:
+                if bit:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+                i += 1
+                if i == j:
+                    i = 0
+                    j += 1
+            elif bit:
+                raise Graph6Error("nonzero padding bits in graph6 body")
+            t += 1
+    return Graph(tuple(rows))
+
+
+def write_graph6_bitwise(G: Graph) -> str:
+    n = G.n
+    out = []
+    if n <= 62:
+        out.append(chr(63 + n))
+    else:
+        out.append("~")
+        out.append(chr(63 + ((n >> 12) & 63)))
+        out.append(chr(63 + ((n >> 6) & 63)))
+        out.append(chr(63 + (n & 63)))
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        row_j = G.rows[j]
+        for i in range(j):
+            acc = (acc << 1) | ((row_j >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)

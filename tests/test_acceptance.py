@@ -11,7 +11,6 @@ data/srg/ (or the directory WALKGI_SRG_DATA points at).
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -335,4 +334,4 @@ def test_criterion_6_format_fidelity(tmp_path):
         catalog_write(records, cat)
         assert catalog_read(cat, graphs) == records
         assert catalog_read(cat, {}) == [
-            replace(r, lc_profile_encoding=None, lc_walk_encoding=None) for r in records]
+            r._replace(lc_profile_encoding=None, lc_walk_encoding=None) for r in records]

@@ -57,6 +57,17 @@ def test_info_text_non_srg(tmp_path, capsys):
     assert "not SRG, det=0, m=3" in out_lines[1]  # path on three vertices
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_hashlib():
+    # -S: no site hooks, so the modules loaded are those the import needs
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, walkgi.cli; print(*sorted({'dataclasses', 'hashlib', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
 def test_info_records(tmp_path, capsys):
     f = write_g6(tmp_path, "pete.g6", petersen())
     assert main(["info", f, "--format", "records"]) == 0
@@ -66,7 +77,7 @@ def test_info_records(tmp_path, capsys):
     )
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="counts the forks of two workers")
+@pytest.mark.usefixtures("forking")
 def test_info_records_identical_with_one_and_two_workers(tmp_path, capsys, monkeypatch):
     forks = []
     fork = os.fork
@@ -143,6 +154,7 @@ def test_group_text(tmp_path, capsys):
     assert "timing:" in out
 
 
+@pytest.mark.usefixtures("forking")
 def test_group_records_deterministic_across_workers(tmp_path, capsys):
     rng = random.Random(83)
     graphs = [random_graph(rng, 7) for _ in range(8)]
@@ -484,7 +496,7 @@ def _die(G):
     os._exit(3)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the patched stage key reaches workers only by fork")
+@pytest.mark.usefixtures("forking")  # the patched stage key must run only in workers
 def test_group_reports_a_dead_worker_without_a_traceback(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(STAGE_KEYS, "lc-det-profile", _die)
     f = write_g6(tmp_path, "four.g6", cycle(5), path(5), star(4), complete(5))

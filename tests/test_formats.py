@@ -1,8 +1,6 @@
 import hashlib
 import random
 import shutil
-from dataclasses import replace
-from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -26,7 +24,7 @@ from walkgi import (
 )
 from walkgi.isotest import GROUP_STAGES
 from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
-from oracles import decode_lw2, lw1, random_graph
+from oracles import decode_lw2, lw1, parse_graph6_bitwise, random_graph, write_graph6_bitwise
 
 
 def lc_encodings(G):
@@ -38,7 +36,7 @@ def assert_roundtrip(cat, records):
     they were made from, and without them for no graphs."""
     assert catalog_read(cat, {rec.id: parse_graph6(rec.g6) for rec in records}) == records
     assert catalog_read(cat, {}) == [
-        replace(rec, lc_profile_encoding=None, lc_walk_encoding=None) for rec in records]
+        rec._replace(lc_profile_encoding=None, lc_walk_encoding=None) for rec in records]
 
 
 def nx_to_graph(nxg):
@@ -145,6 +143,43 @@ def test_rejects_nonzero_padding():
     # n=2 uses 1 of 6 body bits; set a padding bit: 'A' + chr(63 + 0b000001)
     with pytest.raises(Graph6Error, match="padding"):
         parse_graph6("A" + chr(63 + 1))
+
+
+def test_codec_equals_the_bitwise_reference_on_random_graphs():
+    # n <= 62 takes the 1-byte header, 63..70 the 4-byte one
+    rng = random.Random(74)
+    for n in range(1, 71):
+        for p in (0.0, 0.5, 1.0, rng.random()):
+            G = random_graph(rng, n, p)
+            text = write_graph6(G)
+            assert text == write_graph6_bitwise(G)
+            assert text.startswith("~") == (n > 62)
+            assert parse_graph6(text) == parse_graph6_bitwise(text) == G
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Graph6Error as exc:
+        return f"Graph6Error: {exc}"
+
+
+def test_parse_rejects_what_the_bitwise_reference_rejects_with_its_message():
+    long_63 = write_graph6(complete(63))  # 1953 bits: the last body character has 3 padding bits
+    malformed = [
+        "", "   ", ">>graph6<<", "!", "B" + chr(127), "Bw\u00e9", "A\ufffd", "Bw w",  # stray bytes
+        "?", "~??????", "~~", "~~?????@?", "~", "~?", "~??",  # headers
+        "B", "Bww", "~?@@", long_63[:-1], long_63 + "?", "~@??",  # body lengths
+        "A" + chr(63 + 1), "A" + chr(63 + 31), long_63[:-1] + chr(ord(long_63[-1]) + 1),  # padding
+        "~@?@", "~A??" + "?" * 5,  # over the vertex cap: n = 4097, n = 8192
+    ]
+    for text in malformed:
+        assert isinstance(_outcome(parse_graph6, text), str), text
+    rng = random.Random(75)
+    alphabet = "?@AB_w~}" + chr(62) + chr(127)
+    fuzzed = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))) for _ in range(3000)]
+    for text in malformed + [long_63] + fuzzed:
+        assert _outcome(parse_graph6, text) == _outcome(parse_graph6_bitwise, text), text
 
 
 def test_read_dataset(tmp_path):
@@ -260,29 +295,28 @@ def test_catalog_read_loads_blobs_only_for_the_same_graph(tmp_path):
 
 
 def test_catalog_write_hashes_shared_bytes_once(tmp_path, monkeypatch):
-    import walkgi.formats
-
     cat = tmp_path / "test.catalog"
     catalog_write([make_catalog_record(i, rook(4), lc_encodings(rook(4))) for i in "abc"], cat)
     records = catalog_read(cat, {i: rook(4) for i in "abc"})
     hashed = []
+    real_sha256 = hashlib.sha256
 
     def sha256(data):
         hashed.append(data)
-        return hashlib.sha256(data)
+        return real_sha256(data)
 
-    monkeypatch.setattr(walkgi.formats, "hashlib", SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(hashlib, "sha256", sha256)
     catalog_write(records, cat)
     assert len(hashed) == 2
     # bytes equal to a hashed encoding but not the same object are hashed too
     copy = bytes(bytearray(records[0].lc_profile_encoding))
-    catalog_write(records + [replace(records[0], id="d", lc_profile_encoding=copy)], cat)
+    catalog_write(records + [records[0]._replace(id="d", lc_profile_encoding=copy)], cat)
     assert len(hashed) == 5
 
 
 def test_catalog_write_rejects_encoding_that_fails_its_digest(tmp_path):
     rec = make_catalog_record("a", cycle(4), lc_encodings(cycle(4)))
-    bad = replace(rec, id="b", lc_profile_encoding=b"other")
+    bad = rec._replace(id="b", lc_profile_encoding=b"other")
     # also after a record with the same digest and the right bytes
     for records in ([bad], [rec, bad]):
         with pytest.raises(CatalogError, match="'b': digest does not match encoding"):
@@ -332,7 +366,7 @@ def test_catalog_reads_v1_without_its_lc_walk_digests(tmp_path):
     for rec in records:
         (tmp_path / "test.catalog.blobs" / rec.lc_walk_digest).write_bytes(b"garbage")
     read = catalog_read(cat, graphs)
-    assert read == [replace(rec, lc_walk_digest="-", lc_walk_encoding=None) for rec in records]
+    assert read == [rec._replace(lc_walk_digest="-", lc_walk_encoding=None) for rec in records]
     assert [rec.encodings() for rec in read] == [
         {"lc-det-profile": lc_encodings(G)["lc-det-profile"]} for G in graphs.values()]
 

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import signal
 import time
@@ -26,7 +28,7 @@ from walkgi import (
     walk_signature,
 )
 from walkgi.graph import _verify_certificate
-from walkgi.isotest import GROUP_STAGES, Pool
+from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -223,6 +225,19 @@ def test_partition_default_ids():
     assert set(report.ids) == {"0", "1"}
 
 
+def test_records_copy_and_pickle_by_value_and_refuse_assignment():
+    report = partition_group([rook(4), shrikhande(), rook(4)], ids=list("abc"))
+    values = [petersen(), Verdict(True, "determinant"), Verdict(False), lc_walk_signature(cycle(5)), report]
+    for value in values:
+        for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, type(value).__slots__[0], None)
+    # reports compare by ids and classes alone
+    assert PartitionReport(report.ids, report.coarse_classes, report.final_classes, (), ()) == report
+    assert petersen() != petersen().rows
+
+
 def test_partition_id_count_mismatch():
     with pytest.raises(ValueError):
         partition_group([complete(3)], ids=["a", "b"])
@@ -234,6 +249,7 @@ def test_partition_mixed_n_warns_and_separates():
     assert report.all_singletons()
 
 
+@pytest.mark.usefixtures("forking")
 def test_partition_worker_count_does_not_change_result():
     rng = random.Random(65)
     graphs = [random_graph(rng, 7) for _ in range(12)]
@@ -292,22 +308,6 @@ def _fail_at_5(x):
     if x == 5:
         raise KeyError(f"item {x}")
     return x
-
-
-@pytest.fixture
-def forking():
-    """Skip without ``os.fork``; fail, rather than hang, a map that never ends."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the pool maps serially without os.fork")
-
-    def expire(signum, frame):
-        raise TimeoutError("the map did not end within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.usefixtures("forking")
@@ -418,6 +418,59 @@ def test_pool_leaves_no_pipe_end_open_however_a_map_ends():
     assert _no_child_left()
 
 
+def test_pool_maps_cheap_items_in_process(monkeypatch):
+    # the whole map takes far less than FORK_AFTER_S, so nothing forks
+    forks = _count_forks(monkeypatch)
+    with Pool(2) as pool:
+        assert list(pool.map(_square, list(range(10)))) == [x * x for x in range(10)]
+    assert forks == []
+
+
+def test_pool_raises_an_exception_before_the_fork_at_its_index(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    with Pool(3) as pool:
+        results = pool.map(_fail_at_5, list(range(10)))
+        assert [next(results) for _ in range(5)] == [0, 1, 2, 3, 4]
+        with pytest.raises(KeyError, match="item 5"):
+            next(results)
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool maps serially without os.fork")
+@pytest.mark.parametrize("workers, count", [(2, 6), (3, 3), (2, 2)])
+def test_pool_forks_for_the_items_left_once_a_map_runs_past_fork_after_s(monkeypatch, workers, count):
+    # item 0 sleeps 0.5 s in this process, past FORK_AFTER_S, so the items
+    # after it go to min(workers, count - 1) children; one item left is
+    # computed here
+    monkeypatch.setattr("walkgi.isotest.FORK_AFTER_S", 0.25)
+    forks = _count_forks(monkeypatch)
+    with Pool(workers) as pool:
+        results = list(pool.map(_pid_after_slow_0, list(range(count))))
+    assert [x for x, _ in results] == list(range(count))
+    left = count - 1
+    assert len(forks) == (min(workers, left) if left > 1 else 0)
+    here = [x for x, pid in results if pid == os.getpid()]
+    assert here == ([0] if forks else list(range(count)))
+    assert _no_child_left()
+
+
+@pytest.mark.usefixtures("forking")
+def test_partition_of_singular_graphs_is_the_same_forked():
+    # rook(4), Shrikhande and 6-regular graphs swapped from rook(4), as in
+    # the catalog-reuse benchmark family: some are singular, so their
+    # lc-det profiles take lc_determinants' singular branch in the children
+    rng = random.Random(3)
+    graphs = [relabeled(G, random_permutation(rng, 16)) for G in (rook(4), shrikhande()) for _ in range(2)]
+    graphs += [edge_swapped(rook(4), 96, rng) for _ in range(16)]
+    assert sum(determinant(G) == 0 for G in graphs) >= 2
+    serial = partition_group(graphs, workers=1)
+    forked = partition_group(graphs, workers=2)
+    assert forked == serial
+    assert forked.encodings == serial.encodings
+    assert [row[:3] for row in forked.stages] == [row[:3] for row in serial.stages]
+
+
+@pytest.mark.usefixtures("forking")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_partition_keeps_one_bytes_object_per_distinct_encoding(workers):
     # equal encodings are one object, whichever process computed them, so a
