@@ -212,8 +212,8 @@ def cmd_group(args: argparse.Namespace) -> int:
         for members in report.multi_member_final():
             print(f"record=class kind=final size={len(members)} members=" + ",".join(members))
         print(f"timing: {_timing_text(report.stages)}, total {elapsed:.3f}s", file=sys.stderr)
-    print("stages: " + ", ".join(f"{name} computed={computed} cached={cached}"
-                                 for name, computed, cached, _ in report.stages), file=sys.stderr)
+    print("stages: " + ", ".join(f"{name} computed={computed} certified={certified} cached={cached}"
+                                 for name, computed, certified, cached, _ in report.stages), file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -222,7 +222,7 @@ def _hist_text(counts: dict[int, int]) -> str:
 
 
 def _timing_text(stages) -> str:
-    return ", ".join(f"{name} {seconds:.3f}s" for name, _, _, seconds in stages)
+    return ", ".join(f"{name} {seconds:.3f}s" for name, *_, seconds in stages)
 
 
 def cmd_lc(args: argparse.Namespace) -> int:

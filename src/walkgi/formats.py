@@ -12,9 +12,10 @@ determinant as decimal text, and sha256 digests of the encodings of the two
 stages of ``GROUP_STAGES``, in that order: a DP1 lc-det profile and an LW2
 lc-walk signature.  The catalog computes neither encoding itself: records
 carry the encodings ``partition_group`` used, so the lc-walk digest is "-"
-for a graph whose coarse class was a singleton.  The encodings themselves
-live in a sidecar blob directory keyed by hex digest, so equality checks can
-always fall back to full byte comparison.
+for a graph whose coarse class was a singleton or whose class was settled
+by certification.  The encodings themselves live in a sidecar blob
+directory keyed by hex digest, so equality checks can always fall back to
+full byte comparison.
 
 One reuse rule, in ``catalog_read``: a record is reused only for the graph it
 was computed from, that is when the caller's graph of the same id has the
@@ -36,7 +37,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import MAX_VERTICES, Graph, SrgParams, srg_parameters
+from .graph import MAX_VERTICES, Graph, SrgParams, _graph_of_valid_rows, srg_parameters
 from .isotest import GROUP_STAGES
 from .linalg import determinant
 
@@ -115,7 +116,9 @@ def parse_graph6(text: str) -> Graph:
     # (n-1, n-1) down to (0, 0): row n-1 first, each row's digits reversed
     text = format(int(lower[::-1], 2) | int(upper[::-1], 2), f"0{n * n}b")
     rows = [int(text[k:k + n], 2) for k in range(0, n * n, n)]
-    return Graph(tuple(reversed(rows)))
+    # the lower triangle and its transpose: symmetric and loop-free, and
+    # n digits a row, so the checks of Graph() would find nothing
+    return _graph_of_valid_rows(tuple(reversed(rows)))
 
 
 def write_graph6(G: Graph) -> str:

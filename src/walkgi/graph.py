@@ -13,8 +13,10 @@ operations, with no Python step per vertex pair.
 One individualisation-refinement search (McKay and Piperno, *Practical
 graph isomorphism II*, 2014), with no canonical form, looks for a vertex map
 from G onto a target graph H.  Ordered equitable refinement splits cells by
-neighbour counts.  G's first path individualises the first vertex of the
-first non-singleton cell until the partition is discrete.  H's tree is then
+neighbour counts.  The root is the refinement of one cell, or, given an
+invariant vertex colouring, of one cell per colour value in ascending
+order.  G's first path individualises the first vertex of the first
+non-singleton cell until the partition is discrete.  H's tree is then
 searched depth first, from given nodes: each node's children individualise,
 in turn, every vertex of the cell in the first path's target position, and
 a node is pruned when its cell sizes differ from the first path's at the
@@ -46,13 +48,17 @@ callers:
   there is one.  A found map is checked again, as a permutation whose rows
   ``is_isomorphism`` accepts, before it is returned; a failure raises
   ``CertificateError``.
-- ``copy_representatives`` searches each graph's tree from its root
-  against the first paths of the representatives found so far, with n
-  tokens for all of one graph's attempts, and stops searching once more
-  graphs have failed than have been certified.  A found map is checked
-  again as ``find_isomorphism`` checks it.  Running out only leaves a copy
-  as a representative of its own, so no two graphs are joined without a
-  verified certificate.
+- ``copy_representatives`` colours every graph by its K4 counts, the
+  triangles inside each vertex's neighbourhood.  It searches each graph's
+  tree from its root seeded by those colours against the first paths of
+  the representatives found so far with the same sorted colour profile,
+  with n tokens for all of one graph's attempts, and stops searching once
+  more graphs have been searched and failed than have been certified.  An
+  isomorphism preserves the colours, so it maps each colour cell onto the
+  cell of the same value, and the seeded search is as complete as the
+  plain one.  A found map is checked again as ``find_isomorphism`` checks
+  it.  Running out only leaves a copy as a representative of its own, so
+  no two graphs are joined without a verified certificate.
 """
 
 from __future__ import annotations
@@ -154,6 +160,14 @@ class Graph:
                 v = u + 1 + ((m & -m).bit_length() - 1)
                 yield (u, v)
                 m &= m - 1
+
+
+def _graph_of_valid_rows(rows: tuple[int, ...]) -> Graph:
+    """A Graph on ``rows`` without the checks of ``Graph()``, for a caller
+    whose rows are in range, loop-free and symmetric by construction."""
+    G = object.__new__(Graph)
+    object.__setattr__(G, "rows", rows)
+    return G
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -322,39 +336,61 @@ def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
     """For each graph, the index of the graph it is a certified copy of, or
     its own index when it is a representative.
 
-    The first ``known`` graphs are representatives.  Each later graph is
-    tried against the representatives in order, by the search of the module
-    docstring from its root, with n tokens shared across its attempts; a
-    graph that gets no certificate becomes a representative itself.  Its
-    root is refined once, a representative's first path only when a graph
-    with tokens left is tried against it, and no attempt starts once the
-    tokens are spent.  Once more graphs have failed than have been
-    certified, the rest stay representatives unsearched, so the failed
-    searches number at most one more than the certificates.  A map is taken
-    only once ``_verify_certificate`` has accepted it.  Running out of
-    tokens only leaves copies apart, never joins two graphs.
+    The first ``known`` graphs are representatives.  Each graph is coloured
+    by its K4 counts (``_k4_counts``) when it is first compared.  Each later
+    graph is tried against the representatives in order whose sorted colour
+    profile equals its own, by the search of the module docstring from its
+    root seeded with its colours, with n tokens shared across its attempts;
+    a graph that gets no certificate becomes a representative itself.  A
+    representative with another profile is skipped at no token: the profile
+    is an invariant, so no certificate exists.  A graph's root is refined
+    once, a representative's first path, from its seeded root, only when a
+    graph with tokens left is tried against it, and no attempt starts once
+    the tokens are spent.  Once more graphs have been searched and failed
+    than have been certified, the rest stay representatives unsearched, so
+    the failed searches number at most one more than the certificates.  A
+    map is taken only once ``_verify_certificate`` has accepted it.  Running
+    out of tokens only leaves copies apart, never joins two graphs.
+
+    Both trees are seeded with cells of one colour each, ordered by value,
+    so for equal profiles the cells pair up value by value with equal sizes,
+    and every isomorphism maps each of G's cells onto H's cell in the same
+    place: the shape check of ``_search`` stays sound.
     """
     representatives = list(range(known))
+    colours: dict[int, list[int]] = {}
+    profiles: dict[int, list[int]] = {}
     paths: dict[int, list[_PathNode]] = {}
     copies = list(range(len(graphs)))
     certified = failed = 0
+
+    def profile(i: int) -> list[int]:
+        if i not in profiles:
+            colours[i] = _k4_counts(graphs[i].rows)
+            profiles[i] = sorted(colours[i])
+        return profiles[i]
+
     for i in range(known, len(graphs)):
         if failed > certified:
             break
         H = graphs[i]
-        root, nodes = _root(H.rows), repeat(None, H.n)
+        root, nodes = None, repeat(None, H.n)
         for r in representatives:
             if not length_hint(nodes):
                 break
+            if profile(r) != profile(i):
+                continue
+            if root is None:
+                root = _root(H.rows, colours[i])
             if r not in paths:
-                paths[r] = _first_path(graphs[r].rows)
+                paths[r] = _first_path(graphs[r].rows, colours[r])
             if _certificate(graphs[r], paths[r], H, root, nodes) is not None:
                 copies[i] = r
                 break
         if copies[i] != i:
             certified += 1
         else:
-            failed += bool(representatives)
+            failed += root is not None
             representatives.append(i)
     return copies
 
@@ -384,10 +420,38 @@ def _verify_certificate(G: Graph, H: Graph, f: tuple[int, ...]) -> None:
 _PathNode = tuple[list[list[int]], list[int], int | None]
 
 
-def _root(rows: tuple[int, ...]) -> list[list[int]]:
-    """The root of the search tree: the equitable refinement of one cell."""
-    n = len(rows)
-    return _refine(rows, [list(range(n))], [(1 << n) - 1])
+def _root(rows: tuple[int, ...], colours: Sequence[int] | None = None) -> list[list[int]]:
+    """The root of the search tree: the equitable refinement of one cell per
+    colour value, in ascending order of value, with every cell a splitter;
+    without ``colours``, of one cell."""
+    if colours is None:
+        cells = [list(range(len(rows)))]
+    else:
+        by_value: dict[int, list[int]] = {}
+        for v, c in enumerate(colours):
+            by_value.setdefault(c, []).append(v)
+        cells = [by_value[c] for c in sorted(by_value)]
+    return _refine(rows, cells, [sum(map((1).__lshift__, cell)) for cell in cells])
+
+
+def _k4_counts(rows: tuple[int, ...]) -> list[int]:
+    """For each vertex u, the number of triangles inside N(u), that is of
+    the K4s through u: an isomorphism invariant colouring.  Each triangle
+    v < w < x of N(u) is counted once, at its least two vertices."""
+    counts = []
+    for row in rows:
+        total = 0
+        later = row
+        while later:
+            low = later & -later
+            later ^= low
+            common = rows[low.bit_length() - 1] & later  # the w > v of N(u) adjacent to v
+            while common:
+                low = common & -common
+                common ^= low
+                total += (rows[low.bit_length() - 1] & common).bit_count()
+        counts.append(total)
+    return counts
 
 
 def _child(rows: tuple[int, ...], cells: list[list[int]], t: int, x: int) -> list[list[int]]:
@@ -405,11 +469,12 @@ def _children(rows: tuple[int, ...], cells: list[list[int]], t: int, xs: Iterabl
     return (_child(rows, cells, t, x) for x, _ in zip(xs, nodes))
 
 
-def _first_path(rows: tuple[int, ...]) -> list[_PathNode]:
-    """The first path of the search tree, from the root down to a discrete
-    leaf: each node's child individualises the first vertex of its first
-    cell with more than one vertex."""
-    cells = _root(rows)
+def _first_path(rows: tuple[int, ...], colours: Sequence[int] | None = None) -> list[_PathNode]:
+    """The first path of the search tree, from the root that ``_root`` gives
+    for ``colours`` down to a discrete leaf: each node's child
+    individualises the first vertex of its first cell with more than one
+    vertex."""
+    cells = _root(rows, colours)
     path: list[_PathNode] = []
     while len(cells) < len(rows):
         t = next(i for i, cell in enumerate(cells) if len(cell) > 1)

@@ -23,8 +23,12 @@ Every stage after the first splits each class into certified copies before
 it computes anything (``graph.copy_representatives``, serially in this
 process): an encoding is an isomorphism invariant, so a member with a
 verified isomorphism from a representative takes the representative's
-bytes object and only representatives are computed.  Bytes are shared only
-on a certificate that passed re-verification, never on a hash match.
+bytes object and only representatives are computed.  A class that no
+member holds the stage's key for and that is left with one representative
+is *settled*: it is one isomorphism class, which no invariant can split, so
+it is carried unsplit through every later stage and nothing more is
+computed for it.  Bytes are shared, and classes settled, only on
+certificates that passed re-verification, never on a hash match.
 """
 
 from __future__ import annotations
@@ -135,14 +139,16 @@ class PartitionReport:
     encodings, in the class's place, so reports are deterministic.
 
     ``encodings`` holds, in ``ids`` order, a {stage name: encoding} dict per
-    graph: its cached encodings plus those the run computed.  A graph that
-    is a singleton after one stage gets no later key computed.  ``stages``
-    holds one (stage, computed, cached, seconds) row per stage, in
-    ``GROUP_STAGES`` order; the counts are over the graphs that stage ran on,
-    and ``computed`` counts the encodings the run added to them, whether
-    computed or taken from a certified copy's representative.  Reports are
-    equal, and hash alike, when their ids and classes are: ``encodings``
-    and ``stages`` are left out.
+    graph: its cached encodings plus those the run added.  A graph that is
+    a singleton after one stage, or a member of a settled class, gets no
+    later key.  ``stages`` holds one (stage, computed, certified, cached,
+    seconds) row per stage, in ``GROUP_STAGES`` order.  The counts split the
+    graphs that stage ran on: ``computed`` the encodings computed,
+    ``certified`` the copies that took a representative's bytes and the
+    members of the classes that settled at the stage, and ``cached`` the
+    graphs that already held the stage's key.  Reports are equal, and hash
+    alike, when their ids and classes are: ``encodings`` and ``stages`` are
+    left out.
     """
 
     __slots__ = ("ids", "coarse_classes", "final_classes", "encodings", "stages")
@@ -396,22 +402,29 @@ def partition_group(
 
     Each of ``GROUP_STAGES`` in turn splits every class by exact encoding
     bytes.  The first stage runs on every graph, as every catalog record
-    needs its key; each later one only on classes still holding more than
-    one graph.  ``invariant_cache`` optionally maps a graph id to precomputed
-    {stage name: encoding} bytes, e.g. from a catalog; each graph's dict
-    starts as a copy of its entry, and only what it lacks is computed.
+    needs its key; each later one only on the classes still holding more
+    than one graph that have not settled.  ``invariant_cache`` optionally
+    maps a graph id to precomputed {stage name: encoding} bytes, e.g. from
+    a catalog; each graph's dict starts as a copy of its entry, and only
+    what it lacks is computed.
 
     Each later stage first splits every class into certified copies with
     ``copy_representatives``: the members holding the stage's encoding
     are representatives first, and every other member is tried against the
-    representatives in order, with n search tokens for all its attempts.  A
-    certified member takes its representative's bytes object; the others
-    become representatives and are computed.
+    representatives in order, from roots seeded by K4 counts, with n search
+    tokens for all its attempts.  When no member holds the encoding and one
+    representative is left, every member holds a verified certificate onto
+    it, and the class settles: nothing is computed for it at this stage or
+    any later one, its members keep the keys they hold, and it is carried
+    into each later partition unsplit.  Otherwise a certified member takes
+    its representative's bytes object, and each representative that lacks
+    the encoding is computed.  So the coarse partition and every graph's
+    first key do not depend on certification, and neither does the final
+    partition: encodings are isomorphism invariants.
 
     The report gives back each graph's whole dict and a (stage, computed,
-    cached, seconds) row per stage, ``computed`` counting the encodings
-    added, walked or certified alike, so a caller can store exactly the
-    dicts that grew.  When ``workers`` > 1, each stage maps its graphs
+    certified, cached, seconds) row per stage, so a caller can store exactly
+    the dicts that grew.  When ``workers`` > 1, each stage maps its graphs
     through ``Pool.map``, which forks workers only once the stage's map has
     run for ``FORK_AFTER_S``; classes are split over sorted encodings, so
     the result does not depend on the worker count or on where an encoding
@@ -432,35 +445,48 @@ def partition_group(
     encodings = [dict(cache.get(i, ())) for i in ids]
     distinct: dict[bytes, bytes] = {}  # one object per computed encoding
     classes: list[list[int]] = [list(range(len(graphs)))]
+    settled: set[int] = set()  # the members of settled classes
     partitions, rows = [], []
     run: Sequence[int] = range(len(graphs))
     with Pool(workers) as pool:
         for stage in GROUP_STAGES:
             start = time.perf_counter()
-            missing = [i for i in run if stage not in encodings[i]]
             copies = {}  # member -> the representative whose bytes it takes
+            certified = 0
             if stage != GROUP_STAGES[0]:
                 for members in classes:
-                    if len(members) > 1:
+                    if len(members) > 1 and members[0] not in settled:
                         held = [i for i in members if stage in encodings[i]]
                         order = held + [i for i in members if stage not in encodings[i]]
                         reps = copy_representatives([graphs[i] for i in order], len(held))
+                        # every member certified onto the first: one isomorphism class.  A
+                        # class holding the key does not settle: its copies take the held
+                        # bytes at no cost, and their records gain the key
+                        if not held and max(reps) == 0:
+                            settled.update(members)
+                            certified += len(members)
+                            continue
                         copies.update((i, order[r]) for i, r in zip(order, reps) if order[r] != i)
-            pending = [i for i in missing if i not in copies]
+            pending = [i for i in run if stage not in encodings[i] and i not in settled and i not in copies]
             for i, key in zip(pending, pool.map(_stage_encoding, [(stage, graphs[i]) for i in pending])):
                 encodings[i][stage] = distinct.setdefault(key, key)
             for i, r in copies.items():
                 encodings[i][stage] = encodings[r][stage]
             split = []
             for members in classes:
+                if members[0] in settled:  # carried unsplit, whatever keys its members hold
+                    split.append(members)
+                    continue
                 sub = defaultdict(list)  # a singleton class may have no key at this stage
                 for i in members:
                     sub[encodings[i].get(stage)].append(i)
                 split += (sub[key] for key in sorted(sub))
             classes = split
             partitions.append(tuple(tuple(ids[i] for i in members) for members in classes))
-            rows.append((stage, len(missing), len(run) - len(missing), time.perf_counter() - start))
-            run = [i for members in classes if len(members) > 1 for i in members]
+            certified += len(copies)
+            cached = len(run) - len(pending) - certified
+            rows.append((stage, len(pending), certified, cached, time.perf_counter() - start))
+            run = [i for members in classes if len(members) > 1 and members[0] not in settled for i in members]
 
     return PartitionReport(
         ids=ids,

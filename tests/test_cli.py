@@ -279,19 +279,37 @@ def test_group_catalog_is_rewritten_only_when_a_record_grows(tmp_path, capsys):
     before = stamp()
     # a rerun that computes nothing leaves the file in place
     assert _stages(group(a)) == (
-        "stages: lc-det-profile computed=0 cached=1, lc-walk-signature computed=0 cached=0"
+        "stages: lc-det-profile computed=0 certified=0 cached=1,"
+        " lc-walk-signature computed=0 certified=0 cached=0"
     )
     assert stamp() == before
 
-    # a's record holds only its profile; once b makes it ambiguous, its
-    # lc-walk digest is added and the catalog rewritten
+    # b's record is new, so the catalog is rewritten; b is a's certified
+    # copy, so their class settles and neither gains an lc-walk digest
     group(a, b)
-    walk_digest = hashlib.sha256(lc_walk_signature(G).encode()).hexdigest()
-    assert _catalog_fields(cat)["a.g6:1"][5] == walk_digest
-    after = stamp()
-    assert after[0] != before[0]
+    assert [_catalog_fields(cat)[i][5] for i in ("a.g6:1", "b.g6:1")] == ["-", "-"]
+    settled = stamp()
+    assert settled[0] != before[0]
+    # the class settles again on a rerun, and no record grows
     assert _stages(group(a, b)) == (
-        "stages: lc-det-profile computed=0 cached=2, lc-walk-signature computed=0 cached=2"
+        "stages: lc-det-profile computed=0 certified=0 cached=2,"
+        " lc-walk-signature computed=0 certified=2 cached=0"
+    )
+    assert stamp() == settled
+
+    # without certificates both are walked: their lc-walk digests are added
+    # and the catalog rewritten, and a rerun with the digests cached leaves
+    # it in place
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("walkgi.graph._certificate", lambda *args: None)
+        group(a, b)
+    walk_digest = hashlib.sha256(lc_walk_signature(G).encode()).hexdigest()
+    assert [_catalog_fields(cat)[i][5] for i in ("a.g6:1", "b.g6:1")] == [walk_digest] * 2
+    after = stamp()
+    assert after[0] != settled[0]
+    assert _stages(group(a, b)) == (
+        "stages: lc-det-profile computed=0 certified=0 cached=2,"
+        " lc-walk-signature computed=0 certified=0 cached=2"
     )
     assert stamp() == after
 
@@ -317,7 +335,8 @@ def test_group_cold_catalog_skips_lc_walk_for_singletons(tmp_path, capsys):
     assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 0
     err = capsys.readouterr().err
     assert _stages(err) == (
-        "stages: lc-det-profile computed=2 cached=0, lc-walk-signature computed=0 cached=0"
+        "stages: lc-det-profile computed=2 certified=0 cached=0,"
+        " lc-walk-signature computed=0 certified=0 cached=0"
     )
     fields = _catalog_fields(cat)
     assert [fields[i][5] for i in ("srg16.g6:1", "srg16.g6:2")] == ["-", "-"]
@@ -325,7 +344,7 @@ def test_group_cold_catalog_skips_lc_walk_for_singletons(tmp_path, capsys):
     assert blobs == {fields[i][4] for i in ("srg16.g6:1", "srg16.g6:2")}
 
 
-def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys):
+def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys, monkeypatch):
     G = rook(4)
     a = write_g6(tmp_path, "a.g6", G)
     b = write_g6(tmp_path, "b.g6", relabeled(G, random_permutation(random.Random(84), 16)))
@@ -336,12 +355,24 @@ def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys):
 
     assert main(["group", a, b, "--workers", "1"]) == 0
     fresh = capsys.readouterr().out
+    # b is a's certified copy: their class settles, and a gains no lc-walk
+    assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
+    settled = capsys.readouterr()
+    assert _without_timing(settled.out) == _without_timing(fresh)
+    assert _stages(settled.err) == (
+        "stages: lc-det-profile computed=1 certified=0 cached=1,"
+        " lc-walk-signature computed=0 certified=2 cached=0"
+    )
+    assert [_catalog_fields(cat)[i][5] for i in ("a.g6:1", "b.g6:1")] == ["-", "-"]
+    # a class that does not settle walks the singleton's graph
+    monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
     assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
     cached = capsys.readouterr()
     assert _without_timing(cached.out) == _without_timing(fresh)
     assert "unresolved: a.g6:1, b.g6:1" in cached.out
     assert _stages(cached.err) == (
-        "stages: lc-det-profile computed=1 cached=1, lc-walk-signature computed=2 cached=0"
+        "stages: lc-det-profile computed=0 certified=0 cached=2,"
+        " lc-walk-signature computed=2 certified=0 cached=0"
     )
     walk_digest = hashlib.sha256(lc_walk_signature(G).encode()).hexdigest()
     fields = _catalog_fields(cat)
@@ -367,25 +398,38 @@ def test_group_catalog_copy_takes_a_cached_representatives_lc_walk(tmp_path, cap
     copies = [relabeled(G, random_permutation(rng, 16)) for _ in range(2)]
     files = [write_g6(tmp_path, name, H) for name, H in zip(("a.g6", "b.g6", "c.g6"), [G, *copies])]
     cat = tmp_path / "inv.catalog"
-    # one cached copy, a, whose class then gains b: a is walked, b takes its bytes
-    assert main(["group", files[0], "--catalog", str(cat), "--workers", "1"]) == 0
+    # a catalog whose record of a holds its lc-walk encoding
+    walk = lc_walk_signature(G).encode()
+    catalog_write([make_catalog_record("a.g6:1", G, dict(zip(GROUP_STAGES, (
+        lc_determinant_profile(G).encode(), walk))))], cat)
+    walk_digest = hashlib.sha256(walk).hexdigest()
+    # a's class gains b: it holds a key, so it does not settle, and b takes
+    # a's bytes with no walk
     assert main(["group", *files[:2], "--catalog", str(cat), "--workers", "1"]) == 0
-    assert walked == [G]
-    capsys.readouterr()
+    assert _stages(capsys.readouterr().err) == (
+        "stages: lc-det-profile computed=1 certified=0 cached=1,"
+        " lc-walk-signature computed=0 certified=1 cached=1"
+    )
+    assert _catalog_fields(cat)["b.g6:1"][5] == walk_digest
     # c joins a class whose members both hold cached bytes, and is not walked
     assert main(["group", *files, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
     cached = capsys.readouterr()
-    assert walked == [G]
+    assert walked == []
     assert _stages(cached.err) == (
-        "stages: lc-det-profile computed=1 cached=2, lc-walk-signature computed=1 cached=2"
+        "stages: lc-det-profile computed=1 certified=0 cached=2,"
+        " lc-walk-signature computed=0 certified=1 cached=2"
     )
+    assert [_catalog_fields(cat)[f"{name}.g6:1"][5] for name in "abc"] == [walk_digest] * 3
 
+    # a fresh catalog gets the same records but for the lc-walk digests: its
+    # class settles, so none is walked or stored
     fresh = tmp_path / "fresh.catalog"
     assert main(["group", *files, "--format", "records", "--catalog", str(fresh), "--workers", "1"]) == 0
     assert capsys.readouterr().out == cached.out
-    assert walked == [G, G]
-    assert fresh.read_text() == cat.read_text()
-    assert _blob_digests(fresh) == _blob_digests(cat)
+    assert walked == []
+    fresh_fields, fields = _catalog_fields(fresh), _catalog_fields(cat)
+    assert {i: row[:5] + ["-"] for i, row in fields.items()} == fresh_fields
+    assert set(_blob_digests(fresh)) == set(_blob_digests(cat)) - {walk_digest}
 
 
 def test_group_catalog_reads_only_reused_blobs(tmp_path, capsys):
@@ -432,7 +476,8 @@ def test_group_records_identical_with_and_without_catalog(tmp_path, capsys, work
     assert outputs[0].out == outputs[1].out == outputs[2].out
     assert "record=class kind=final size=2 members=mix.g6:1,mix.g6:3" in outputs[0].out
     assert _stages(outputs[2].err) == (
-        "stages: lc-det-profile computed=0 cached=3, lc-walk-signature computed=0 cached=2"
+        "stages: lc-det-profile computed=0 certified=0 cached=3,"
+        " lc-walk-signature computed=0 certified=2 cached=0"
     )
 
 
@@ -453,7 +498,8 @@ def test_group_reuses_full_records(tmp_path, capsys):
     cached = capsys.readouterr()
     assert _without_timing(cached.out) == _without_timing(fresh)
     assert _stages(cached.err) == (
-        "stages: lc-det-profile computed=0 cached=3, lc-walk-signature computed=0 cached=2"
+        "stages: lc-det-profile computed=0 certified=0 cached=3,"
+        " lc-walk-signature computed=0 certified=0 cached=2"
     )
     assert cat.read_bytes() == before
 
@@ -461,8 +507,9 @@ def test_group_reuses_full_records(tmp_path, capsys):
 @pytest.mark.parametrize("certify", [True, False])
 def test_group_never_compares_a_v1_catalogs_lc_walk_bytes(tmp_path, capsys, monkeypatch, certify):
     # a v1 catalog holds A's LW1 encoding; B, a relabelled copy of A, is
-    # walked as LW2 when no certificate makes it A's copy.  Reusing A's LW1
-    # bytes would put the pair in two final classes: a false Distinguished.
+    # walked as LW2 when no certificate makes it A's copy, and with one the
+    # class settles.  Reusing A's LW1 bytes would put the pair in two final
+    # classes: a false Distinguished.
     if not certify:
         monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
     G = triangular(8)
@@ -480,16 +527,68 @@ def test_group_never_compares_a_v1_catalogs_lc_walk_bytes(tmp_path, capsys, monk
     assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
     out, err = capsys.readouterr()
     assert "unresolved: a.g6:1, b.g6:1" in out
+    walks = (0, 2, 0) if certify else (2, 0, 0)
     assert _stages(err) == (
-        "stages: lc-det-profile computed=1 cached=1, lc-walk-signature computed=2 cached=0"
+        "stages: lc-det-profile computed=1 certified=0 cached=1,"
+        " lc-walk-signature computed={} certified={} cached={}".format(*walks)
     )
     assert cat.read_text().splitlines()[0] == CATALOG_HEADER
     lw2_digest = hashlib.sha256(lw2).hexdigest()
     fields = _catalog_fields(cat)
-    assert fields["a.g6:1"][5] == fields["b.g6:1"][5] == lw2_digest
+    assert fields["a.g6:1"][5] == fields["b.g6:1"][5] == ("-" if certify else lw2_digest)
     blobs = list((tmp_path / "inv.catalog.blobs").iterdir())
     assert v1_digest not in {p.name for p in blobs}
     assert not any(p.read_bytes().startswith(b"LW1") for p in blobs)
+
+
+# `group --format records` on rook(4), a relabelled copy, Shrikhande and
+# another copy, as the release before settled classes printed it
+_ROOK_COPIES_RECORDS = """\
+record=group graphs=4 coarse_classes=2 final_classes=2 all_singletons=false
+record=coarse-hist size=1 count=1
+record=coarse-hist size=3 count=1
+record=final-hist size=1 count=1
+record=final-hist size=3 count=1
+record=class kind=final size=3 members=d.g6:1,d.g6:2,d.g6:4
+"""
+
+
+@pytest.mark.parametrize("certify", [True, False])
+def test_group_adds_a_copy_to_a_catalog_that_holds_lc_walk_keys_for_copies(tmp_path, capsys, monkeypatch,
+                                                                           certify):
+    # a catalog as the release before settled classes wrote it: a and its
+    # certified copy b both hold the lc-walk key, the singleton Shrikhande
+    # none.  A new copy joins the class of a and b, which holds keys and so
+    # does not settle: the copy takes a's bytes, or is walked when no
+    # certificate is found, and nothing splits the class
+    if not certify:
+        monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
+    rng = random.Random(88)
+    G = rook(4)
+    graphs = [G, relabeled(G, random_permutation(rng, 16)), shrikhande(), relabeled(G, random_permutation(rng, 16))]
+    f = write_g6(tmp_path, "d.g6", *graphs)
+    walk = lc_walk_signature(G).encode()
+    cat = tmp_path / "inv.catalog"
+    records = []
+    for i, H in enumerate(graphs[:3], start=1):
+        encodings = {"lc-det-profile": lc_determinant_profile(H).encode()}
+        if H is not graphs[2]:
+            encodings["lc-walk-signature"] = walk
+        records.append(make_catalog_record(f"d.g6:{i}", H, encodings))
+    catalog_write(records, cat)
+    assert main(["group", f, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == _ROOK_COPIES_RECORDS
+    walks = (0, 1, 2) if certify else (1, 0, 2)
+    assert _stages(err) == (
+        "stages: lc-det-profile computed=1 certified=0 cached=3,"
+        " lc-walk-signature computed={} certified={} cached={}".format(*walks)
+    )
+    fields = _catalog_fields(cat)
+    walk_digest = hashlib.sha256(walk).hexdigest()
+    assert [fields[f"d.g6:{i}"][5] for i in range(1, 5)] == [walk_digest, walk_digest, "-", walk_digest]
+    assert main(["group", f, "--format", "records", "--workers", "1"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def _die(G):

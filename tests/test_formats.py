@@ -10,6 +10,7 @@ from walkgi import (
     CatalogError,
     CatalogRecord,
     DatasetError,
+    Graph,
     Graph6Error,
     SrgParams,
     build_graph,
@@ -155,6 +156,21 @@ def test_codec_equals_the_bitwise_reference_on_random_graphs():
             assert text == write_graph6_bitwise(G)
             assert text.startswith("~") == (n > 62)
             assert parse_graph6(text) == parse_graph6_bitwise(text) == G
+
+
+def test_parsed_rows_pass_full_graph_validation():
+    # parse_graph6 builds its Graph without the checks of Graph(): rows
+    # parsed from random graph6 texts, with the 1-byte header and the
+    # 4-byte one at n = 63 and 64, must pass them
+    rng = random.Random(76)
+    for n in [*range(1, 13), 31, 62, 63, 64]:
+        nbits = n * (n - 1) // 2
+        for _ in range(6):
+            bits = "".join(rng.choice("01") for _ in range(nbits)) + "0" * (-nbits % 6)
+            head = chr(63 + n) if n <= 62 else "~" + chr(63 + (n >> 12)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
+            body = "".join(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
+            G = parse_graph6(head + body)
+            assert Graph(G.rows) == G == parse_graph6_bitwise(head + body)
 
 
 def _outcome(parse, text):

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import permutations, repeat
+from itertools import combinations, permutations, repeat
 
 import pytest
 
@@ -16,7 +16,7 @@ from walkgi import (
     vertex_orbits,
 )
 import walkgi.graph as graph_module
-from walkgi.graph import _certificate, _first_path, _root, copy_representatives
+from walkgi.graph import _certificate, _first_path, _k4_counts, _root, copy_representatives
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -30,6 +30,7 @@ from fixture_graphs import (
     paley,
     path,
     petersen,
+    reduced_latin_squares,
     rook,
     shrikhande,
     star,
@@ -376,12 +377,69 @@ def test_copy_certificates_take_at_most_n_tokens():
 
 
 def test_copy_representatives_keep_copies_apart_when_the_budget_runs_out():
-    # n tokens do not certify every copy: this relabelled pair of a Chang
-    # graph needs more, so both stay representatives, though isomorphic
-    rng = random.Random(4)
-    A, B = (relabeled(chang_graphs()[0], random_permutation(rng, 28)) for _ in range(2))
+    # n tokens do not certify every copy: the graphs of these two reduced
+    # Latin squares of order 6 are isomorphic, but every vertex lies in 31
+    # K4s, so the seeded root is one cell, and the search needs more than
+    # 36 tokens; both stay representatives
+    squares = reduced_latin_squares(6)
+    A, B = latin_square_graph(squares[1]), latin_square_graph(squares[2])
+    assert set(_k4_counts(A.rows)) == set(_k4_counts(B.rows)) == {31}
     assert find_isomorphism(A, B) is not None
     assert copy_representatives([A, B], 1) == [0, 1]
+
+
+def test_k4_counts_match_counting_every_vertex_quadruple():
+    rng = random.Random(58)
+    for _ in range(40):
+        G = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.6, 0.9)))
+        expected = [sum(1 for v, w, x in combinations(G.neighbors(u), 3)
+                        if G.has_edge(v, w) and G.has_edge(v, x) and G.has_edge(w, x))
+                    for u in range(G.n)]
+        assert _k4_counts(G.rows) == expected
+    assert _k4_counts(complete(5).rows) == [4] * 5
+    assert set(_k4_counts(triangular(8).rows)) == {40}
+    assert set(_k4_counts(clebsch().rows)) == {0}
+
+
+def test_seeded_root_refines_the_colour_cells_in_order_of_value():
+    # one colour is the plain root; colours split it into cells by value
+    # before refinement, so relabelling both relabels the root
+    G = chang_graphs()[0]
+    colours = _k4_counts(G.rows)
+    assert _root(G.rows, [7] * G.n) == _root(G.rows)
+    root = _root(G.rows, colours)
+    values = [{colours[v] for v in cell} for cell in root]
+    assert all(len(value) == 1 for value in values)
+    assert [value.pop() for value in values] == sorted(colours[cell[0]] for cell in root)
+    perm = random_permutation(random.Random(59), G.n)
+    H = relabeled(G, perm)
+    assert [sorted(perm[v] for v in cell) for cell in root] == list(map(sorted, _root(H.rows, _k4_counts(H.rows))))
+
+
+def test_seeded_roots_certify_a_pair_that_the_plain_root_misses():
+    # this relabelled pair of a Chang graph needs more than n tokens from
+    # the plain root; its K4 counts take two values, and from roots seeded
+    # by them n tokens suffice
+    rng = random.Random(4)
+    A, B = (relabeled(chang_graphs()[0], random_permutation(rng, 28)) for _ in range(2))
+    assert _certificate(A, _first_path(A.rows), B, _root(B.rows), repeat(None, 28)) is None
+    colours = _k4_counts(A.rows), _k4_counts(B.rows)
+    assert len(set(colours[0])) > 1
+    f = _certificate(A, _first_path(A.rows, colours[0]), B, _root(B.rows, colours[1]), repeat(None, 28))
+    assert f is not None and is_isomorphism(A, B, f)
+    assert copy_representatives([A, B], 1) == [0, 0]
+
+
+def test_copy_representatives_skip_a_representative_with_another_k4_profile(monkeypatch):
+    # T(8) and a Chang graph share their parameters but not their K4
+    # profiles, so T(8) is never searched against the Chang graph, does
+    # not count as failed, and the Chang copy after it is still searched
+    chang = chang_graphs()[0]
+    copy = relabeled(chang, random_permutation(random.Random(60), 28))
+    assert sorted(_k4_counts(chang.rows)) != sorted(_k4_counts(triangular(8).rows))
+    searches = _counting(monkeypatch, "_search")
+    assert copy_representatives([chang, triangular(8), copy], 0) == [0, 1, 0]
+    assert [args[1] for args in searches] == [copy]
 
 
 def _z8_q8_copies():

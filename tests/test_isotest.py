@@ -20,6 +20,7 @@ from walkgi import (
     determinant,
     distinguish_pair,
     find_isomorphism,
+    is_isomorphism,
     lc_determinant_profile,
     lc_walk_signature,
     local_complement,
@@ -28,7 +29,7 @@ from walkgi import (
     walk_signature,
 )
 from walkgi.graph import _verify_certificate
-from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool
+from walkgi.isotest import GROUP_STAGES, STAGE_KEYS, PartitionReport, Pool
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -275,19 +276,21 @@ def test_partition_forks_workers_for_each_stage_with_items_to_hand_out(monkeypat
     rng = random.Random(67)
     graphs = [rook(4), shrikhande(), relabeled(rook(4), random_permutation(rng, 16))]
     report = partition_group(graphs, ids=list("abc"), workers=2)
-    assert dict((stage, computed) for stage, computed, _, _ in report.stages) == {
-        "lc-det-profile": 3, "lc-walk-signature": 2}
+    assert [row[:4] for row in report.stages] == [("lc-det-profile", 3, 0, 0), ("lc-walk-signature", 0, 2, 0)]
     assert report.final_classes == (("b",), ("a", "c"))
-    # two workers for the 3 profiles; c is a's certified copy, so a is the
-    # only walk, and it runs here
+    # two workers for the 3 profiles; c is a's certified copy, so their
+    # class settles and nothing is walked
     assert len(forks) == 2
     # a serial run, or a run with nothing to hand out, forks none
     partition_group(graphs, ids=list("abc"), workers=1)
     partition_group(graphs[:1], ids=["a"], workers=2)
     assert len(forks) == 2
-    # with a copy of b, the walks of a and b fork two workers of their own
+    # with a copy of b and no certificates, the walks of all four fork two
+    # workers of their own
     graphs.append(relabeled(shrikhande(), random_permutation(rng, 16)))
+    monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
     report = partition_group(graphs, ids=list("abcd"), workers=2)
+    assert [row[:4] for row in report.stages] == [("lc-det-profile", 4, 0, 0), ("lc-walk-signature", 4, 0, 0)]
     assert report.final_classes == (("b", "d"), ("a", "c"))
     assert len(forks) == 6
 
@@ -472,10 +475,12 @@ def test_partition_of_singular_graphs_is_the_same_forked():
 
 @pytest.mark.usefixtures("forking")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_partition_keeps_one_bytes_object_per_distinct_encoding(workers):
+def test_partition_keeps_one_bytes_object_per_distinct_encoding(monkeypatch, workers):
     # equal encodings are one object, whichever process computed them, so a
-    # family of relabelled copies holds each lc-walk encoding (T(8)'s is
-    # 1 MiB) once; the Chang graph is a coarse singleton beside them
+    # family of relabelled copies walked apart holds each lc-walk encoding
+    # (T(8)'s is 1 MiB) once; the Chang graph is a coarse singleton beside
+    # them.  With no certificates, the copies' class does not settle.
+    monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
     rng = random.Random(69)
     graphs = [relabeled(triangular(8), random_permutation(rng, 28)) for _ in range(2)]
     graphs.append(chang_graphs()[0])
@@ -504,18 +509,17 @@ def _copies_of_t8_and_chang():
             for G in (triangular(8), chang_graphs()[0]) for _ in range(3)]
 
 
-def test_partition_walks_each_certified_isomorphism_class_once(monkeypatch):
+def test_partition_walks_no_class_that_certification_settles(monkeypatch):
     walked = _count_walks(monkeypatch)
     graphs = _copies_of_t8_and_chang()
     report = partition_group(graphs, workers=1)
     assert sorted(report.final_classes) == [("0", "1", "2"), ("3", "4", "5")]
-    # the first member of each class is its representative
-    assert sorted(map(graphs.index, walked)) == [0, 3]
-    # the copies take the representative's bytes object, and count as computed
-    for first, copies in ((0, (1, 2)), (3, (4, 5))):
-        for i in copies:
-            assert report.encodings[i]["lc-walk-signature"] is report.encodings[first]["lc-walk-signature"]
-    assert [row[:3] for row in report.stages] == [("lc-det-profile", 6, 0), ("lc-walk-signature", 6, 0)]
+    # every copy is certified onto the first member of its class, so both
+    # classes settle: nothing is walked, no member gains an lc-walk
+    # encoding, and all six count as certified
+    assert walked == []
+    assert all(set(enc) == {"lc-det-profile"} for enc in report.encodings)
+    assert [row[:4] for row in report.stages] == [("lc-det-profile", 6, 0, 0), ("lc-walk-signature", 0, 6, 0)]
 
 
 def test_partition_without_certificates_walks_every_member_to_the_same_report(monkeypatch):
@@ -526,8 +530,11 @@ def test_partition_without_certificates_walks_every_member_to_the_same_report(mo
     plain = partition_group(graphs, workers=1)
     assert len(walked) == 6
     assert plain == certified
-    assert plain.encodings == certified.encodings
-    assert [row[:3] for row in plain.stages] == [row[:3] for row in certified.stages]
+    # the settled run holds no lc-walk keys; every key held in both is equal
+    for walked_keys, certified_keys in zip(plain.encodings, certified.encodings):
+        assert walked_keys.keys() >= certified_keys.keys()
+        assert all(walked_keys[stage] == certified_keys[stage] for stage in certified_keys)
+    assert [row[:4] for row in plain.stages] == [("lc-det-profile", 6, 0, 0), ("lc-walk-signature", 6, 0, 0)]
 
 
 def test_partition_uses_invariant_cache():
@@ -538,28 +545,85 @@ def test_partition_uses_invariant_cache():
             "lc-walk-signature": lc_walk_signature(G).encode()}
         for i, G in zip(ids, graphs)
     }
-    # a run with no cache computes no lc-walk key for the singleton b
-    computed = (full["a"], {"lc-det-profile": full["b"]["lc-det-profile"]}, full["c"])
-    # a holds only its profile, c nothing, and the singleton b an lc-walk
-    # encoding the run does not need, which is not counted as cached
-    partial = {"a": {"lc-det-profile": full["a"]["lc-det-profile"]}, "b": full["b"]}
+    profiles = tuple({"lc-det-profile": full[i]["lc-det-profile"]} for i in ids)
+    # a run with no cache computes no lc-walk key: b is a singleton, and c
+    # is a's certified copy, so their class settles
     plain = partition_group(graphs, ids=ids)
-    assert [row[:3] for row in plain.stages] == [("lc-det-profile", 3, 0), ("lc-walk-signature", 2, 0)]
-    assert all(row[3] >= 0 for row in plain.stages)
-    assert plain.encodings == computed
-    for cache, counts in (
-        (full, [("lc-det-profile", 0, 3), ("lc-walk-signature", 0, 2)]),
-        (partial, [("lc-det-profile", 1, 2), ("lc-walk-signature", 2, 0)]),
+    assert [row[:4] for row in plain.stages] == [("lc-det-profile", 3, 0, 0), ("lc-walk-signature", 0, 2, 0)]
+    assert all(row[4] >= 0 for row in plain.stages)
+    assert plain.encodings == profiles
+    # a holds only its profile, c nothing, and the singleton b an lc-walk
+    # encoding the run does not need, which is not counted as cached; the
+    # class of a and c holds no lc-walk key, so it settles
+    partial = {"a": profiles[0], "b": full["b"]}
+    # a holds both keys: the class does not settle, and c takes a's bytes
+    held = {"a": full["a"]}
+    for cache, counts, encodings in (
+        (full, [("lc-det-profile", 0, 0, 3), ("lc-walk-signature", 0, 0, 2)], (full["a"], full["b"], full["c"])),
+        (partial, [("lc-det-profile", 1, 0, 2), ("lc-walk-signature", 0, 2, 0)], (profiles[0], full["b"], profiles[2])),
+        (held, [("lc-det-profile", 2, 0, 1), ("lc-walk-signature", 0, 1, 1)], (full["a"], profiles[1], full["c"])),
     ):
         cached = partition_group(graphs, ids=ids, invariant_cache=cache)
         assert plain.coarse_classes == cached.coarse_classes
         assert plain.final_classes == cached.final_classes
         assert cached.final_classes == (("b",), ("a", "c"))
-        assert [row[:3] for row in cached.stages] == counts
-        # each graph's dict is its cache entry plus what the run computed
-        assert cached.encodings == (full["a"], full["b"], full["c"])
+        assert [row[:4] for row in cached.stages] == counts
+        # each graph's dict is its cache entry plus what the run added
+        assert cached.encodings == encodings
+    assert cached.encodings[2]["lc-walk-signature"] is full["a"]["lc-walk-signature"]
     # the cache's own dicts are copied, never filled in
     assert partial["a"] == {"lc-det-profile": full["a"]["lc-det-profile"]}
+
+
+def _z8_q8_copies():
+    rng = random.Random(8)
+    tables = order_8_group_tables()
+    z8, q8 = latin_square_graph(tables["Z8"]), latin_square_graph(tables["Q8"])
+    return [z8, relabeled(z8, random_permutation(rng, 64)), q8, relabeled(q8, random_permutation(rng, 64))]
+
+
+def test_partition_settles_no_class_with_two_representatives(monkeypatch):
+    # Z8 and Q8 share their lc-det profile but are not isomorphic: no search
+    # certifies Q8 onto Z8, so their class keeps two representatives or
+    # more, does not settle, and splits at lc-walk-signature
+    walked = _count_walks(monkeypatch)
+    graphs = _z8_q8_copies()
+    report = partition_group(graphs, ids=["Z8", "Z8'", "Q8", "Q8'"])
+    assert report.coarse_classes == (("Z8", "Z8'", "Q8", "Q8'"),)
+    assert sorted(report.final_classes) == [("Q8", "Q8'"), ("Z8", "Z8'")]
+    assert any(G is graphs[0] for G in walked) and any(G is graphs[2] for G in walked)
+    (stage, computed, certified, cached, _), = report.stages[1:]
+    assert (stage, computed + certified, cached) == ("lc-walk-signature", 4, 0)
+    assert computed == len(walked) >= 2
+    assert all("lc-walk-signature" in enc for enc in report.encodings)
+
+
+def test_partition_settles_only_on_verified_certificates(monkeypatch):
+    # a search that returns a map which is no isomorphism raises
+    # CertificateError instead of settling the class
+    rng = random.Random(73)
+    graphs = [rook(4), relabeled(rook(4), random_permutation(rng, 16))]
+    assert not is_isomorphism(graphs[0], graphs[1], list(range(16)))
+    monkeypatch.setattr("walkgi.graph._search", lambda G, *args: list(range(G.n)))
+    with pytest.raises(CertificateError):
+        partition_group(graphs)
+
+
+def test_partition_carries_a_settled_class_unsplit_through_later_stages(monkeypatch):
+    # with a third stage, a class settled at lc-walk-signature computes
+    # nothing more, and stays one class though only one member holds the
+    # third stage's key
+    monkeypatch.setattr("walkgi.isotest.GROUP_STAGES", (*GROUP_STAGES, "walk-signature"))
+    walks = []
+    monkeypatch.setitem(STAGE_KEYS, "walk-signature", lambda G: walks.append(G) or walk_signature(G))
+    rng = random.Random(74)
+    graphs = [rook(4), relabeled(rook(4), random_permutation(rng, 16)), shrikhande()]
+    cache = {"0": {"walk-signature": b"not the encoding of any graph"}}
+    report = partition_group(graphs, invariant_cache=cache)
+    assert sorted(report.final_classes) == [("0", "1"), ("2",)]
+    assert walks == []
+    assert [row[:4] for row in report.stages] == [
+        ("lc-det-profile", 3, 0, 0), ("lc-walk-signature", 0, 2, 0), ("walk-signature", 0, 0, 0)]
 
 
 def test_pair_and_group_read_one_stage_table():
