@@ -416,7 +416,9 @@ def partition_group(
     representative is left, every member holds a verified certificate onto
     it, and the class settles: nothing is computed for it at this stage or
     any later one, its members keep the keys they hold, and it is carried
-    into each later partition unsplit.  Otherwise a certified member takes
+    into each later partition unsplit.  (With ``GROUP_STAGES`` as it is,
+    only its last stage settles a class, so the carrying matters only for
+    a stage added after it.)  Otherwise a certified member takes
     its representative's bytes object, and each representative that lacks
     the encoding is computed.  So the coarse partition and every graph's
     first key do not depend on certification, and neither does the final
@@ -445,7 +447,10 @@ def partition_group(
     encodings = [dict(cache.get(i, ())) for i in ids]
     distinct: dict[bytes, bytes] = {}  # one object per computed encoding
     classes: list[list[int]] = [list(range(len(graphs)))]
-    settled: set[int] = set()  # the members of settled classes
+    # the members of settled classes.  Only the last of today's two stages
+    # settles, so the checks against this set that carry a settled class
+    # through matter only once a later stage is added
+    settled: set[int] = set()
     partitions, rows = [], []
     run: Sequence[int] = range(len(graphs))
     with Pool(workers) as pool:
