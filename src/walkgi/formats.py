@@ -6,26 +6,25 @@ characters, wrong body lengths, and nonzero padding bits, and writing always
 round-trips.  Size headers cover 1 and 4 byte forms (n <= 4096); the 8-byte
 huge-graph header is rejected.
 
-The catalog is a flat TSV file (header line "walkgi-catalog v2") holding one
-record per graph: its graph6 text, strong-regularity parameters, exact
-determinant as decimal text, and sha256 digests of the encodings of the two
-stages of ``GROUP_STAGES``, in that order: a DP1 lc-det profile and an LW2
-lc-walk signature.  The catalog computes neither encoding itself: records
-carry the encodings ``partition_group`` used, so the lc-walk digest is "-"
-for a graph whose coarse class was a singleton or whose class was settled
-by certification.  The encodings themselves live in a sidecar blob
-directory keyed by hex digest, so equality checks can always fall back to
-full byte comparison.
+The catalog is a flat TSV file (header line "walkgi-catalog v3") holding one
+record per graph: its id, its graph6 text, and sha256 digests of the
+encodings of the two stages of ``GROUP_STAGES``, in that order: a DP1 lc-det
+profile and an LW2 lc-walk signature.  It holds only what ``group`` reuses;
+``walkgi info`` gives a graph's determinant and SRG parameters.  The catalog
+computes neither encoding itself: records carry the encodings
+``partition_group`` used, so the lc-walk digest is "-" for a graph whose
+coarse class was a singleton or whose class was settled by certification.
+The encodings themselves live in a sidecar blob directory keyed by hex
+digest, so equality checks can always fall back to full byte comparison.
 
 One reuse rule, in ``catalog_read``: a record is reused only for the graph it
 was computed from, that is when the caller's graph of the same id has the
 same graph6 text.  Only such records get their blobs, each distinct digest
 read and verified once; every other record comes back without encodings,
-and its blobs are never read.  A v1 file is read too: it has the same
-columns, but its lc-walk digests name LW1 encodings, which must never meet
-LW2 bytes in one class, so they come back as "-" and their blobs are
-neither read nor written back.  Every blob and then the TSV is written to a
-temp file and renamed into place, so an interrupted write leaves the
+and its blobs are never read.  A file with any other header, v1 and v2
+included, is rejected with a message to remove it and its blob directory,
+so that the next run rebuilds both.  Every blob and then the TSV is written
+to a temp file and renamed into place, so an interrupted write leaves the
 previous catalog readable; digest fields are validated before they name a
 file.  Once the new TSV is in place, blobs it no longer names are removed.
 """
@@ -37,14 +36,11 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import MAX_VERTICES, Graph, SrgParams, _graph_of_valid_rows, srg_parameters
+from .graph import MAX_VERTICES, Graph, _graph_of_valid_rows
 from .isotest import GROUP_STAGES
-from .linalg import determinant
 
 GRAPH6_HEADER_TOKEN = ">>graph6<<"
-CATALOG_HEADER = "walkgi-catalog v2"
-# same columns; its lc-walk digests name LW1 encodings, which are dropped
-_CATALOG_HEADER_V1 = "walkgi-catalog v1"
+CATALOG_HEADER = "walkgi-catalog v3"
 NO_DIGEST = "-"
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 # a graph6 character, "?" (63) to "~" (126), as its six bits, most
@@ -183,8 +179,6 @@ class CatalogRecord(NamedTuple):
 
     id: str
     g6: str
-    params: SrgParams | None
-    det: int
     lc_profile_digest: str
     lc_walk_digest: str
     lc_profile_encoding: bytes | None = None
@@ -215,8 +209,6 @@ def make_catalog_record(record_id: str, G: Graph, encodings: Mapping[str, bytes]
     return CatalogRecord(
         id=record_id,
         g6=write_graph6(G),
-        params=srg_parameters(G),
-        det=determinant(G),
         lc_profile_digest=_digest(profile),
         lc_walk_digest=_digest(walk),
         lc_profile_encoding=profile,
@@ -226,25 +218,6 @@ def make_catalog_record(record_id: str, G: Graph, encodings: Mapping[str, bytes]
 
 def blob_dir(path: str | os.PathLike) -> Path:
     return Path(f"{os.fspath(path)}.blobs")
-
-
-def _params_text(params: SrgParams | None) -> str:
-    if params is None:
-        return "-"
-    return f"{params.n},{params.d},{params.alpha},{params.beta}"
-
-
-def _parse_params(text: str, where: str) -> SrgParams | None:
-    if text == "-":
-        return None
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise CatalogError(f"{where}: bad params field {text!r}")
-    try:
-        n, d, alpha, beta = (int(p) for p in parts)
-    except ValueError as exc:
-        raise CatalogError(f"{where}: bad params field {text!r}") from exc
-    return SrgParams(n, d, alpha, beta)
 
 
 def _replace_file(target: Path, data: bytes) -> None:
@@ -271,18 +244,7 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
         for field_value in (rec.id, rec.g6):
             if "\t" in field_value or "\n" in field_value:
                 raise CatalogError(f"field {field_value!r} contains tab/newline")
-        lines.append(
-            "\t".join(
-                (
-                    rec.id,
-                    rec.g6,
-                    _params_text(rec.params),
-                    str(rec.det),
-                    rec.lc_profile_digest,
-                    rec.lc_walk_digest,
-                )
-            )
-        )
+        lines.append("\t".join((rec.id, rec.g6, rec.lc_profile_digest, rec.lc_walk_digest)))
     blobs = blob_dir(path)
     pending: dict[str, bytes] = {}
     for rec in records:
@@ -314,16 +276,16 @@ def catalog_read(path: str | os.PathLike, graphs: Mapping[str, Graph]) -> list[C
     ``graphs`` with the same graph6 text comes back with the verified blobs
     its digests name, None for a missing blob or the digest "-"; each
     distinct digest is read once.  Every other record comes back without
-    encodings, and its blobs are never read.  A v1 record's lc-walk digest
-    comes back as "-", so its LW1 blob is neither read nor kept."""
+    encodings, and its blobs are never read.  A file headed other than
+    ``CATALOG_HEADER`` is rejected, its blobs unread."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
-    if not lines or lines[0] not in (CATALOG_HEADER, _CATALOG_HEADER_V1):
-        found = lines[0] if lines else "<empty file>"
-        raise CatalogError(f"unsupported catalog version: {found!r}")
-    v1 = lines[0] == _CATALOG_HEADER_V1
     blobs = blob_dir(path)
+    if not lines or lines[0] != CATALOG_HEADER:
+        found = lines[0] if lines else "<empty file>"
+        raise CatalogError(f"{path}: unsupported catalog version {found!r}, expected "
+                           f"{CATALOG_HEADER!r}; remove {path} and {blobs}/ to rebuild both")
     loaded: dict[str, bytes | None] = {NO_DIGEST: None}
 
     def blob(digest: str) -> bytes | None:
@@ -340,35 +302,17 @@ def catalog_read(path: str | os.PathLike, graphs: Mapping[str, Graph]) -> list[C
         if not line:
             continue
         fields = line.split("\t")
-        if len(fields) != 6:
-            raise CatalogError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-        rec_id, g6, params_text, det_text, profile_digest, walk_digest = fields
+        if len(fields) != 4:
+            raise CatalogError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+        rec_id, g6, profile_digest, walk_digest = fields
         where = f"{path}:{lineno}"
-        try:
-            det = int(det_text)
-        except ValueError as exc:
-            raise CatalogError(f"{where}: bad determinant field {det_text!r}") from exc
-        params = _parse_params(params_text, where)
         # digests name files under the blob directory: nothing else may pass
         if not _DIGEST.fullmatch(profile_digest):
             raise CatalogError(f"{where}: bad lc-profile digest {profile_digest!r}")
         if not (walk_digest == NO_DIGEST or _DIGEST.fullmatch(walk_digest)):
             raise CatalogError(f"{where}: bad lc-walk digest {walk_digest!r}")
-        if v1:
-            walk_digest = NO_DIGEST
         profile = walk = None
         if rec_id in graphs and write_graph6(graphs[rec_id]) == g6:
             profile, walk = blob(profile_digest), blob(walk_digest)
-        records.append(
-            CatalogRecord(
-                id=rec_id,
-                g6=g6,
-                params=params,
-                det=det,
-                lc_profile_digest=profile_digest,
-                lc_walk_digest=walk_digest,
-                lc_profile_encoding=profile,
-                lc_walk_encoding=walk,
-            )
-        )
+        records.append(CatalogRecord(rec_id, g6, profile_digest, walk_digest, profile, walk))
     return records

@@ -26,9 +26,9 @@ verified isomorphism from a representative takes the representative's
 bytes object and only representatives are computed.  A class that no
 member holds the stage's key for and that is left with one representative
 is *settled*: it is one isomorphism class, which no invariant can split, so
-it is carried unsplit through every later stage and nothing more is
-computed for it.  Bytes are shared, and classes settled, only on
-certificates that passed re-verification, never on a hash match.
+nothing is computed for it at that stage and it stays one class.  Bytes are
+shared, and classes settled, only on certificates that passed
+re-verification, never on a hash match.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class PartitionReport:
     coarse_classes: tuple[tuple[str, ...], ...]
     final_classes: tuple[tuple[str, ...], ...]
     encodings: tuple[dict[str, bytes], ...]
-    stages: tuple[tuple[str, int, int, float], ...]
+    stages: tuple[tuple[str, int, int, int, float], ...]
 
     def __init__(self, ids, coarse_classes, final_classes, encodings, stages) -> None:
         for name, value in zip(self.__slots__, (ids, coarse_classes, final_classes, encodings, stages)):
@@ -403,10 +403,10 @@ def partition_group(
     Each of ``GROUP_STAGES`` in turn splits every class by exact encoding
     bytes.  The first stage runs on every graph, as every catalog record
     needs its key; each later one only on the classes still holding more
-    than one graph that have not settled.  ``invariant_cache`` optionally
-    maps a graph id to precomputed {stage name: encoding} bytes, e.g. from
-    a catalog; each graph's dict starts as a copy of its entry, and only
-    what it lacks is computed.
+    than one graph.  ``invariant_cache`` optionally maps a graph id to
+    precomputed {stage name: encoding} bytes, e.g. from a catalog; each
+    graph's dict starts as a copy of its entry, and only what it lacks is
+    computed.
 
     Each later stage first splits every class into certified copies with
     ``copy_representatives``: the members holding the stage's encoding
@@ -414,15 +414,13 @@ def partition_group(
     representatives in order, from roots seeded by K4 counts, with n search
     tokens for all its attempts.  When no member holds the encoding and one
     representative is left, every member holds a verified certificate onto
-    it, and the class settles: nothing is computed for it at this stage or
-    any later one, its members keep the keys they hold, and it is carried
-    into each later partition unsplit.  (With ``GROUP_STAGES`` as it is,
-    only its last stage settles a class, so the carrying matters only for
-    a stage added after it.)  Otherwise a certified member takes
-    its representative's bytes object, and each representative that lacks
-    the encoding is computed.  So the coarse partition and every graph's
-    first key do not depend on certification, and neither does the final
-    partition: encodings are isomorphism invariants.
+    it, and the class settles: nothing is computed for it at this stage,
+    and its members, none of which holds the stage's key, stay one class.
+    Otherwise a certified member takes its representative's bytes object,
+    and each representative that lacks the encoding is computed.  So the
+    coarse partition and every graph's first key do not depend on
+    certification, and neither does the final partition: encodings are
+    isomorphism invariants.
 
     The report gives back each graph's whole dict and a (stage, computed,
     certified, cached, seconds) row per stage, so a caller can store exactly
@@ -447,10 +445,7 @@ def partition_group(
     encodings = [dict(cache.get(i, ())) for i in ids]
     distinct: dict[bytes, bytes] = {}  # one object per computed encoding
     classes: list[list[int]] = [list(range(len(graphs)))]
-    # the members of settled classes.  Only the last of today's two stages
-    # settles, so the checks against this set that carry a settled class
-    # through matter only once a later stage is added
-    settled: set[int] = set()
+    settled: set[int] = set()  # the members of settled classes
     partitions, rows = [], []
     run: Sequence[int] = range(len(graphs))
     with Pool(workers) as pool:
@@ -460,7 +455,7 @@ def partition_group(
             certified = 0
             if stage != GROUP_STAGES[0]:
                 for members in classes:
-                    if len(members) > 1 and members[0] not in settled:
+                    if len(members) > 1:
                         held = [i for i in members if stage in encodings[i]]
                         order = held + [i for i in members if stage not in encodings[i]]
                         reps = copy_representatives([graphs[i] for i in order], len(held))
@@ -479,9 +474,6 @@ def partition_group(
                 encodings[i][stage] = encodings[r][stage]
             split = []
             for members in classes:
-                if members[0] in settled:  # carried unsplit, whatever keys its members hold
-                    split.append(members)
-                    continue
                 sub = defaultdict(list)  # a singleton class may have no key at this stage
                 for i in members:
                     sub[encodings[i].get(stage)].append(i)
@@ -491,7 +483,7 @@ def partition_group(
             certified += len(copies)
             cached = len(run) - len(pending) - certified
             rows.append((stage, len(pending), certified, cached, time.perf_counter() - start))
-            run = [i for members in classes if len(members) > 1 and members[0] not in settled for i in members]
+            run = [i for members in classes if len(members) > 1 for i in members]
 
     return PartitionReport(
         ids=ids,

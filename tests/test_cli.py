@@ -16,6 +16,7 @@ from walkgi import (
     make_catalog_record,
     write_graph6,
 )
+from walkgi import linalg
 from walkgi.cli import main
 from walkgi.isotest import GROUP_STAGES, STAGE_KEYS
 from fixture_graphs import (
@@ -29,9 +30,8 @@ from fixture_graphs import (
     rook,
     shrikhande,
     star,
-    triangular,
 )
-from oracles import count_walks, decode_lw2, lw1, random_graph, random_permutation, relabeled
+from oracles import count_walks, random_graph, random_permutation, relabeled
 
 
 def write_g6(dirpath, name, *graphs):
@@ -275,7 +275,7 @@ def test_group_catalog_is_rewritten_only_when_a_record_grows(tmp_path, capsys):
         return st.st_ino, st.st_mtime_ns
 
     group(a)
-    assert _catalog_fields(cat)["a.g6:1"][5] == "-"
+    assert _catalog_fields(cat)["a.g6:1"][3] == "-"
     before = stamp()
     # a rerun that computes nothing leaves the file in place
     assert _stages(group(a)) == (
@@ -287,7 +287,7 @@ def test_group_catalog_is_rewritten_only_when_a_record_grows(tmp_path, capsys):
     # b's record is new, so the catalog is rewritten; b is a's certified
     # copy, so their class settles and neither gains an lc-walk digest
     group(a, b)
-    assert [_catalog_fields(cat)[i][5] for i in ("a.g6:1", "b.g6:1")] == ["-", "-"]
+    assert [_catalog_fields(cat)[i][3] for i in ("a.g6:1", "b.g6:1")] == ["-", "-"]
     settled = stamp()
     assert settled[0] != before[0]
     # the class settles again on a rerun, and no record grows
@@ -304,7 +304,7 @@ def test_group_catalog_is_rewritten_only_when_a_record_grows(tmp_path, capsys):
         patch.setattr("walkgi.graph._certificate", lambda *args: None)
         group(a, b)
     walk_digest = hashlib.sha256(lc_walk_signature(G).encode()).hexdigest()
-    assert [_catalog_fields(cat)[i][5] for i in ("a.g6:1", "b.g6:1")] == [walk_digest] * 2
+    assert [_catalog_fields(cat)[i][3] for i in ("a.g6:1", "b.g6:1")] == [walk_digest] * 2
     after = stamp()
     assert after[0] != settled[0]
     assert _stages(group(a, b)) == (
@@ -339,9 +339,9 @@ def test_group_cold_catalog_skips_lc_walk_for_singletons(tmp_path, capsys):
         " lc-walk-signature computed=0 certified=0 cached=0"
     )
     fields = _catalog_fields(cat)
-    assert [fields[i][5] for i in ("srg16.g6:1", "srg16.g6:2")] == ["-", "-"]
+    assert [fields[i][3] for i in ("srg16.g6:1", "srg16.g6:2")] == ["-", "-"]
     blobs = {p.name for p in (tmp_path / "inv.catalog.blobs").iterdir()}
-    assert blobs == {fields[i][4] for i in ("srg16.g6:1", "srg16.g6:2")}
+    assert blobs == {fields[i][2] for i in ("srg16.g6:1", "srg16.g6:2")}
 
 
 def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys, monkeypatch):
@@ -351,7 +351,7 @@ def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys, monkeypatch):
     cat = tmp_path / "inv.catalog"
     assert main(["group", a, "--catalog", str(cat), "--workers", "1"]) == 0
     capsys.readouterr()
-    assert _catalog_fields(cat)["a.g6:1"][5] == "-"
+    assert _catalog_fields(cat)["a.g6:1"][3] == "-"
 
     assert main(["group", a, b, "--workers", "1"]) == 0
     fresh = capsys.readouterr().out
@@ -363,7 +363,7 @@ def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys, monkeypatch):
         "stages: lc-det-profile computed=1 certified=0 cached=1,"
         " lc-walk-signature computed=0 certified=2 cached=0"
     )
-    assert [_catalog_fields(cat)[i][5] for i in ("a.g6:1", "b.g6:1")] == ["-", "-"]
+    assert [_catalog_fields(cat)[i][3] for i in ("a.g6:1", "b.g6:1")] == ["-", "-"]
     # a class that does not settle walks the singleton's graph
     monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
     assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
@@ -376,7 +376,7 @@ def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys, monkeypatch):
     )
     walk_digest = hashlib.sha256(lc_walk_signature(G).encode()).hexdigest()
     fields = _catalog_fields(cat)
-    assert fields["a.g6:1"][5] == fields["b.g6:1"][5] == walk_digest
+    assert fields["a.g6:1"][3] == fields["b.g6:1"][3] == walk_digest
     assert (tmp_path / "inv.catalog.blobs" / walk_digest).is_file()
 
 
@@ -410,7 +410,7 @@ def test_group_catalog_copy_takes_a_cached_representatives_lc_walk(tmp_path, cap
         "stages: lc-det-profile computed=1 certified=0 cached=1,"
         " lc-walk-signature computed=0 certified=1 cached=1"
     )
-    assert _catalog_fields(cat)["b.g6:1"][5] == walk_digest
+    assert _catalog_fields(cat)["b.g6:1"][3] == walk_digest
     # c joins a class whose members both hold cached bytes, and is not walked
     assert main(["group", *files, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
     cached = capsys.readouterr()
@@ -419,7 +419,7 @@ def test_group_catalog_copy_takes_a_cached_representatives_lc_walk(tmp_path, cap
         "stages: lc-det-profile computed=1 certified=0 cached=2,"
         " lc-walk-signature computed=0 certified=1 cached=2"
     )
-    assert [_catalog_fields(cat)[f"{name}.g6:1"][5] for name in "abc"] == [walk_digest] * 3
+    assert [_catalog_fields(cat)[f"{name}.g6:1"][3] for name in "abc"] == [walk_digest] * 3
 
     # a fresh catalog gets the same records but for the lc-walk digests: its
     # class settles, so none is walked or stored
@@ -428,7 +428,7 @@ def test_group_catalog_copy_takes_a_cached_representatives_lc_walk(tmp_path, cap
     assert capsys.readouterr().out == cached.out
     assert walked == []
     fresh_fields, fields = _catalog_fields(fresh), _catalog_fields(cat)
-    assert {i: row[:5] + ["-"] for i, row in fields.items()} == fresh_fields
+    assert {i: row[:3] + ["-"] for i, row in fields.items()} == fresh_fields
     assert set(_blob_digests(fresh)) == set(_blob_digests(cat)) - {walk_digest}
 
 
@@ -440,7 +440,7 @@ def test_group_catalog_reads_only_reused_blobs(tmp_path, capsys):
     capsys.readouterr()
     before = _catalog_fields(cat)
     blobs = tmp_path / "inv.catalog.blobs"
-    profile_digests = [before[f"{name}.g6:1"][4] for name in "abc"]
+    profile_digests = [before[f"{name}.g6:1"][2] for name in "abc"]
     assert len(set(profile_digests)) == 3
 
     # a corrupt blob of a record outside the run is never read
@@ -504,41 +504,56 @@ def test_group_reuses_full_records(tmp_path, capsys):
     assert cat.read_bytes() == before
 
 
-@pytest.mark.parametrize("certify", [True, False])
-def test_group_never_compares_a_v1_catalogs_lc_walk_bytes(tmp_path, capsys, monkeypatch, certify):
-    # a v1 catalog holds A's LW1 encoding; B, a relabelled copy of A, is
-    # walked as LW2 when no certificate makes it A's copy, and with one the
-    # class settles.  Reusing A's LW1 bytes would put the pair in two final
-    # classes: a false Distinguished.
-    if not certify:
-        monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
-    G = triangular(8)
-    a = write_g6(tmp_path, "a.g6", G)
-    b = write_g6(tmp_path, "b.g6", relabeled(G, random_permutation(random.Random(87), 28)))
-    lw2 = lc_walk_signature(G).encode()
-    v1_walk = lw1(decode_lw2(lw2))
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_group_rejects_an_older_catalog_and_leaves_it_alone(tmp_path, capsys, version):
+    # a catalog as v1 and v2 wrote it, with SRG parameters and determinant
+    # before the two digests: group stops with one error line naming the
+    # TSV and its blob directory, and writes nothing
+    f = write_g6(tmp_path, "srg16.g6", rook(4), shrikhande())
     cat = tmp_path / "inv.catalog"
-    catalog_write([make_catalog_record("a.g6:1", G, dict(zip(GROUP_STAGES, (
-        lc_determinant_profile(G).encode(), v1_walk))))], cat)
-    cat.write_text(cat.read_text().replace(CATALOG_HEADER, "walkgi-catalog v1", 1))
-    v1_digest = hashlib.sha256(v1_walk).hexdigest()
-    assert _catalog_fields(cat)["a.g6:1"][5] == v1_digest
-
-    assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
-    out, err = capsys.readouterr()
-    assert "unresolved: a.g6:1, b.g6:1" in out
-    walks = (0, 2, 0) if certify else (2, 0, 0)
-    assert _stages(err) == (
-        "stages: lc-det-profile computed=1 certified=0 cached=1,"
-        " lc-walk-signature computed={} certified={} cached={}".format(*walks)
-    )
+    blobs = tmp_path / "inv.catalog.blobs"
+    assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 0
+    capsys.readouterr()
     assert cat.read_text().splitlines()[0] == CATALOG_HEADER
-    lw2_digest = hashlib.sha256(lw2).hexdigest()
-    fields = _catalog_fields(cat)
-    assert fields["a.g6:1"][5] == fields["b.g6:1"][5] == ("-" if certify else lw2_digest)
-    blobs = list((tmp_path / "inv.catalog.blobs").iterdir())
-    assert v1_digest not in {p.name for p in blobs}
-    assert not any(p.read_bytes().startswith(b"LW1") for p in blobs)
+    old = [f"walkgi-catalog {version}"] + [
+        "\t".join([record_id, g6, "16,6,2,2", "-196608", *digests])
+        for record_id, g6, *digests in _catalog_fields(cat).values()]
+    cat.write_text("\n".join(old) + "\n")
+    tsv = cat.read_bytes()
+    blob_bytes = {p.name: p.read_bytes() for p in blobs.iterdir()}
+
+    assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {cat}: unsupported catalog version 'walkgi-catalog {version}'")
+    assert line.endswith(f"remove {cat} and {blobs}/ to rebuild both")
+    assert cat.read_bytes() == tsv
+    assert {p.name: p.read_bytes() for p in blobs.iterdir()} == blob_bytes
+
+
+def test_group_catalog_computes_no_determinant(tmp_path, capsys, monkeypatch):
+    # the catalog stores no determinant, and on nonsingular graphs no stage
+    # needs one, so a cold catalog run calls determinant nowhere
+    real = linalg.determinant
+    calls = []
+
+    def counting(G):
+        calls.append(G)
+        return real(G)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "walkgi" and getattr(module, "determinant", None) is real:
+            monkeypatch.setattr(module, "determinant", counting)
+    graphs = [rook(4), relabeled(rook(4), random_permutation(random.Random(89), 16)), shrikhande(),
+              complete(16)]
+    assert all(real(G) != 0 for G in graphs)
+    f = write_g6(tmp_path, "nonsingular.g6", *graphs)
+    cat = tmp_path / "inv.catalog"
+    assert main(["group", f, "--catalog", str(cat), "--workers", "1"]) == 0
+    assert "computing 4 new records" in capsys.readouterr().err
+    assert len(_catalog_fields(cat)) == 4
+    assert calls == []
 
 
 # `group --format records` on rook(4), a relabelled copy, Shrikhande and
@@ -586,7 +601,7 @@ def test_group_adds_a_copy_to_a_catalog_that_holds_lc_walk_keys_for_copies(tmp_p
     )
     fields = _catalog_fields(cat)
     walk_digest = hashlib.sha256(walk).hexdigest()
-    assert [fields[f"d.g6:{i}"][5] for i in range(1, 5)] == [walk_digest, walk_digest, "-", walk_digest]
+    assert [fields[f"d.g6:{i}"][3] for i in range(1, 5)] == [walk_digest, walk_digest, "-", walk_digest]
     assert main(["group", f, "--format", "records", "--workers", "1"]) == 0
     assert capsys.readouterr().out == out
 

@@ -12,7 +12,6 @@ from walkgi import (
     DatasetError,
     Graph,
     Graph6Error,
-    SrgParams,
     build_graph,
     catalog_read,
     catalog_write,
@@ -25,7 +24,7 @@ from walkgi import (
 )
 from walkgi.isotest import GROUP_STAGES
 from fixture_graphs import complete, cycle, empty_graph, path, petersen, rook, shrikhande
-from oracles import decode_lw2, lw1, parse_graph6_bitwise, random_graph, write_graph6_bitwise
+from oracles import parse_graph6_bitwise, random_graph, write_graph6_bitwise
 
 
 def lc_encodings(G):
@@ -242,8 +241,6 @@ def test_make_catalog_record():
     rec = make_catalog_record("pete", petersen(), lc_encodings(petersen()))
     assert rec.id == "pete"
     assert parse_graph6(rec.g6) == petersen()
-    assert rec.params == SrgParams(10, 3, 0, 1)
-    assert rec.det == 48
     assert rec.lc_profile_encoding is not None
     assert hashlib.sha256(rec.lc_profile_encoding).hexdigest() == rec.lc_profile_digest
     assert hashlib.sha256(rec.lc_walk_encoding).hexdigest() == rec.lc_walk_digest
@@ -269,8 +266,6 @@ def test_catalog_read_without_blobs(tmp_path):
     (rec,) = catalog_read(cat, {})
     assert rec.lc_profile_encoding is None
     assert rec.lc_walk_encoding is None
-    assert rec.det == 0
-    assert rec.params == SrgParams(4, 2, 0, 2)
 
 
 def test_catalog_missing_blobs_read_as_none(tmp_path):
@@ -350,7 +345,7 @@ def test_catalog_write_removes_unnamed_blobs(tmp_path):
         other.write_bytes(b"not a blob")
     # both stale rook(4) records replaced by Shrikhande
     catalog_write([make_catalog_record(i, shrikhande(), shrikhande_enc) for i in "ab"], cat)
-    named = {d for line in cat.read_text().splitlines()[1:] for d in line.split("\t")[4:]}
+    named = {d for line in cat.read_text().splitlines()[1:] for d in line.split("\t")[2:]}
     assert len(named) == 2 and not named & rook_blobs
     assert {p.name for p in blobs.iterdir()} == named | {p.name for p in others}
     assert_roundtrip(cat, [make_catalog_record(i, shrikhande(), shrikhande_enc) for i in "ab"])
@@ -358,45 +353,22 @@ def test_catalog_write_removes_unnamed_blobs(tmp_path):
 
 def test_catalog_rejects_unknown_version(tmp_path):
     cat = tmp_path / "test.catalog"
-    cat.write_text("walkgi-catalog v999\n")
-    with pytest.raises(CatalogError, match="unsupported catalog version"):
-        catalog_read(cat, {})
-    cat.write_text("")
-    with pytest.raises(CatalogError, match="unsupported catalog version"):
-        catalog_read(cat, {})
-
-
-def test_catalog_reads_v1_without_its_lc_walk_digests(tmp_path):
-    # a v1 file: the same columns, its lc-walk digests naming LW1 bytes
-    graphs = {"pete": petersen(), "c5": cycle(5)}
-    records = []
-    for name, G in graphs.items():
-        enc = lc_encodings(G)
-        enc["lc-walk-signature"] = lw1(decode_lw2(enc["lc-walk-signature"]))
-        records.append(make_catalog_record(name, G, enc))
-    cat = tmp_path / "test.catalog"
-    catalog_write(records, cat)
-    lines = cat.read_text().splitlines()
-    cat.write_text("\n".join(["walkgi-catalog v1", *lines[1:]]) + "\n")
-    # the LW1 blobs are never read: a corrupt one fails nothing
-    for rec in records:
-        (tmp_path / "test.catalog.blobs" / rec.lc_walk_digest).write_bytes(b"garbage")
-    read = catalog_read(cat, graphs)
-    assert read == [rec._replace(lc_walk_digest="-", lc_walk_encoding=None) for rec in records]
-    assert [rec.encodings() for rec in read] == [
-        {"lc-det-profile": lc_encodings(G)["lc-det-profile"]} for G in graphs.values()]
+    for text in ("walkgi-catalog v999\n", "walkgi-catalog v2\n", "walkgi-catalog v1\n", ""):
+        cat.write_text(text)
+        with pytest.raises(CatalogError, match="unsupported catalog version") as exc:
+            catalog_read(cat, {})
+        # the message names both files to remove
+        assert f"remove {cat} and {cat}.blobs/ to rebuild both" in str(exc.value)
 
 
 def test_catalog_rejects_malformed_lines(tmp_path):
     cat = tmp_path / "test.catalog"
     cat.write_text(CATALOG_HEADER + "\nonly\tthree\tfields\n")
-    with pytest.raises(CatalogError, match="expected 6 fields"):
+    with pytest.raises(CatalogError, match="test.catalog:2: expected 4 fields, got 3"):
         catalog_read(cat, {})
-    cat.write_text(CATALOG_HEADER + "\nid\tBw\t-\tnotanumber\taa\tbb\n")
-    with pytest.raises(CatalogError, match="determinant"):
-        catalog_read(cat, {})
-    cat.write_text(CATALOG_HEADER + "\nid\tBw\t1,2\t0\taa\tbb\n")
-    with pytest.raises(CatalogError, match="params"):
+    # a v2 record, with its params and determinant columns, under a v3 header
+    cat.write_text(f"{CATALOG_HEADER}\nid\tBw\t-\t2\t{'a' * 64}\t-\n")
+    with pytest.raises(CatalogError, match="test.catalog:2: expected 4 fields, got 6"):
         catalog_read(cat, {})
 
 
@@ -404,13 +376,6 @@ def test_catalog_rejects_tab_in_id(tmp_path):
     rec = make_catalog_record("bad\tid", cycle(4), lc_encodings(cycle(4)))
     with pytest.raises(CatalogError, match="tab"):
         catalog_write([rec], tmp_path / "test.catalog")
-
-
-def test_catalog_params_roundtrip_non_srg(tmp_path):
-    cat = tmp_path / "test.catalog"
-    catalog_write([make_catalog_record("p4", path(4), lc_encodings(path(4)))], cat)
-    (rec,) = catalog_read(cat, {})
-    assert rec.params is None
 
 
 def test_catalog_record_without_lc_walk_roundtrip(tmp_path):
@@ -437,7 +402,7 @@ def test_catalog_record_without_lc_walk_roundtrip(tmp_path):
 )
 def test_catalog_rejects_bad_digest(tmp_path, profile_digest, walk_digest, field):
     cat = tmp_path / "test.catalog"
-    cat.write_text(f"{CATALOG_HEADER}\nid\tBw\t-\t2\t{profile_digest}\t{walk_digest}\n")
+    cat.write_text(f"{CATALOG_HEADER}\nid\tBw\t{profile_digest}\t{walk_digest}\n")
     # the line's graph is the run's, so a digest that passed would be read
     with pytest.raises(CatalogError, match=f"test.catalog:2: bad {field} digest"):
         catalog_read(cat, {"id": complete(3)})

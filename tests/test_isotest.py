@@ -29,7 +29,7 @@ from walkgi import (
     walk_signature,
 )
 from walkgi.graph import _verify_certificate
-from walkgi.isotest import GROUP_STAGES, STAGE_KEYS, PartitionReport, Pool
+from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -607,23 +607,6 @@ def test_partition_settles_only_on_verified_certificates(monkeypatch):
     monkeypatch.setattr("walkgi.graph._search", lambda G, *args: list(range(G.n)))
     with pytest.raises(CertificateError):
         partition_group(graphs)
-
-
-def test_partition_carries_a_settled_class_unsplit_through_later_stages(monkeypatch):
-    # with a third stage, a class settled at lc-walk-signature computes
-    # nothing more, and stays one class though only one member holds the
-    # third stage's key
-    monkeypatch.setattr("walkgi.isotest.GROUP_STAGES", (*GROUP_STAGES, "walk-signature"))
-    walks = []
-    monkeypatch.setitem(STAGE_KEYS, "walk-signature", lambda G: walks.append(G) or walk_signature(G))
-    rng = random.Random(74)
-    graphs = [rook(4), relabeled(rook(4), random_permutation(rng, 16)), shrikhande()]
-    cache = {"0": {"walk-signature": b"not the encoding of any graph"}}
-    report = partition_group(graphs, invariant_cache=cache)
-    assert sorted(report.final_classes) == [("0", "1"), ("2",)]
-    assert walks == []
-    assert [row[:4] for row in report.stages] == [
-        ("lc-det-profile", 3, 0, 0), ("lc-walk-signature", 0, 2, 0), ("walk-signature", 0, 0, 0)]
 
 
 def test_pair_and_group_read_one_stage_table():
