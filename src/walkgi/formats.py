@@ -25,8 +25,10 @@ and its blobs are never read.  A file with any other header, v1 and v2
 included, is rejected with a message to remove it and its blob directory,
 so that the next run rebuilds both.  Every blob and then the TSV is written
 to a temp file and renamed into place, so an interrupted write leaves the
-previous catalog readable; digest fields are validated before they name a
-file.  Once the new TSV is in place, blobs it no longer names are removed.
+previous catalog readable, and a blob already in place is kept only if it
+holds the bytes to be written, so a damaged one is replaced.  Digest fields
+are validated before they name a file.  Once the new TSV is in place, blobs
+it no longer names are removed.
 """
 
 from __future__ import annotations
@@ -235,7 +237,8 @@ def _replace_file(target: Path, data: bytes) -> None:
 
 def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> None:
     """Write sidecar blobs for records carrying encodings, then the catalog
-    TSV; each file is replaced atomically, the TSV last.  Then remove every
+    TSV; each file is replaced atomically, the TSV last, and a blob already
+    in place is kept only if it holds the same bytes.  Then remove every
     digest-named blob that no record names (a stale record was replaced);
     temp files and other files in the blob directory are left alone."""
     records = list(records)
@@ -261,7 +264,11 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
         blobs.mkdir(parents=True, exist_ok=True)
         for digest, enc in pending.items():
             target = blobs / digest
-            if not target.exists():
+            try:
+                kept = target.read_bytes() == enc
+            except OSError:
+                kept = False
+            if not kept:
                 _replace_file(target, enc)
     _replace_file(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
     if blobs.is_dir():

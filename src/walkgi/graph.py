@@ -48,27 +48,34 @@ callers:
   there is one.  A found map is checked again, as a permutation whose rows
   ``is_isomorphism`` accepts, before it is returned; a failure raises
   ``CertificateError``.
-- ``copy_representatives`` colours every graph by its K4 counts, the
-  triangles inside each vertex's neighbourhood.  It searches each graph's
+- ``copy_representatives`` buckets the representatives found so far by
+  the sorted (degree, triangles at the vertex) pairs, and, where a graph
+  shares that key, by the sorted K4 counts, the triangles inside each
+  vertex's neighbourhood, which also colour it.  It searches each graph's
   tree from its root seeded by those colours against the first paths of
-  the representatives found so far with the same sorted colour profile,
-  with n tokens for all of one graph's attempts, and stops searching once
-  more graphs have been searched and failed than have been certified.  An
-  isomorphism preserves the colours, so it maps each colour cell onto the
-  cell of the same value, and the seeded search is as complete as the
-  plain one.  A found map is checked again as ``find_isomorphism`` checks
-  it.  Running out only leaves a copy as a representative of its own, so
-  no two graphs are joined without a verified certificate.
+  the representatives in its own bucket, with n tokens for all of one
+  graph's attempts, and stops searching once the graphs searched and
+  failed outnumber the certified ones by more than
+  ``COPY_SEARCH_FAILURES``.  An isomorphism preserves the colours, so it
+  maps each colour cell onto the cell of the same value, and the seeded
+  search is as complete as the plain one.  A found map is checked again as
+  ``find_isomorphism`` checks it.  Running out only leaves a copy as a
+  representative of its own, so no two graphs are joined without a
+  verified certificate.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress, count, repeat
 from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 4096
 ORBIT_SEARCH_NODES_PER_VERTEX = 4
+# how far the graphs whose copy search failed may outnumber the certified
+# ones before ``copy_representatives`` searches no more
+COPY_SEARCH_FAILURES = 4
 
 # binary digits "0"/"1" as the byte values 0/1
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -336,63 +343,89 @@ def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
     """For each graph, the index of the graph it is a certified copy of, or
     its own index when it is a representative.
 
-    The first ``known`` graphs are representatives.  Each graph is coloured
-    by its K4 counts (``_k4_counts``) when it is first compared.  Each later
-    graph is tried against the representatives in order whose sorted colour
-    profile equals its own, by the search of the module docstring from its
-    root seeded with its colours, with n tokens shared across its attempts;
-    a graph that gets no certificate becomes a representative itself.  A
-    representative with another profile is skipped at no token: the profile
-    is an invariant, so no certificate exists.  A graph's root is refined
-    once, a representative's first path, from its seeded root, only when a
-    graph with tokens left is tried against it, and no attempt starts once
-    the tokens are spent.  Once more graphs have been searched and failed
-    than have been certified, the rest stay representatives unsearched, so
-    the failed searches number at most one more than the certificates.  A
-    map is taken only once ``_verify_certificate`` has accepted it.  Running
-    out of tokens only leaves copies apart, never joins two graphs.
+    The first ``known`` graphs are representatives.  Representatives are
+    kept in buckets by an exact invariant: the sorted (degree, triangles at
+    the vertex) pairs (``_triangle_key``), then, once a later graph shares
+    that key, the sorted K4 counts (``_k4_counts``), which also colour the
+    graph.  So a graph whose first key no other graph has so far costs no
+    K4 count and no search.  Each later graph is tried against the
+    representatives of its own bucket in order, by the search of the module
+    docstring from its root seeded with its colours, with n tokens shared
+    across its attempts; a graph that gets no certificate becomes a
+    representative itself.  A representative in another bucket is never
+    tried: the keys are invariants, so no certificate exists.  A graph's
+    root is refined once, a representative's first path, from its seeded
+    root, only when a graph with tokens left is tried against it, and no
+    attempt starts once the tokens are spent.  Once the graphs searched and
+    failed outnumber the certified ones by more than
+    ``COPY_SEARCH_FAILURES``, the rest stay representatives unsearched.  A
+    map is taken only once ``_verify_certificate`` has accepted it.
+    Running out of tokens only leaves copies apart, never joins two graphs.
+    Colours and first paths are kept for representatives only.
 
     Both trees are seeded with cells of one colour each, ordered by value,
     so for equal profiles the cells pair up value by value with equal sizes,
     and every isomorphism maps each of G's cells onto H's cell in the same
     place: the shape check of ``_search`` stays sound.
     """
-    representatives = list(range(known))
-    colours: dict[int, list[int]] = {}
-    profiles: dict[int, list[int]] = {}
-    paths: dict[int, list[_PathNode]] = {}
     copies = list(range(len(graphs)))
+    if known == len(graphs):
+        return copies
+    # first key -> {sorted K4 counts, or None while no later graph has
+    # shared the key: the representatives with them, in order}
+    buckets: dict[bytes, dict[tuple | None, list[int]]] = {}
+    colours: dict[int, list[int]] = {}
+    paths: dict[int, list[_PathNode]] = {}
     certified = failed = 0
-
-    def profile(i: int) -> list[int]:
-        if i not in profiles:
-            colours[i] = _k4_counts(graphs[i].rows)
-            profiles[i] = sorted(colours[i])
-        return profiles[i]
-
-    for i in range(known, len(graphs)):
-        if failed > certified:
+    for i in range(len(graphs)):
+        if failed - certified > COPY_SEARCH_FAILURES:
             break
         H = graphs[i]
-        root, nodes = None, repeat(None, H.n)
-        for r in representatives:
-            if not length_hint(nodes):
-                break
-            if profile(r) != profile(i):
+        bucket = buckets.setdefault(_triangle_key(H.rows), {})
+        if i < known or not bucket:
+            bucket.setdefault(None, []).append(i)
+            continue
+        for r in bucket.pop(None, ()):
+            colours[r] = _k4_counts(graphs[r].rows)
+            bucket.setdefault(tuple(sorted(colours[r])), []).append(r)
+        colours[i] = _k4_counts(H.rows)
+        representatives = bucket.setdefault(tuple(sorted(colours[i])), [])
+        if representatives:
+            root, nodes = _root(H.rows, colours[i]), repeat(None, H.n)
+            for r in representatives:
+                if not length_hint(nodes):
+                    break
+                if r not in paths:
+                    paths[r] = _first_path(graphs[r].rows, colours[r])
+                if _certificate(graphs[r], paths[r], H, root, nodes) is not None:
+                    copies[i] = r
+                    break
+            if copies[i] != i:
+                certified += 1
+                del colours[i]
                 continue
-            if root is None:
-                root = _root(H.rows, colours[i])
-            if r not in paths:
-                paths[r] = _first_path(graphs[r].rows, colours[r])
-            if _certificate(graphs[r], paths[r], H, root, nodes) is not None:
-                copies[i] = r
-                break
-        if copies[i] != i:
-            certified += 1
-        else:
-            failed += root is not None
-            representatives.append(i)
+            failed += 1
+        representatives.append(i)
     return copies
+
+
+def _triangle_key(rows: tuple[int, ...]) -> bytes:
+    """The sorted (degree, triangles at the vertex) pairs of a graph, each
+    packed as degree << 32 | triangles into 8 bytes: an isomorphism
+    invariant, about an eighth the size of a tuple of pairs, as a call keeps
+    one per distinct key.  Each triangle u, v, w with v < w counts at u
+    once, at v."""
+    pairs = []
+    for row in rows:
+        total = 0
+        later = row
+        while later:
+            low = later & -later
+            later ^= low
+            total += (rows[low.bit_length() - 1] & later).bit_count()
+        pairs.append(row.bit_count() << 32 | total)
+    pairs.sort()
+    return array("Q", pairs).tobytes()
 
 
 def _certificate(G: Graph, path: list[_PathNode], H: Graph, root: list[list[int]],

@@ -12,23 +12,27 @@ encodings are {stage name: bytes} dicts, and classes are keyed by exact
 encoding bytes; hashes are never trusted to merge anything.  With more
 than one worker, each stage maps its graphs through ``Pool``: the map
 starts in this process, and only once it has run for ``FORK_AFTER_S``, the
-cost of forking, does it fork worker processes for the graphs left.  They
-inherit the graphs through the fork, take graph indices from the parent
+cost of forking, and the workers would save as long on the graphs left, at
+the mean time per graph so far, does it fork worker processes for them.
+They inherit the graphs through the fork, take graph indices from the parent
 one at a time as they finish, and only the encodings come back, through
 pipes.  ``Pool.map`` yields each result as it arrives, and graphs whose
 computed encodings are equal, such as relabelled copies, share one bytes
 object.
 
-Every stage after the first splits each class into certified copies before
-it computes anything (``graph.copy_representatives``, serially in this
-process): an encoding is an isomorphism invariant, so a member with a
+Before the first stage computes anything, the whole input is split into
+certified copies (``graph.copy_representatives``, serially in this
+process): an encoding is an isomorphism invariant, so a graph with a
 verified isomorphism from a representative takes the representative's
-bytes object and only representatives are computed.  A class that no
-member holds the stage's key for and that is left with one representative
-is *settled*: it is one isomorphism class, which no invariant can split, so
-nothing is computed for it at that stage and it stays one class.  Bytes are
-shared, and classes settled, only on certificates that passed
-re-verification, never on a hash match.
+bytes object and only representatives are computed.  For the same reason a
+copy's representative stays in its class, so each later stage carries
+these certificates and tries again only among each class's
+representatives.  A class that no member holds the later stage's key for
+and that is left with one representative is *settled*: it is one
+isomorphism class, which no invariant can split, so nothing is computed for
+it at that stage and it stays one class.  The first stage settles no class,
+so every graph gets its first key.  Bytes are shared, and classes settled,
+only on certificates that passed re-verification, never on a hash match.
 """
 
 from __future__ import annotations
@@ -198,10 +202,12 @@ class Pool:
     """``map`` that starts in this process and forks worker processes only
     for a long map.  ``map`` returns an iterator that computes items here,
     in order, from its first ``next``.  Once the map has run for
-    ``FORK_AFTER_S`` and more than one item is left, it forks
-    W = min(workers, items left) children, which inherit the items through
-    the fork.  So a map that finishes within ``FORK_AFTER_S`` never forks,
-    and a long one loses at most that long, and one item, of parallelism.
+    ``FORK_AFTER_S``, more than one item is left, and the items left, at
+    the mean time per item so far, would take at least ``FORK_AFTER_S``
+    less on W = min(workers, items left) workers, it forks W children,
+    which inherit the items through the fork.  So a map that finishes
+    within ``FORK_AFTER_S`` never forks, nor does a tail too short to pay
+    for the fork.
 
     The parent hands out the indices of the items left in order on a task
     pipe per child, at most two outstanding per child, and sends a child its
@@ -242,13 +248,19 @@ class Pool:
         return results
 
     def _map(self, fn, items: Sequence) -> Generator:
-        """Map in this process until the map has run for ``FORK_AFTER_S``,
-        then fork for what is left, if that is more than one item."""
+        """Map in this process until the map has run for ``FORK_AFTER_S``
+        and W workers would save as long on the items left, at the mean
+        time per item so far, then fork for them."""
         start = time.perf_counter()
         for i, item in enumerate(items):
             left = len(items) - i
-            if left > 1 and time.perf_counter() - start >= FORK_AFTER_S:
-                yield from _forked_map(fn, items[i:], min(self.workers, left))
+            workers = min(self.workers, left)
+            elapsed = time.perf_counter() - start
+            # left * (elapsed / i) * (workers - 1) / workers >= FORK_AFTER_S, as a
+            # product, so that FORK_AFTER_S = 0 forks before the first item
+            if (left > 1 and elapsed >= FORK_AFTER_S
+                    and left * elapsed * (workers - 1) >= FORK_AFTER_S * i * workers):
+                yield from _forked_map(fn, items[i:], workers)
                 return
             yield fn(item)
 
@@ -408,19 +420,21 @@ def partition_group(
     graph's dict starts as a copy of its entry, and only what it lacks is
     computed.
 
-    Each later stage first splits every class into certified copies with
-    ``copy_representatives``: the members holding the stage's encoding
-    are representatives first, and every other member is tried against the
-    representatives in order, from roots seeded by K4 counts, with n search
-    tokens for all its attempts.  When no member holds the encoding and one
-    representative is left, every member holds a verified certificate onto
-    it, and the class settles: nothing is computed for it at this stage,
-    and its members, none of which holds the stage's key, stay one class.
-    Otherwise a certified member takes its representative's bytes object,
-    and each representative that lacks the encoding is computed.  So the
-    coarse partition and every graph's first key do not depend on
-    certification, and neither does the final partition: encodings are
-    isomorphism invariants.
+    Each stage first splits every class into certified copies with
+    ``copy_representatives``, the members holding the stage's encoding
+    being representatives first; before the first stage that class is the
+    whole input.  Each later stage carries the certificates of the stage
+    before, as a copy's representative is in its class, and tries only the
+    class's representatives and the members holding its encoding again.  A
+    certified copy takes its representative's bytes object, and each
+    representative that lacks the encoding is computed.  At a later stage,
+    when no member holds the encoding and one representative is left,
+    every member holds a chain of verified certificates onto it, and the
+    class settles: nothing is computed for it at this stage, and its
+    members, none of which holds the stage's key, stay one class.  The
+    first stage settles no class, so every graph gets its first key, and
+    neither the coarse partition nor the final one depends on
+    certification: encodings are isomorphism invariants.
 
     The report gives back each graph's whole dict and a (stage, computed,
     certified, cached, seconds) row per stage, so a caller can store exactly
@@ -446,27 +460,36 @@ def partition_group(
     distinct: dict[bytes, bytes] = {}  # one object per computed encoding
     classes: list[list[int]] = [list(range(len(graphs)))]
     settled: set[int] = set()  # the members of settled classes
+    copies: dict[int, int] = {}  # member -> the representative whose bytes it takes
     partitions, rows = [], []
     run: Sequence[int] = range(len(graphs))
     with Pool(workers) as pool:
         for stage in GROUP_STAGES:
             start = time.perf_counter()
-            copies = {}  # member -> the representative whose bytes it takes
             certified = 0
-            if stage != GROUP_STAGES[0]:
-                for members in classes:
-                    if len(members) > 1:
-                        held = [i for i in members if stage in encodings[i]]
-                        order = held + [i for i in members if stage not in encodings[i]]
-                        reps = copy_representatives([graphs[i] for i in order], len(held))
-                        # every member certified onto the first: one isomorphism class.  A
-                        # class holding the key does not settle: its copies take the held
-                        # bytes at no cost, and their records gain the key
-                        if not held and max(reps) == 0:
-                            settled.update(members)
-                            certified += len(members)
-                            continue
-                        copies.update((i, order[r]) for i, r in zip(order, reps) if order[r] != i)
+            copies, carried = {}, copies
+            for members in classes:
+                if len(members) > 1:
+                    # a carried copy's representative is in its class, as encodings are
+                    # invariants: only representatives, and members that hold the key,
+                    # are tried again
+                    heads = [i for i in members if i not in carried or stage in encodings[i]]
+                    held = [i for i in heads if stage in encodings[i]]
+                    order = held + [i for i in heads if stage not in encodings[i]]
+                    reps = copy_representatives([graphs[i] for i in order], len(held))
+                    # every member certified onto the first: one isomorphism class.  A
+                    # class holding the key does not settle: its copies take the held
+                    # bytes at no cost, and their records gain the key.  Nor does the
+                    # first stage settle any, as every catalog record needs its key
+                    if not held and max(reps) == 0 and stage != GROUP_STAGES[0]:
+                        settled.update(members)
+                        certified += len(members)
+                        continue
+                    head = {i: order[r] for i, r in zip(order, reps)}
+                    for i in members:
+                        r = head[i] if i in head else head[carried[i]]
+                        if r != i:
+                            copies[i] = r
             pending = [i for i in run if stage not in encodings[i] and i not in settled and i not in copies]
             for i, key in zip(pending, pool.map(_stage_encoding, [(stage, graphs[i]) for i in pending])):
                 encodings[i][stage] = distinct.setdefault(key, key)

@@ -260,6 +260,26 @@ def test_group_catalog_recomputes_records_whose_blobs_are_missing(tmp_path, caps
     assert {p.name: p.read_bytes() for p in blobs.iterdir()} == blob_bytes
 
 
+def test_group_catalog_rebuilt_beside_a_damaged_blob_is_readable(tmp_path, capsys):
+    f = write_g6(tmp_path, "d.g6", rook(4), shrikhande())
+    cat = tmp_path / "c.tsv"
+    blobs = tmp_path / "c.tsv.blobs"
+    assert main(["group", f, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
+    fresh = capsys.readouterr().out
+    blob_bytes = {p.name: p.read_bytes() for p in blobs.iterdir()}
+    (blobs / min(blob_bytes)).write_bytes(b"garbage")
+    # a cold run, with the TSV gone, writes the blob it computed over the
+    # damaged one, so the warm run after it reads a sound catalog
+    cat.unlink()
+    assert main(["group", f, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert {p.name: p.read_bytes() for p in blobs.iterdir()} == blob_bytes
+    assert main(["group", f, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
+    warm = capsys.readouterr()
+    assert warm.out == fresh
+    assert "error" not in warm.err
+
+
 def test_group_catalog_is_rewritten_only_when_a_record_grows(tmp_path, capsys):
     G = rook(4)
     a = write_g6(tmp_path, "a.g6", G)
@@ -355,12 +375,13 @@ def test_group_catalog_singleton_gains_lc_walk(tmp_path, capsys, monkeypatch):
 
     assert main(["group", a, b, "--workers", "1"]) == 0
     fresh = capsys.readouterr().out
-    # b is a's certified copy: their class settles, and a gains no lc-walk
+    # b is a's certified copy: it takes a's profile, their class settles,
+    # and a gains no lc-walk
     assert main(["group", a, b, "--catalog", str(cat), "--workers", "1"]) == 0
     settled = capsys.readouterr()
     assert _without_timing(settled.out) == _without_timing(fresh)
     assert _stages(settled.err) == (
-        "stages: lc-det-profile computed=1 certified=0 cached=1,"
+        "stages: lc-det-profile computed=0 certified=1 cached=1,"
         " lc-walk-signature computed=0 certified=2 cached=0"
     )
     assert [_catalog_fields(cat)[i][3] for i in ("a.g6:1", "b.g6:1")] == ["-", "-"]
@@ -404,10 +425,10 @@ def test_group_catalog_copy_takes_a_cached_representatives_lc_walk(tmp_path, cap
         lc_determinant_profile(G).encode(), walk))))], cat)
     walk_digest = hashlib.sha256(walk).hexdigest()
     # a's class gains b: it holds a key, so it does not settle, and b takes
-    # a's bytes with no walk
+    # a's bytes, its profile and its lc-walk, with nothing computed
     assert main(["group", *files[:2], "--catalog", str(cat), "--workers", "1"]) == 0
     assert _stages(capsys.readouterr().err) == (
-        "stages: lc-det-profile computed=1 certified=0 cached=1,"
+        "stages: lc-det-profile computed=0 certified=1 cached=1,"
         " lc-walk-signature computed=0 certified=1 cached=1"
     )
     assert _catalog_fields(cat)["b.g6:1"][3] == walk_digest
@@ -416,7 +437,7 @@ def test_group_catalog_copy_takes_a_cached_representatives_lc_walk(tmp_path, cap
     cached = capsys.readouterr()
     assert walked == []
     assert _stages(cached.err) == (
-        "stages: lc-det-profile computed=1 certified=0 cached=2,"
+        "stages: lc-det-profile computed=0 certified=1 cached=2,"
         " lc-walk-signature computed=0 certified=1 cached=2"
     )
     assert [_catalog_fields(cat)[f"{name}.g6:1"][3] for name in "abc"] == [walk_digest] * 3
@@ -594,10 +615,10 @@ def test_group_adds_a_copy_to_a_catalog_that_holds_lc_walk_keys_for_copies(tmp_p
     assert main(["group", f, "--format", "records", "--catalog", str(cat), "--workers", "1"]) == 0
     out, err = capsys.readouterr()
     assert out == _ROOK_COPIES_RECORDS
-    walks = (0, 1, 2) if certify else (1, 0, 2)
+    profiles, walks = ((0, 1, 3), (0, 1, 2)) if certify else ((1, 0, 3), (1, 0, 2))
     assert _stages(err) == (
-        "stages: lc-det-profile computed=1 certified=0 cached=3,"
-        " lc-walk-signature computed={} certified={} cached={}".format(*walks)
+        "stages: lc-det-profile computed={} certified={} cached={},".format(*profiles)
+        + " lc-walk-signature computed={} certified={} cached={}".format(*walks)
     )
     fields = _catalog_fields(cat)
     walk_digest = hashlib.sha256(walk).hexdigest()

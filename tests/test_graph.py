@@ -1,5 +1,6 @@
 import random
 import re
+from array import array
 from itertools import combinations, permutations, repeat
 
 import pytest
@@ -16,7 +17,15 @@ from walkgi import (
     vertex_orbits,
 )
 import walkgi.graph as graph_module
-from walkgi.graph import _certificate, _first_path, _k4_counts, _root, copy_representatives
+from walkgi.graph import (
+    COPY_SEARCH_FAILURES,
+    _certificate,
+    _first_path,
+    _k4_counts,
+    _root,
+    _triangle_key,
+    copy_representatives,
+)
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -470,14 +479,59 @@ def test_copy_representatives_stop_trying_once_the_tokens_are_spent(monkeypatch)
     assert [args[0] for args in paths] == [z8.rows]
 
 
-def test_copy_representatives_stop_searching_once_failures_outnumber_certificates(monkeypatch):
-    z8, z8_copy, q8, q8_copy = _z8_q8_copies()
-    searches = _counting(monkeypatch, "_search")
-    # Q8 fails against Z8 with nothing certified yet: its copy is not searched
-    assert copy_representatives([z8, q8, q8_copy], 0) == [0, 1, 2]
-    assert len(searches) == 1
-    # one certificate pays for one failure, so a second Q8 copy is searched
-    searches.clear()
-    q8_again = relabeled(q8, random_permutation(random.Random(9), 64))
-    assert copy_representatives([q8, q8_copy, z8, q8_again], 0) == [0, 0, 2, 0]
-    assert len(searches) == 3
+def test_copy_representatives_stop_searching_once_failures_outrun_certificates_by_the_allowance(monkeypatch):
+    # every copy of T(8) in ``fails`` gets no certificate: the search stops
+    # once the failures outnumber the certificates by more than the allowance
+    assert COPY_SEARCH_FAILURES == 4
+    rng = random.Random(61)
+    G = triangular(8)
+    graphs = [G] + [relabeled(G, random_permutation(rng, 28)) for _ in range(8)]
+    fails = set(map(id, graphs[1:]))
+    certificate = graph_module._certificate
+    searched = []
+
+    def failing(G, path, H, root, nodes):
+        searched.append(H)
+        return None if id(H) in fails else certificate(G, path, H, root, nodes)
+
+    monkeypatch.setattr(graph_module, "_certificate", failing)
+    # five failures with nothing certified: the last three are not searched
+    assert copy_representatives(graphs, 0) == list(range(9))
+    assert list(dict.fromkeys(map(id, searched))) == list(map(id, graphs[1:6]))
+    # one certificate pays for one more failure: six fail, and the last is
+    # not searched
+    fails.discard(id(graphs[1]))
+    searched.clear()
+    assert copy_representatives(graphs, 0) == [0, 0, *range(2, 9)]
+    assert list(dict.fromkeys(map(id, searched))) == list(map(id, graphs[1:8]))
+
+
+def test_triangle_key_matches_counting_every_vertex_triple():
+    rng = random.Random(62)
+    for _ in range(40):
+        G = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.6, 0.9)))
+        expected = sorted((G.degree(u), sum(1 for v, w in combinations(G.neighbors(u), 2) if G.has_edge(v, w)))
+                          for u in range(G.n))
+        assert _unpacked(_triangle_key(G.rows)) == expected
+    assert _unpacked(_triangle_key(complete(5).rows)) == [(4, 6)] * 5
+    assert _unpacked(_triangle_key(triangular(8).rows)) == [(12, 36)] * 28
+
+
+def _unpacked(key: bytes) -> list[tuple[int, int]]:
+    return [divmod(x, 1 << 32) for x in array("Q", key)]
+
+
+def test_copy_representatives_count_no_k4s_for_graphs_with_a_key_of_their_own(monkeypatch):
+    # edge-swapped copies of rook(4) differ in their (degree, triangle)
+    # keys, so none is coloured or searched; a relabelled copy shares its
+    # original's key and is certified
+    rng = random.Random(63)
+    graphs = [edge_swapped(rook(4), 96, rng) for _ in range(12)]
+    assert len(set(_triangle_key(G.rows) for G in graphs)) == 12
+    counted = _counting(monkeypatch, "_k4_counts")
+    assert copy_representatives(graphs, 0) == list(range(12))
+    assert counted == []
+    graphs.append(relabeled(graphs[5], random_permutation(rng, 16)))
+    assert copy_representatives(graphs, 0) == [*range(12), 5]
+    assert [args[0] for args in counted] == [graphs[5].rows, graphs[12].rows]
+

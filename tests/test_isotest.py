@@ -28,7 +28,8 @@ from walkgi import (
     partition_group,
     walk_signature,
 )
-from walkgi.graph import _verify_certificate
+import walkgi.graph as graph_module
+from walkgi.graph import COPY_SEARCH_FAILURES, _verify_certificate
 from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool
 from fixture_graphs import (
     cayley_table,
@@ -276,10 +277,10 @@ def test_partition_forks_workers_for_each_stage_with_items_to_hand_out(monkeypat
     rng = random.Random(67)
     graphs = [rook(4), shrikhande(), relabeled(rook(4), random_permutation(rng, 16))]
     report = partition_group(graphs, ids=list("abc"), workers=2)
-    assert [row[:4] for row in report.stages] == [("lc-det-profile", 3, 0, 0), ("lc-walk-signature", 0, 2, 0)]
+    assert [row[:4] for row in report.stages] == [("lc-det-profile", 2, 1, 0), ("lc-walk-signature", 0, 2, 0)]
     assert report.final_classes == (("b",), ("a", "c"))
-    # two workers for the 3 profiles; c is a's certified copy, so their
-    # class settles and nothing is walked
+    # c is a's certified copy, so it takes a's profile, two workers compute
+    # the other 2, and their class settles: nothing is walked
     assert len(forks) == 2
     # a serial run, or a run with nothing to hand out, forks none
     partition_group(graphs, ids=list("abc"), workers=1)
@@ -457,6 +458,24 @@ def test_pool_forks_for_the_items_left_once_a_map_runs_past_fork_after_s(monkeyp
     assert _no_child_left()
 
 
+def _pid_after_5_ms(x):
+    time.sleep(0.005)
+    return x, os.getpid()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool maps serially without os.fork")
+def test_pool_forks_no_tail_too_short_to_pay_for_the_fork(monkeypatch):
+    # four 5 ms items run past FORK_AFTER_S; the two left would save one
+    # mean item time, 5 ms, on two workers, less than FORK_AFTER_S, so
+    # they are computed here too
+    monkeypatch.setattr("walkgi.isotest.FORK_AFTER_S", 0.018)
+    forks = _count_forks(monkeypatch)
+    with Pool(2) as pool:
+        results = list(pool.map(_pid_after_5_ms, list(range(6))))
+    assert results == [(x, os.getpid()) for x in range(6)]
+    assert forks == []
+
+
 @pytest.mark.usefixtures("forking")
 def test_partition_of_singular_graphs_is_the_same_forked():
     # rook(4), Shrikhande and 6-regular graphs swapped from rook(4), as in
@@ -514,12 +533,13 @@ def test_partition_walks_no_class_that_certification_settles(monkeypatch):
     graphs = _copies_of_t8_and_chang()
     report = partition_group(graphs, workers=1)
     assert sorted(report.final_classes) == [("0", "1", "2"), ("3", "4", "5")]
-    # every copy is certified onto the first member of its class, so both
-    # classes settle: nothing is walked, no member gains an lc-walk
-    # encoding, and all six count as certified
+    # every copy is certified onto the first member of its class before the
+    # first stage, so only those two get a profile computed; both classes
+    # settle: nothing is walked, no member gains an lc-walk encoding, and
+    # all six count as certified
     assert walked == []
     assert all(set(enc) == {"lc-det-profile"} for enc in report.encodings)
-    assert [row[:4] for row in report.stages] == [("lc-det-profile", 6, 0, 0), ("lc-walk-signature", 0, 6, 0)]
+    assert [row[:4] for row in report.stages] == [("lc-det-profile", 2, 4, 0), ("lc-walk-signature", 0, 6, 0)]
 
 
 def test_partition_without_certificates_walks_every_member_to_the_same_report(monkeypatch):
@@ -547,21 +567,27 @@ def test_partition_uses_invariant_cache():
     }
     profiles = tuple({"lc-det-profile": full[i]["lc-det-profile"]} for i in ids)
     # a run with no cache computes no lc-walk key: b is a singleton, and c
-    # is a's certified copy, so their class settles
+    # is a's certified copy, which takes a's profile, so their class settles
     plain = partition_group(graphs, ids=ids)
-    assert [row[:4] for row in plain.stages] == [("lc-det-profile", 3, 0, 0), ("lc-walk-signature", 0, 2, 0)]
+    assert [row[:4] for row in plain.stages] == [("lc-det-profile", 2, 1, 0), ("lc-walk-signature", 0, 2, 0)]
     assert all(row[4] >= 0 for row in plain.stages)
     assert plain.encodings == profiles
     # a holds only its profile, c nothing, and the singleton b an lc-walk
-    # encoding the run does not need, which is not counted as cached; the
-    # class of a and c holds no lc-walk key, so it settles
+    # encoding the run does not need, which is not counted as cached; c
+    # takes a's profile, and the class of a and c holds no lc-walk key, so
+    # it settles
     partial = {"a": profiles[0], "b": full["b"]}
+    # c, a's certified copy before the first stage, holds only an lc-walk
+    # key: it is tried again as a holder, so the class does not settle, and
+    # a takes c's bytes
+    walk_only = {"c": {"lc-walk-signature": full["c"]["lc-walk-signature"]}}
     # a holds both keys: the class does not settle, and c takes a's bytes
     held = {"a": full["a"]}
     for cache, counts, encodings in (
         (full, [("lc-det-profile", 0, 0, 3), ("lc-walk-signature", 0, 0, 2)], (full["a"], full["b"], full["c"])),
-        (partial, [("lc-det-profile", 1, 0, 2), ("lc-walk-signature", 0, 2, 0)], (profiles[0], full["b"], profiles[2])),
-        (held, [("lc-det-profile", 2, 0, 1), ("lc-walk-signature", 0, 1, 1)], (full["a"], profiles[1], full["c"])),
+        (partial, [("lc-det-profile", 0, 1, 2), ("lc-walk-signature", 0, 2, 0)], (profiles[0], full["b"], profiles[2])),
+        (walk_only, [("lc-det-profile", 2, 1, 0), ("lc-walk-signature", 0, 1, 1)], (full["a"], profiles[1], full["c"])),
+        (held, [("lc-det-profile", 1, 1, 1), ("lc-walk-signature", 0, 1, 1)], (full["a"], profiles[1], full["c"])),
     ):
         cached = partition_group(graphs, ids=ids, invariant_cache=cache)
         assert plain.coarse_classes == cached.coarse_classes
@@ -596,6 +622,53 @@ def test_partition_settles_no_class_with_two_representatives(monkeypatch):
     assert (stage, computed + certified, cached) == ("lc-walk-signature", 4, 0)
     assert computed == len(walked) >= 2
     assert all("lc-walk-signature" in enc for enc in report.encodings)
+
+
+def _count_profiles(monkeypatch):
+    """The graphs ``lc_determinant_profile`` runs on in this process, in order."""
+    profiled = []
+
+    def counting(G):
+        profiled.append(G)
+        return lc_determinant_profile(G)
+
+    monkeypatch.setattr("walkgi.isotest.lc_determinant_profile", counting)
+    return profiled
+
+
+def test_partition_profiles_only_the_representatives_of_the_lc_refine_family(monkeypatch):
+    # T(8) and the three Chang graphs, two relabellings each, as in the
+    # lc-refine benchmark family: one copy of each pair is certified before
+    # the first stage and takes the other's profile
+    rng = random.Random(1)
+    graphs = [relabeled(G, random_permutation(rng, 28)) for G in (triangular(8), *chang_graphs()) for _ in range(2)]
+    rng.shuffle(graphs)
+    profiled = _count_profiles(monkeypatch)
+    report = partition_group(graphs, workers=1)
+    assert len(profiled) == 4
+    assert [row[:4] for row in report.stages] == [("lc-det-profile", 4, 4, 0), ("lc-walk-signature", 0, 8, 0)]
+    profiled.clear()
+    monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
+    plain = partition_group(graphs, workers=1)
+    assert len(profiled) == 8
+    assert plain == report
+    assert [enc["lc-det-profile"] for enc in plain.encodings] == [enc["lc-det-profile"] for enc in report.encodings]
+
+
+def test_partition_certifies_most_reduced_order_6_squares_before_the_first_stage(monkeypatch):
+    # the first reduced squares 1 and 2 are one class that n tokens do not
+    # certify: stopping at the first failure, as a rule of one failure per
+    # certificate did, certifies nothing; the allowance certifies most
+    squares = reduced_latin_squares(6)[:60]
+    graphs = [latin_square_graph(square) for square in squares]
+    report = partition_group(graphs, workers=1)
+    (_, computed, certified, cached, _), _ = report.stages
+    assert computed + certified == 60 and cached == 0
+    assert certified > 30
+    monkeypatch.setattr("walkgi.graph.COPY_SEARCH_FAILURES", 0)
+    stopped = partition_group(graphs, workers=1)
+    assert stopped.stages[0][:4] == ("lc-det-profile", 60, 0, 0)
+    assert stopped == report
 
 
 def test_partition_settles_only_on_verified_certificates(monkeypatch):
@@ -764,6 +837,19 @@ def test_one_square_per_main_class_of_order_6_gives_12_classes():
         ids += [f"{i}", f"{i}'"]
     report = partition_group(graphs, ids=ids)
     assert sorted(report.final_classes) == sorted((f"{i}", f"{i}'") for i in ORDER_6_CLASS_FIRSTS)
+
+
+def test_partition_searches_one_square_per_order_6_main_class_within_the_allowance(monkeypatch):
+    # a census-like input, one graph per isomorphism class: K4 profiles keep
+    # most of them apart, and the failed searches stay within the allowance
+    squares = reduced_latin_squares(6)
+    graphs = [latin_square_graph(squares[i]) for i in ORDER_6_CLASS_FIRSTS]
+    certificate = graph_module._certificate
+    searches = []
+    monkeypatch.setattr(graph_module, "_certificate", lambda *args: searches.append(args) or certificate(*args))
+    report = partition_group(graphs, workers=1)
+    assert report.all_singletons()
+    assert 0 < len(searches) <= COPY_SEARCH_FAILURES
 
 
 def _profile_encoding(G):
