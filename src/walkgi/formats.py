@@ -13,7 +13,8 @@ profile and an LW2 lc-walk signature.  It holds only what ``group`` reuses;
 ``walkgi info`` gives a graph's determinant and SRG parameters.  The catalog
 computes neither encoding itself: records carry the encodings
 ``partition_group`` used, so the lc-walk digest is "-" for a graph whose
-coarse class was a singleton or whose class was settled by certification.
+coarse class was a singleton or held one representative of certified
+copies.
 The encodings themselves live in a sidecar blob directory keyed by hex
 digest, so equality checks can always fall back to full byte comparison.
 

@@ -339,11 +339,12 @@ def find_isomorphism(G: Graph, H: Graph) -> tuple[int, ...] | None:
     return _certificate(G, _first_path(G.rows), H, _root(H.rows), repeat(None))
 
 
-def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
+def copy_representatives(graphs: Sequence[Graph]) -> list[int]:
     """For each graph, the index of the graph it is a certified copy of, or
     its own index when it is a representative.
 
-    The first ``known`` graphs are representatives.  Representatives are
+    The graphs are taken in order, so a copy's representative comes before
+    it, and the first graph is a representative.  Representatives are
     kept in buckets by an exact invariant: the sorted (degree, triangles at
     the vertex) pairs (``_triangle_key``), then, once a later graph shares
     that key, the sorted K4 counts (``_k4_counts``), which also colour the
@@ -369,8 +370,6 @@ def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
     place: the shape check of ``_search`` stays sound.
     """
     copies = list(range(len(graphs)))
-    if known == len(graphs):
-        return copies
     # first key -> {sorted K4 counts, or None while no later graph has
     # shared the key: the representatives with them, in order}
     buckets: dict[bytes, dict[tuple | None, list[int]]] = {}
@@ -382,7 +381,7 @@ def copy_representatives(graphs: Sequence[Graph], known: int) -> list[int]:
             break
         H = graphs[i]
         bucket = buckets.setdefault(_triangle_key(H.rows), {})
-        if i < known or not bucket:
+        if not bucket:
             bucket.setdefault(None, []).append(i)
             continue
         for r in bucket.pop(None, ()):

@@ -22,17 +22,15 @@ object.
 
 Before the first stage computes anything, the whole input is split into
 certified copies (``graph.copy_representatives``, serially in this
-process): an encoding is an isomorphism invariant, so a graph with a
-verified isomorphism from a representative takes the representative's
-bytes object and only representatives are computed.  For the same reason a
-copy's representative stays in its class, so each later stage carries
-these certificates and tries again only among each class's
-representatives.  A class that no member holds the later stage's key for
-and that is left with one representative is *settled*: it is one
-isomorphism class, which no invariant can split, so nothing is computed for
-it at that stage and it stays one class.  The first stage settles no class,
-so every graph gets its first key.  Bytes are shared, and classes settled,
-only on certificates that passed re-verification, never on a hash match.
+process), and the stages partition the representatives, each standing for
+the group of graphs certified onto it.  An encoding is an isomorphism
+invariant, so a group's key at a stage is any member's cached key, or else
+the representative's, computed at the first stage always and later only
+when its class holds another representative; every member takes that
+bytes object.  A class that certification proves to be one isomorphism
+class is a class of one representative, which no later stage computes
+anything for.  Bytes are shared only on certificates that passed
+re-verification, never on a hash match.
 """
 
 from __future__ import annotations
@@ -144,15 +142,14 @@ class PartitionReport:
 
     ``encodings`` holds, in ``ids`` order, a {stage name: encoding} dict per
     graph: its cached encodings plus those the run added.  A graph that is
-    a singleton after one stage, or a member of a settled class, gets no
-    later key.  ``stages`` holds one (stage, computed, certified, cached,
-    seconds) row per stage, in ``GROUP_STAGES`` order.  The counts split the
-    graphs that stage ran on: ``computed`` the encodings computed,
-    ``certified`` the copies that took a representative's bytes and the
-    members of the classes that settled at the stage, and ``cached`` the
-    graphs that already held the stage's key.  Reports are equal, and hash
-    alike, when their ids and classes are: ``encodings`` and ``stages`` are
-    left out.
+    a singleton after one stage, or whose class holds one representative
+    of certified copies and no member with the key, gets no later key.
+    ``stages`` holds one (stage, computed, certified, cached, seconds) row
+    per stage, in ``GROUP_STAGES`` order.  The counts split the graphs that
+    stage ran on: ``computed`` the representatives computed, ``cached`` the
+    graphs that already held the stage's key, and ``certified`` the rest.
+    Reports are equal, and hash alike, when their ids and classes are:
+    ``encodings`` and ``stages`` are left out.
     """
 
     __slots__ = ("ids", "coarse_classes", "final_classes", "encodings", "stages")
@@ -420,21 +417,18 @@ def partition_group(
     graph's dict starts as a copy of its entry, and only what it lacks is
     computed.
 
-    Each stage first splits every class into certified copies with
-    ``copy_representatives``, the members holding the stage's encoding
-    being representatives first; before the first stage that class is the
-    whole input.  Each later stage carries the certificates of the stage
-    before, as a copy's representative is in its class, and tries only the
-    class's representatives and the members holding its encoding again.  A
-    certified copy takes its representative's bytes object, and each
-    representative that lacks the encoding is computed.  At a later stage,
-    when no member holds the encoding and one representative is left,
-    every member holds a chain of verified certificates onto it, and the
-    class settles: nothing is computed for it at this stage, and its
-    members, none of which holds the stage's key, stay one class.  The
-    first stage settles no class, so every graph gets its first key, and
-    neither the coarse partition nor the final one depends on
-    certification: encodings are isomorphism invariants.
+    Before the first stage, ``copy_representatives`` splits the whole input,
+    in dataset order, into groups of certified copies, and its time counts
+    in the first stage's seconds.  The stages then partition the
+    representatives.  At each stage a group's key is any member's cached
+    key; otherwise it is computed for the representative, at the first
+    stage always and later only when its class holds another
+    representative.  Every member of the group then takes that bytes
+    object.  A class of one representative and no member with the key gets
+    no key at that stage and stays one class: every member holds a
+    verified certificate onto the representative.  Neither the coarse
+    partition nor the final one depends on certification: encodings are
+    isomorphism invariants.
 
     The report gives back each graph's whole dict and a (stage, computed,
     certified, cached, seconds) row per stage, so a caller can store exactly
@@ -458,55 +452,46 @@ def partition_group(
 
     encodings = [dict(cache.get(i, ())) for i in ids]
     distinct: dict[bytes, bytes] = {}  # one object per computed encoding
-    classes: list[list[int]] = [list(range(len(graphs)))]
-    settled: set[int] = set()  # the members of settled classes
-    copies: dict[int, int] = {}  # member -> the representative whose bytes it takes
     partitions, rows = [], []
-    run: Sequence[int] = range(len(graphs))
     with Pool(workers) as pool:
+        start = time.perf_counter()
+        groups: dict[int, list[int]] = {}  # representative -> the graphs certified onto it
+        for i, r in enumerate(copy_representatives(graphs)):
+            groups.setdefault(r, []).append(i)
+        classes = [list(groups)]  # classes of representatives, each in dataset order
         for stage in GROUP_STAGES:
-            start = time.perf_counter()
-            certified = 0
-            copies, carried = {}, copies
+            first = stage == GROUP_STAGES[0]
+            keys: dict[int, bytes] = {}  # representative -> its group's key
+            pending: list[int] = []
+            ran = cached = 0
             for members in classes:
-                if len(members) > 1:
-                    # a carried copy's representative is in its class, as encodings are
-                    # invariants: only representatives, and members that hold the key,
-                    # are tried again
-                    heads = [i for i in members if i not in carried or stage in encodings[i]]
-                    held = [i for i in heads if stage in encodings[i]]
-                    order = held + [i for i in heads if stage not in encodings[i]]
-                    reps = copy_representatives([graphs[i] for i in order], len(held))
-                    # every member certified onto the first: one isomorphism class.  A
-                    # class holding the key does not settle: its copies take the held
-                    # bytes at no cost, and their records gain the key.  Nor does the
-                    # first stage settle any, as every catalog record needs its key
-                    if not held and max(reps) == 0 and stage != GROUP_STAGES[0]:
-                        settled.update(members)
-                        certified += len(members)
-                        continue
-                    head = {i: order[r] for i, r in zip(order, reps)}
-                    for i in members:
-                        r = head[i] if i in head else head[carried[i]]
-                        if r != i:
-                            copies[i] = r
-            pending = [i for i in run if stage not in encodings[i] and i not in settled and i not in copies]
-            for i, key in zip(pending, pool.map(_stage_encoding, [(stage, graphs[i]) for i in pending])):
-                encodings[i][stage] = distinct.setdefault(key, key)
-            for i, r in copies.items():
-                encodings[i][stage] = encodings[r][stage]
+                size = sum(len(groups[r]) for r in members)
+                if size == 1 and not first:
+                    continue
+                ran += size
+                for r in members:
+                    held = [encodings[i][stage] for i in groups[r] if stage in encodings[i]]
+                    cached += len(held)
+                    if held:
+                        keys[r] = held[0]
+                    elif first or len(members) > 1:
+                        pending.append(r)
+            for r, key in zip(pending, pool.map(_stage_encoding, [(stage, graphs[r]) for r in pending])):
+                keys[r] = distinct.setdefault(key, key)
+            for r, key in keys.items():
+                for i in groups[r]:
+                    encodings[i].setdefault(stage, key)
             split = []
             for members in classes:
-                sub = defaultdict(list)  # a singleton class may have no key at this stage
-                for i in members:
-                    sub[encodings[i].get(stage)].append(i)
+                sub = defaultdict(list)  # a class of one representative may have no key
+                for r in members:
+                    sub[keys.get(r)].append(r)
                 split += (sub[key] for key in sorted(sub))
             classes = split
-            partitions.append(tuple(tuple(ids[i] for i in members) for members in classes))
-            certified += len(copies)
-            cached = len(run) - len(pending) - certified
-            rows.append((stage, len(pending), certified, cached, time.perf_counter() - start))
-            run = [i for members in classes if len(members) > 1 for i in members]
+            partitions.append(tuple(tuple(ids[i] for i in sorted(i for r in members for i in groups[r]))
+                                    for members in classes))
+            rows.append((stage, len(pending), ran - len(pending) - cached, cached, time.perf_counter() - start))
+            start = time.perf_counter()
 
     return PartitionReport(
         ids=ids,

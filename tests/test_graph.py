@@ -373,16 +373,14 @@ def test_copy_certificates_take_at_most_n_tokens():
     nodes = repeat(None, 64)
     assert _certificate(z8, _first_path(z8.rows), q8, _root(q8.rows), nodes) is None
     assert next(nodes, "spent") == "spent"
-    assert copy_representatives([z8, q8], 1) == [0, 1]
+    assert copy_representatives([z8, q8]) == [0, 1]
     # a relabelled T(8) is certified within n tokens, by a verified map
     rng = random.Random(57)
     G = triangular(8)
     H = relabeled(G, random_permutation(rng, 28))
     f = _certificate(G, _first_path(G.rows), H, _root(H.rows), repeat(None, 28))
     assert f is not None and is_isomorphism(G, H, f)
-    assert copy_representatives([G, H], 1) == [0, 0]
-    assert copy_representatives([G, H], 0) == [0, 0]
-    assert copy_representatives([G, H], 2) == [0, 1]
+    assert copy_representatives([G, H]) == [0, 0]
 
 
 def test_copy_representatives_keep_copies_apart_when_the_budget_runs_out():
@@ -394,7 +392,7 @@ def test_copy_representatives_keep_copies_apart_when_the_budget_runs_out():
     A, B = latin_square_graph(squares[1]), latin_square_graph(squares[2])
     assert set(_k4_counts(A.rows)) == set(_k4_counts(B.rows)) == {31}
     assert find_isomorphism(A, B) is not None
-    assert copy_representatives([A, B], 1) == [0, 1]
+    assert copy_representatives([A, B]) == [0, 1]
 
 
 def test_k4_counts_match_counting_every_vertex_quadruple():
@@ -436,7 +434,7 @@ def test_seeded_roots_certify_a_pair_that_the_plain_root_misses():
     assert len(set(colours[0])) > 1
     f = _certificate(A, _first_path(A.rows, colours[0]), B, _root(B.rows, colours[1]), repeat(None, 28))
     assert f is not None and is_isomorphism(A, B, f)
-    assert copy_representatives([A, B], 1) == [0, 0]
+    assert copy_representatives([A, B]) == [0, 0]
 
 
 def test_copy_representatives_skip_a_representative_with_another_k4_profile(monkeypatch):
@@ -447,7 +445,7 @@ def test_copy_representatives_skip_a_representative_with_another_k4_profile(monk
     copy = relabeled(chang, random_permutation(random.Random(60), 28))
     assert sorted(_k4_counts(chang.rows)) != sorted(_k4_counts(triangular(8).rows))
     searches = _counting(monkeypatch, "_search")
-    assert copy_representatives([chang, triangular(8), copy], 0) == [0, 1, 0]
+    assert copy_representatives([chang, triangular(8), copy]) == [0, 1, 0]
     assert [args[1] for args in searches] == [copy]
 
 
@@ -475,7 +473,7 @@ def test_copy_representatives_stop_trying_once_the_tokens_are_spent(monkeypatch)
     # the Q8 copy spends its 64 tokens on Z8, so Q8's first path is never built
     z8, z8_copy, q8, q8_copy = _z8_q8_copies()
     paths = _counting(monkeypatch, "_first_path")
-    assert copy_representatives([z8, z8_copy, q8, q8_copy], 0) == [0, 0, 2, 3]
+    assert copy_representatives([z8, z8_copy, q8, q8_copy]) == [0, 0, 2, 3]
     assert [args[0] for args in paths] == [z8.rows]
 
 
@@ -496,13 +494,13 @@ def test_copy_representatives_stop_searching_once_failures_outrun_certificates_b
 
     monkeypatch.setattr(graph_module, "_certificate", failing)
     # five failures with nothing certified: the last three are not searched
-    assert copy_representatives(graphs, 0) == list(range(9))
+    assert copy_representatives(graphs) == list(range(9))
     assert list(dict.fromkeys(map(id, searched))) == list(map(id, graphs[1:6]))
     # one certificate pays for one more failure: six fail, and the last is
     # not searched
     fails.discard(id(graphs[1]))
     searched.clear()
-    assert copy_representatives(graphs, 0) == [0, 0, *range(2, 9)]
+    assert copy_representatives(graphs) == [0, 0, *range(2, 9)]
     assert list(dict.fromkeys(map(id, searched))) == list(map(id, graphs[1:8]))
 
 
@@ -529,9 +527,9 @@ def test_copy_representatives_count_no_k4s_for_graphs_with_a_key_of_their_own(mo
     graphs = [edge_swapped(rook(4), 96, rng) for _ in range(12)]
     assert len(set(_triangle_key(G.rows) for G in graphs)) == 12
     counted = _counting(monkeypatch, "_k4_counts")
-    assert copy_representatives(graphs, 0) == list(range(12))
+    assert copy_representatives(graphs) == list(range(12))
     assert counted == []
     graphs.append(relabeled(graphs[5], random_permutation(rng, 16)))
-    assert copy_representatives(graphs, 0) == [*range(12), 5]
+    assert copy_representatives(graphs) == [*range(12), 5]
     assert [args[0] for args in counted] == [graphs[5].rows, graphs[12].rows]
 

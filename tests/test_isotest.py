@@ -29,8 +29,8 @@ from walkgi import (
     walk_signature,
 )
 import walkgi.graph as graph_module
-from walkgi.graph import COPY_SEARCH_FAILURES, _verify_certificate
-from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool
+from walkgi.graph import COPY_SEARCH_FAILURES, _verify_certificate, copy_representatives
+from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool, _stage_encoding
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -599,6 +599,55 @@ def test_partition_uses_invariant_cache():
     assert cached.encodings[2]["lc-walk-signature"] is full["a"]["lc-walk-signature"]
     # the cache's own dicts are copied, never filled in
     assert partial["a"] == {"lc-det-profile": full["a"]["lc-det-profile"]}
+
+
+@pytest.mark.parametrize("bases", [(triangular(8), *chang_graphs()), (rook(4), shrikhande())])
+def test_partition_takes_a_group_key_from_any_member_that_holds_it(monkeypatch, bases):
+    # relabelled copies, each with a cache entry of one of four shapes drawn
+    # from its true encodings.  Every fourth graph gets no certificate, so
+    # some classes hold two representatives.  A key that any member of a
+    # group of certified copies holds goes to the whole group, so no group
+    # in which a member holds an lc-walk key is walked
+    rng = random.Random(74)
+    graphs = [relabeled(G, random_permutation(rng, G.n)) for G in bases for _ in range(3)]
+    rng.shuffle(graphs)
+    true = [{stage: _stage_encoding((stage, G)) for stage in GROUP_STAGES} for G in graphs]
+    apart = set(map(id, graphs[::4]))
+    certificate = graph_module._certificate
+    monkeypatch.setattr(graph_module, "_certificate",
+                        lambda G, path, H, *args: None if id(H) in apart else certificate(G, path, H, *args))
+    plain = partition_group(graphs, workers=1)
+    representative = copy_representatives(graphs)
+    assert len(set(representative)) > len(bases)
+    walked = _count_walks(monkeypatch)
+    walks = 0
+    for _ in range(6):
+        shapes = [rng.choice([(), ("lc-det-profile",), ("lc-walk-signature",), GROUP_STAGES]) for _ in graphs]
+        cache = {str(i): {stage: true[i][stage] for stage in shape} for i, shape in enumerate(shapes)}
+        walked.clear()
+        cached = partition_group(graphs, workers=1, invariant_cache=cache)
+        assert cached == plain
+        for i, enc in enumerate(cached.encodings):
+            assert enc.items() >= cache[str(i)].items()
+            assert all(enc[stage] == true[i][stage] for stage in enc)
+        holders = {representative[i] for i, shape in enumerate(shapes) if "lc-walk-signature" in shape}
+        assert all("lc-walk-signature" in enc for i, enc in enumerate(cached.encodings) if representative[i] in holders)
+        indices = [next(i for i, G in enumerate(graphs) if G is H) for H in walked]
+        assert not holders & set(indices)
+        assert cached.stages[1][1] == len(walked)
+        walks += len(walked)
+    assert walks > 0
+
+
+def test_partition_rerun_on_its_own_encodings_computes_nothing():
+    # certification runs in dataset order, so a rerun finds the same groups,
+    # and each holds the keys the first run gave it
+    graphs = [latin_square_graph(square) for square in reduced_latin_squares(6)[:200]]
+    cold = partition_group(graphs, workers=1)
+    warm = partition_group(graphs, workers=1, invariant_cache=dict(zip(cold.ids, cold.encodings)))
+    assert [row[1] for row in warm.stages] == [0, 0]
+    assert warm == cold
+    assert warm.encodings == cold.encodings
 
 
 def _z8_q8_copies():
