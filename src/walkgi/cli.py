@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+from itertools import groupby
 
 from . import __version__
 from .formats import (
@@ -83,16 +84,7 @@ def _single_graph(path: str, strict: bool) -> Graph:
 
 def _degree_text(G: Graph) -> str:
     # run-length form, ascending: K4 minus an edge -> "2^2,3^2"
-    seq = degree_sequence(G)
-    runs = []
-    i = 0
-    while i < len(seq):
-        j = i
-        while j < len(seq) and seq[j] == seq[i]:
-            j += 1
-        runs.append(f"{seq[i]}^{j - i}")
-        i = j
-    return ",".join(runs)
+    return ",".join(f"{d}^{len(list(run))}" for d, run in groupby(degree_sequence(G)))
 
 
 def _info_worker(G: Graph) -> tuple[int, int]:

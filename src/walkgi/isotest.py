@@ -14,11 +14,11 @@ than one worker, each stage maps its graphs through ``Pool``: the map
 starts in this process, and only once it has run for ``FORK_AFTER_S``, the
 cost of forking, and the workers would save as long on the graphs left, at
 the mean time per graph so far, does it fork worker processes for them.
-They inherit the graphs through the fork, take graph indices from the parent
-one at a time as they finish, and only the encodings come back, through
-pipes.  ``Pool.map`` yields each result as it arrives, and graphs whose
-computed encodings are equal, such as relabelled copies, share one bytes
-object.
+They inherit the graphs through the fork and take graph indices one at a
+time, as each finishes the last, from one pipe they all read; only the
+encodings come back, each tagged with its index, through a pipe per child.
+``Pool.map`` yields the results in graph order, and graphs whose computed
+encodings are equal, such as relabelled copies, share one bytes object.
 
 Before the first stage computes anything, the whole input is split into
 certified copies (``graph.copy_representatives``, serially in this
@@ -39,7 +39,7 @@ import gc
 import os
 import time
 import warnings
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from typing import Generator, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .graph import Graph, copy_representatives, degree_sequence
@@ -206,18 +206,19 @@ class Pool:
     within ``FORK_AFTER_S`` never forks, nor does a tail too short to pay
     for the fork.
 
-    The parent hands out the indices of the items left in order on a task
-    pipe per child, at most two outstanding per child, and sends a child its
-    next index as each of its results arrives, so a fast child takes more
-    items than a slow one.  A child writes each result to its own pipe as a
-    length-prefixed pickle.  The iterator yields results in item order as
-    they arrive and has reaped every child by its last result; consume it
-    inside the ``with`` block.
+    The parent writes the indices of the items left, in order, to one task
+    pipe that every child reads, keeps at most 2W of them unanswered, and
+    writes the next as each result arrives.  A child takes one index at a
+    time, so a fast child takes more items than a slow one, and writes each
+    result, tagged with its index, to its own pipe as a length-prefixed
+    pickle.  The iterator yields results in item order and has reaped every
+    child by its last result; consume it inside the ``with`` block.
 
     An exception ``fn`` raises, here or in a child, is raised here, with its
-    type, at its item's place; a child that exits holding indices it has
-    not answered, and sent no exception, raises ``ChildProcessError``
-    naming its exit status or signal.  Closing a map early, or leaving the
+    type, at its item's place; the child that sent it exits with status 0.
+    A child that exits with a nonzero status, or by a signal, whether or
+    not it held an index, makes the map raise ``ChildProcessError`` naming
+    that status or signal.  Closing a map early, or leaving the
     ``with`` block, which closes every map, kills and reaps the children
     still running.  One worker, one item, or a platform without ``os.fork``
     maps serially in this process.
@@ -268,86 +269,71 @@ def _forked_map(fn, items: Sequence, workers: int) -> Generator:
     import selectors
 
     count = len(items)
-    children: dict[int, tuple[int, int]] = {}  # running child k -> (pid, read end of its results)
-    tasks: dict[int, int] = {}  # child k -> write end of its task pipe, until every index is out
-    held = [deque() for _ in range(workers)]  # indices child k holds, in the order it answers them
-    buffers = [bytearray() for _ in range(workers)]
+    children: dict[int, int] = {}  # read end of a running child's results -> its pid
     done: dict[int, tuple] = {}  # index -> (ok, result or exception), until yielded
     handed = 0
     selector = selectors.DefaultSelector()
+    task_r, tasks = os.pipe()
 
-    def hand_out(k: int) -> None:
+    def hand_out() -> None:
         nonlocal handed
-        held[k].append(handed)
-        try:  # at most 16 bytes are ever pending in the pipe, so this never blocks
-            os.write(tasks[k], handed.to_bytes(8, "little"))
-        except BrokenPipeError:  # the child is gone; the end of its results tells how
+        try:  # at most 16 bytes per child are ever pending in the pipe, so this never blocks
+            os.write(tasks, handed.to_bytes(8, "little"))
+        except BrokenPipeError:  # every child is gone; the ends of their results tell how
             pass
         handed += 1
-        if handed == count:  # each child exits once it has answered what it holds
-            for fd in tasks.values():
-                os.close(fd)
-            tasks.clear()
+        if handed == count:  # each child exits once it reads the end of the pipe
+            os.close(tasks)
 
-    def reap(k: int) -> int:
-        pid, r = children.pop(k)
+    def reap(r: int) -> int:
         os.close(r)
-        if k in tasks:
-            os.close(tasks.pop(k))
-        return os.waitpid(pid, 0)[1]
+        return os.waitpid(children.pop(r), 0)[1]
 
     try:
         # what exists at the fork stays out of the children's collections,
         # which would otherwise copy every page they traverse (unfrozen when
         # the map ends)
         gc.freeze()
-        for k in range(workers):
-            fds: list[int] = []
-            try:
-                fds += os.pipe()
-                fds += os.pipe()
-                pid = os.fork()
-            except BaseException:
-                for fd in fds:
-                    os.close(fd)
-                raise
-            r, w, task_r, task_w = fds
-            if pid == 0:  # never returns
-                unused = [r, task_w, *tasks.values(), *(fd for _, fd in children.values())]
-                _serve(fn, items, task_r, w, unused)
-            os.close(w)
+        try:
+            for _ in range(workers):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:  # never returns
+                    _serve(fn, items, task_r, w, [r, tasks, *children])
+                os.close(w)
+                children[r] = pid
+                selector.register(r, selectors.EVENT_READ, bytearray())
+        finally:
             os.close(task_r)
-            children[k] = pid, r
-            tasks[k] = task_w
-            selector.register(r, selectors.EVENT_READ, k)
-        for k in [*range(workers)] * 2:  # two indices per child to start, in item order
-            if handed < count:
-                hand_out(k)
+        while handed < min(count, 2 * workers):
+            hand_out()
         for i in range(count):
             # before the last result, every child has sent all it will:
             # wait for each to exit, so that a finished map leaves none
             while i not in done or (i == count - 1 and children):
                 for key, _ in selector.select():
-                    k = key.data
                     data = os.read(key.fd, 1 << 16)
                     if not data:  # the child has closed its pipe to exit
                         selector.unregister(key.fd)
-                        status = reap(k)
-                        if held[k]:  # unanswered indices, and not because it sent an exception
+                        if status := reap(key.fd):
                             raise ChildProcessError(f"a worker process died ({_exit_text(status)})")
                         continue
-                    buf = buffers[k]
+                    buf = key.data
                     buf += data
                     pos = 0
                     while len(buf) - pos >= 8:
                         end = pos + 8 + int.from_bytes(buf[pos:pos + 8], "little")
                         if len(buf) < end:
                             break
-                        done[held[k].popleft()] = message = pickle.loads(buf[pos + 8:end])
-                        if not message[0]:  # an exception: the child stops and answers nothing more
-                            held[k].clear()
-                        elif handed < count:
-                            hand_out(k)
+                        index, ok, value = pickle.loads(buf[pos + 8:end])
+                        done[index] = ok, value
+                        if handed < count:
+                            hand_out()
                         pos = end
                     del buf[:pos]
             ok, value = done.pop(i)
@@ -357,41 +343,50 @@ def _forked_map(fn, items: Sequence, workers: int) -> Generator:
     finally:
         gc.unfreeze()
         selector.close()
+        if handed < count:
+            os.close(tasks)
         if children:  # the map was closed, or failed, before its end
             import signal
 
-            for k, (pid, _) in list(children.items()):
+            for r, pid in list(children.items()):
                 os.kill(pid, signal.SIGKILL)
-                reap(k)
+                reap(r)
 
 
 def _serve(fn, items: Sequence, tasks: int, fd: int, unused: list[int]) -> NoReturn:
     """A forked worker's whole life: close the ``unused`` pipe ends it
-    inherited, then read 8-byte item indices from ``tasks`` until the
-    parent closes it, and write the result of ``fn`` on each indexed item,
-    or the exception that stopped it, to ``fd`` as an 8-byte length and a
-    pickle of (ok, value), in the order the indices came.  It leaves through
-    ``os._exit``, so that nothing of the parent, such as its buffered output
-    or its cleanup, runs here after the work."""
+    inherited, then take item indices one at a time from ``tasks``, the
+    pipe that every child reads, until the parent closes it, and write the
+    result of ``fn`` on each indexed item, or the exception that stopped
+    it, to ``fd`` as an 8-byte length and a pickle of (index, ok, value).
+
+    Every read returns one whole index: the parent writes each index as
+    8 bytes, less than ``PIPE_BUF``, so each write lands whole and the pipe
+    always holds a multiple of 8 bytes, and each read here asks for exactly
+    8, unbuffered, so that a child holds no index beyond the one it works
+    on.  A read of 1-7 bytes would break that, and the child then exits
+    with status 1, which fails the map.  It leaves through ``os._exit``, so
+    that nothing of the parent, such as its buffered output or its cleanup,
+    runs here after the work."""
     import pickle
 
     status = 1
     try:
         for r in unused:
             os.close(r)
-        with open(tasks, "rb") as indices, open(fd, "wb") as out:
-            while index := indices.read(8):
+        with open(fd, "wb") as out:
+            while len(index := os.read(tasks, 8)) == 8:
+                i = int.from_bytes(index, "little")
                 try:
-                    ok, message = True, pickle.dumps(
-                        (True, fn(items[int.from_bytes(index, "little")])), pickle.HIGHEST_PROTOCOL)
+                    ok, message = True, pickle.dumps((i, True, fn(items[i])), pickle.HIGHEST_PROTOCOL)
                 except Exception as exc:
-                    ok, message = False, pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                    ok, message = False, pickle.dumps((i, False, exc), pickle.HIGHEST_PROTOCOL)
                 out.write(len(message).to_bytes(8, "little"))
                 out.write(message)
                 out.flush()
                 if not ok:
                     break
-        status = 0
+        status = 1 if 0 < len(index) < 8 else 0
     finally:
         os._exit(status)
 

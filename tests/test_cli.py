@@ -49,6 +49,13 @@ def test_info_text(tmp_path, capsys):
     assert out.startswith("pete.g6:1:")
 
 
+def test_info_gives_each_run_of_equal_degrees_in_ascending_order(tmp_path, capsys):
+    # K4 minus an edge: the edge's ends have degree 2, the other two degree 3
+    f = write_g6(tmp_path, "k4e.g6", build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    assert main(["info", f, "--format", "records"]) == 0
+    assert " degrees=2^2,3^2 " in capsys.readouterr().out
+
+
 def test_info_text_non_srg(tmp_path, capsys):
     f = write_g6(tmp_path, "two.g6", empty_graph(2), path(3))
     assert main(["info", f]) == 0

@@ -30,7 +30,7 @@ from walkgi import (
 )
 import walkgi.graph as graph_module
 from walkgi.graph import COPY_SEARCH_FAILURES, _verify_certificate, copy_representatives
-from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool, _stage_encoding
+from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool, _serve, _stage_encoding
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -367,6 +367,82 @@ def test_pool_names_the_signal_that_killed_a_worker():
     assert _no_child_left()
 
 
+def _kill_at_2_and_3(x):
+    if x in (2, 3):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_names_the_signal_when_every_worker_died_before_the_next_index(monkeypatch):
+    # items 2 and 3 each kill the child that takes them; index 4, handed out
+    # on the first result, is written only once both children are dead, so it
+    # meets a task pipe with no reader, and that must not hide how they died
+    if not (os.path.isdir("/proc/self/fd") and hasattr(os, "waitid")):
+        pytest.skip("no /proc/self/fd to list open descriptors, or no os.waitid")
+    pids = []
+    fork, write = os.fork, os.write
+
+    def fork_and_note():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    def write_once_both_died(fd, data):
+        if data == (4).to_bytes(8, "little"):
+            for pid in pids:  # wait for each to exit, and leave it to be reaped
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "fork", fork_and_note)
+    monkeypatch.setattr(os, "write", write_once_both_died)
+    before = _open_fds()
+    with Pool(2) as pool:
+        with pytest.raises(ChildProcessError, match="killed by signal 9"):
+            list(pool.map(_kill_at_2_and_3, list(range(6))))
+    assert len(pids) == 2
+    assert _no_child_left()
+    assert _open_fds() == before
+
+
+def _pid(x):
+    return x, os.getpid()
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_names_the_signal_that_killed_a_worker_holding_no_index():
+    # while the map waits for its next call, both children answer every
+    # index they took and wait on the task pipe; one killed there held no
+    # index, and the map still fails, naming the signal
+    with Pool(2) as pool:
+        results = pool.map(_pid, list(range(100)))
+        x, pid = next(results)
+        assert x == 0 and pid != os.getpid()
+        time.sleep(0.2)
+        os.kill(pid, signal.SIGKILL)
+        with pytest.raises(ChildProcessError, match=r"a worker process died \(killed by signal 9\)"):
+            list(results)
+    assert _no_child_left()
+
+
+@pytest.mark.usefixtures("forking")
+def test_pool_worker_exits_with_status_1_on_a_torn_index():
+    tasks, write_end = os.pipe()
+    r, w = os.pipe()
+    os.write(write_end, bytes(3))
+    os.close(write_end)
+    pid = os.fork()
+    if pid == 0:  # never returns
+        _serve(_square, [0], tasks, w, [r])
+    os.close(tasks)
+    os.close(w)
+    try:
+        assert os.read(r, 1) == b""
+    finally:
+        os.close(r)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+
+
 def _large(x):
     return bytes(range(256)) * (1024 * x)  # x * 256 KiB, beyond a 64 KiB pipe buffer
 
@@ -385,8 +461,8 @@ def _pid_after_slow_0(x):
 
 @pytest.mark.usefixtures("forking")
 def test_pool_hands_a_slow_childs_share_to_the_others():
-    # indices go out in order, two at a time per child: item 0's child
-    # holds 0 and 2, and the other child takes everything after them
+    # a child takes one index at a time from the shared task pipe: item 0's
+    # child holds only index 0, and the other child takes everything after it
     with Pool(2) as pool:
         results = list(pool.map(_pid_after_slow_0, list(range(12))))
     assert [x for x, _ in results] == list(range(12))
