@@ -29,7 +29,6 @@ from .invariants import (
 from .isotest import (
     STAGES,
     PartitionReport,
-    Verdict,
     distinguish_pair,
     partition_group,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "STAGES",
     "CertificateError",
     "PartitionReport",
-    "Verdict",
     "distinguish_pair",
     "find_isomorphism",
     "partition_group",

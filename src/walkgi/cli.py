@@ -115,13 +115,13 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_pair(args: argparse.Namespace) -> int:
     G = _single_graph(args.file_a, args.strict)
     H = _single_graph(args.file_b, args.strict)
-    verdict = distinguish_pair(G, H)
+    stage = distinguish_pair(G, H)
 
-    if verdict.distinguished:
+    if stage is not None:
         if args.format == "text":
-            print(f"Distinguished: {verdict.stage}")
+            print(f"Distinguished: {stage}")
         else:
-            print(f"record=pair distinguished=true stage={verdict.stage}")
+            print(f"record=pair distinguished=true stage={stage}")
         return 0
 
     certificate = find_isomorphism(G, H) if args.oracle else None

@@ -246,8 +246,9 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
     lines = [CATALOG_HEADER]
     for rec in records:
         for field_value in (rec.id, rec.g6):
-            if "\t" in field_value or "\n" in field_value:
-                raise CatalogError(f"field {field_value!r} contains tab/newline")
+            # catalog_read splits on every line break str.splitlines knows
+            if "\t" in field_value or field_value.splitlines() not in ([], [field_value]):
+                raise CatalogError(f"field {field_value!r} contains a tab or a line break")
         lines.append("\t".join((rec.id, rec.g6, rec.lc_profile_digest, rec.lc_walk_digest)))
     blobs = blob_dir(path)
     pending: dict[str, bytes] = {}

@@ -1,9 +1,9 @@
 """Staged pairwise distinguishing and group partitioning.
 
 One ordered table, ``STAGE_KEYS``, maps each stage name to its per-graph
-key, cheapest first.  ``distinguish_pair`` stops at the first key that
-differs: a Distinguished verdict is sound (the graphs are certainly
-non-isomorphic); NotDistinguished makes no claim either way.
+key, cheapest first.  ``distinguish_pair`` returns the name of the first
+stage whose key differs, which is sound (the graphs are certainly
+non-isomorphic), or None, which makes no claim either way.
 
 ``partition_group`` runs the table's refining tail, ``GROUP_STAGES``, at
 dataset scale: the lc-det-profile on every graph, the far more expensive
@@ -79,46 +79,11 @@ def _stage_encoding(job: tuple[str, Graph]) -> bytes:
     return STAGE_KEYS[stage](G).encode()
 
 
-class Verdict:
-    """Outcome of a staged distinguishing run: ``stage`` names the stage
-    that distinguished, and is None exactly when nothing did."""
-
-    __slots__ = ("distinguished", "stage")
-    distinguished: bool
-    stage: str | None
-
-    def __init__(self, distinguished: bool, stage: str | None = None) -> None:
-        if distinguished:
-            if stage not in STAGES:
-                raise ValueError(f"unknown stage {stage!r}")
-        elif stage is not None:
-            raise ValueError("NotDistinguished verdicts carry no stage")
-        object.__setattr__(self, "distinguished", distinguished)
-        object.__setattr__(self, "stage", stage)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: a Verdict is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Verdict:
-            return NotImplemented
-        return (self.distinguished, self.stage) == (other.distinguished, other.stage)
-
-    def __hash__(self) -> int:
-        return hash((self.distinguished, self.stage))
-
-    def __repr__(self) -> str:
-        return f"Verdict(distinguished={self.distinguished!r}, stage={self.stage!r})"
-
-    def __reduce__(self):
-        return Verdict, (self.distinguished, self.stage)
-
-
-def distinguish_pair(G: Graph, H: Graph) -> Verdict:
+def distinguish_pair(G: Graph, H: Graph) -> str | None:
     """Run the stages of ``STAGE_KEYS`` in their cheap-to-expensive order.
 
-    Returns Distinguished at the first stage whose key differs, else
-    NotDistinguished.  NotDistinguished never asserts isomorphism.
+    Returns the name of the first stage whose key differs, which proves the
+    graphs non-isomorphic, else None, which never asserts isomorphism.
 
     Differing horizons m_G != m_H count as a walk-signature difference, as
     each signature carries its m: equal signatures at max(m_G, m_H) would
@@ -127,8 +92,8 @@ def distinguish_pair(G: Graph, H: Graph) -> Verdict:
     """
     for stage, key in STAGE_KEYS.items():
         if key(G) != key(H):
-            return Verdict(True, stage)
-    return Verdict(False)
+            return stage
+    return None
 
 
 class PartitionReport:

@@ -217,7 +217,7 @@ def test_criterion_5_soundness_suite():
             n = rng.randint(2, 8)
             G = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             H = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-            if distinguish_pair(G, H).distinguished:
+            if distinguish_pair(G, H) is not None:
                 distinguished += 1
                 if n <= 6:
                     assert exhaustive_isomorphic(G, H) is None
@@ -244,7 +244,7 @@ def test_criterion_5_soundness_suite():
                 lc_determinant_profile(G).encode() == lc_determinant_profile(H).encode()
             )
             assert lc_walk_signature(G).encode() == lc_walk_signature(H).encode()
-            assert not distinguish_pair(G, H).distinguished
+            assert distinguish_pair(G, H) is None
 
         # (c) matrix powers count walks
         for _ in range(50):

@@ -9,6 +9,7 @@ import pytest
 
 from walkgi import (
     CATALOG_HEADER,
+    CertificateError,
     build_graph,
     catalog_write,
     lc_determinant_profile,
@@ -22,6 +23,7 @@ from walkgi.isotest import GROUP_STAGES, STAGE_KEYS
 from fixture_graphs import (
     complete,
     cycle,
+    disjoint_union,
     empty_graph,
     latin_square_graph,
     path,
@@ -103,8 +105,12 @@ def test_info_records_identical_with_one_and_two_workers(tmp_path, capsys, monke
 def test_pair_distinguished(tmp_path, capsys):
     a = write_g6(tmp_path, "a.g6", complete(3))
     b = write_g6(tmp_path, "b.g6", path(3))
-    assert main(["pair", a, b]) == 0
-    assert capsys.readouterr().out == "Distinguished: edge-count\n"
+    # the oracle runs only when no stage distinguishes, so it changes nothing here
+    for oracle in ([], ["--oracle"]):
+        assert main(["pair", a, b, *oracle]) == 0
+        assert capsys.readouterr().out == "Distinguished: edge-count\n"
+        assert main(["pair", a, b, "--format", "records", *oracle]) == 0
+        assert capsys.readouterr().out == "record=pair distinguished=true stage=edge-count\n"
 
 
 def test_pair_records(tmp_path, capsys):
@@ -112,6 +118,8 @@ def test_pair_records(tmp_path, capsys):
     b = write_g6(tmp_path, "b.g6", cycle(6))
     assert main(["pair", a, b, "--format", "records"]) == 0
     assert capsys.readouterr().out == "record=pair distinguished=false\n"
+    assert main(["pair", a, b]) == 0
+    assert capsys.readouterr().out == "NotDistinguished\n"
 
 
 def test_pair_with_oracle(tmp_path, capsys):
@@ -139,6 +147,31 @@ def test_pair_oracle_skipped_above_cap(tmp_path, capsys):
     assert sorted(f) == list(range(16))
     assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("fmt, out", [
+    ("text", "NotDistinguished; oracle: non-isomorphic\n"),
+    ("records", "record=pair distinguished=false oracle=non-isomorphic\n"),
+])
+def test_pair_oracle_on_a_non_isomorphic_pair_no_stage_splits(tmp_path, capsys, monkeypatch, fmt, out):
+    # no known pair survives every stage, so pin every key to one value
+    for stage in list(STAGE_KEYS):
+        monkeypatch.setitem(STAGE_KEYS, stage, lambda G: 0)
+    a = write_g6(tmp_path, "a.g6", cycle(6))
+    b = write_g6(tmp_path, "b.g6", disjoint_union(complete(3), complete(3)))
+    assert main(["pair", a, b, "--oracle", "--format", fmt]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_pair_reports_a_malformed_input_with_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("!!\n")
+    b = write_g6(tmp_path, "b.g6", complete(3))
+    assert main(["pair", str(bad), b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.err.endswith(" (line 1)\n") and captured.err.count("\n") == 1
 
 
 def test_pair_requires_single_graph_per_file(tmp_path, capsys):
@@ -680,6 +713,18 @@ def test_group_on_1000_order_6_squares_fits_in_memory(tmp_path):
     assert int(peak["maxrss_kb"]) < 256 * 1024
 
 
+def test_group_rejects_one_id_from_two_inputs(tmp_path, capsys):
+    # ids are "filename:lineno", so equal file names in two directories clash
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d2").mkdir()
+    a = write_g6(tmp_path / "d1", "x.g6", cycle(5))
+    b = write_g6(tmp_path / "d2", "x.g6", petersen())
+    assert main(["group", a, b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate graph ids across inputs\n"
+
+
 def test_group_no_graphs(tmp_path, capsys):
     p = tmp_path / "empty.g6"
     p.write_text("# nothing here\n")
@@ -692,7 +737,10 @@ def test_lc_command(tmp_path, capsys):
     assert main(["lc", f, "0"]) == 0
     out = capsys.readouterr().out
     # complementing K3 at vertex 0 removes the 1-2 edge
-    assert out == "k3.g6:1: " + write_graph6(build_graph(3, [(0, 1), (0, 2)])) + "\n"
+    g6 = write_graph6(build_graph(3, [(0, 1), (0, 2)]))
+    assert out == f"k3.g6:1: {g6}\n"
+    assert main(["lc", f, "0", "--format", "records"]) == 0
+    assert capsys.readouterr().out == f"record=lc id=k3.g6:1 u=0 g6={g6}\n"
 
 
 def test_lc_vertex_out_of_range(tmp_path, capsys):
@@ -738,8 +786,9 @@ def test_walks_command_pair_order_and_diagonal(tmp_path, capsys):
 
 
 def test_oracle_command(tmp_path, capsys):
-    a = write_g6(tmp_path, "a.g6", cycle(6))
-    b = write_g6(tmp_path, "b.g6", relabeled(cycle(6), (3, 1, 4, 0, 5, 2)))
+    G, H = cycle(6), relabeled(cycle(6), (3, 1, 4, 0, 5, 2))
+    a = write_g6(tmp_path, "a.g6", G)
+    b = write_g6(tmp_path, "b.g6", H)
     assert main(["oracle", a, b]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "isomorphic"
@@ -747,6 +796,29 @@ def test_oracle_command(tmp_path, capsys):
     c = write_g6(tmp_path, "c.g6", path(6))
     assert main(["oracle", a, c]) == 0
     assert capsys.readouterr().out == "non-isomorphic\n"
+
+    assert main(["oracle", a, b, "--format", "records"]) == 0
+    out = capsys.readouterr().out
+    prefix = "record=oracle isomorphic=true certificate="
+    assert out.startswith(prefix) and out.count("\n") == 1
+    f = [int(w) for w in out.strip()[len(prefix):].split(",")]
+    assert sorted(f) == list(range(6))
+    assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
+    assert main(["oracle", a, c, "--format", "records"]) == 0
+    assert capsys.readouterr().out == "record=oracle isomorphic=false\n"
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["pair", "--oracle"]])
+def test_a_certificate_that_fails_re_verification_exits_2(tmp_path, capsys, monkeypatch, command):
+    def fail(G, H):
+        raise CertificateError("certificate fails re-verification")
+
+    monkeypatch.setattr("walkgi.cli.find_isomorphism", fail)
+    a = write_g6(tmp_path, "a.g6", cycle(6))
+    assert main([*command, a, a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: certificate fails re-verification\n"
 
 
 def test_oracle_command_cap(tmp_path, capsys):

@@ -373,9 +373,13 @@ def test_catalog_rejects_malformed_lines(tmp_path):
 
 
 def test_catalog_rejects_tab_in_id(tmp_path):
-    rec = make_catalog_record("bad\tid", cycle(4), lc_encodings(cycle(4)))
-    with pytest.raises(CatalogError, match="tab"):
-        catalog_write([rec], tmp_path / "test.catalog")
+    # and every line break catalog_read splits on, which would leave the
+    # catalog unreadable; nothing is written
+    for bad in ("\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        rec = make_catalog_record(f"pe{bad}t.g6:1", cycle(4), lc_encodings(cycle(4)))
+        with pytest.raises(CatalogError, match="a tab or a line break"):
+            catalog_write([rec], tmp_path / "test.catalog")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_catalog_record_without_lc_walk_roundtrip(tmp_path):
