@@ -26,6 +26,7 @@ from .formats import (
     Graph6Error,
     catalog_read,
     catalog_write,
+    check_catalog_field,
     make_catalog_record,
     read_dataset,
     write_graph6,
@@ -61,15 +62,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _read_graphs(paths, strict: bool) -> tuple[list[tuple[str, Graph]], bool]:
+def _read_graphs(args: argparse.Namespace) -> tuple[list[tuple[str, Graph]], bool]:
     entries: list[tuple[str, Graph]] = []
     failed = False
-    for path in paths:
-        part, failures = read_dataset(path, strict=strict)
+    for path in args.files:
+        part, failures = read_dataset(path, strict=args.strict)
         for failure in failures:
             print(f"parse error: {failure}", file=sys.stderr)
             failed = True
         entries.extend(part)
+    if args.format == "records":
+        # records separate fields by spaces and members= entries by commas
+        for record_id, _ in entries:
+            if record_id.split() != [record_id] or "," in record_id:
+                raise _UsageError(f"id {record_id!r} holds whitespace or a comma, "
+                                  "which --format records cannot show")
     return entries, failed
 
 
@@ -92,7 +99,7 @@ def _info_worker(G: Graph) -> tuple[int, int]:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    entries, failed = _read_graphs(args.files, args.strict)
+    entries, failed = _read_graphs(args)
     with Pool(args.workers) as pool:
         for (record_id, G), (det, m) in zip(entries, pool.map(_info_worker, [G for _, G in entries])):
             degrees = _degree_text(G)
@@ -148,7 +155,7 @@ def _certificate_text(certificate: tuple[int, ...]) -> str:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
-    entries, failed = _read_graphs(args.files, args.strict)
+    entries, failed = _read_graphs(args)
     if not entries:
         raise _UsageError("no graphs to partition")
     ids = [record_id for record_id, _ in entries]
@@ -159,6 +166,8 @@ def cmd_group(args: argparse.Namespace) -> int:
     cache: dict[str, dict[str, bytes]] = {}
     known: dict[str, CatalogRecord] = {}
     if args.catalog:
+        for record_id in ids:  # fail before any key is computed, not at the write
+            check_catalog_field(record_id)
         if os.path.exists(args.catalog):
             known = {rec.id: rec for rec in catalog_read(args.catalog, dict(entries))}
             print(f"catalog: {len(known)} cached records", file=sys.stderr)
@@ -218,7 +227,7 @@ def _timing_text(stages) -> str:
 
 
 def cmd_lc(args: argparse.Namespace) -> int:
-    entries, failed = _read_graphs(args.files, args.strict)
+    entries, failed = _read_graphs(args)
     u = args.vertex
     for record_id, G in entries:
         if not 0 <= u < G.n:
@@ -232,7 +241,7 @@ def cmd_lc(args: argparse.Namespace) -> int:
 
 
 def cmd_det(args: argparse.Namespace) -> int:
-    entries, failed = _read_graphs(args.files, args.strict)
+    entries, failed = _read_graphs(args)
     for record_id, G in entries:
         det = determinant(G)
         if args.format == "text":
@@ -243,7 +252,7 @@ def cmd_det(args: argparse.Namespace) -> int:
 
 
 def cmd_walks(args: argparse.Namespace) -> int:
-    entries, failed = _read_graphs(args.files, args.strict)
+    entries, failed = _read_graphs(args)
     u, v = args.u, args.v
     for record_id, G in entries:
         if not (0 <= u < G.n and 0 <= v < G.n):

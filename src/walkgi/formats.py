@@ -236,6 +236,14 @@ def _replace_file(target: Path, data: bytes) -> None:
         raise
 
 
+def check_catalog_field(value: str) -> None:
+    """Raise ``CatalogError`` unless ``value`` can be a catalog field: it
+    holds no tab and none of the line breaks ``catalog_read`` splits on,
+    every one that ``str.splitlines`` knows."""
+    if "\t" in value or value.splitlines() not in ([], [value]):
+        raise CatalogError(f"field {value!r} contains a tab or a line break")
+
+
 def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> None:
     """Write sidecar blobs for records carrying encodings, then the catalog
     TSV; each file is replaced atomically, the TSV last, and a blob already
@@ -245,10 +253,8 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
     records = list(records)
     lines = [CATALOG_HEADER]
     for rec in records:
-        for field_value in (rec.id, rec.g6):
-            # catalog_read splits on every line break str.splitlines knows
-            if "\t" in field_value or field_value.splitlines() not in ([], [field_value]):
-                raise CatalogError(f"field {field_value!r} contains a tab or a line break")
+        check_catalog_field(rec.id)
+        check_catalog_field(rec.g6)
         lines.append("\t".join((rec.id, rec.g6, rec.lc_profile_digest, rec.lc_walk_digest)))
     blobs = blob_dir(path)
     pending: dict[str, bytes] = {}

@@ -48,25 +48,26 @@ callers:
   there is one.  A found map is checked again, as a permutation whose rows
   ``is_isomorphism`` accepts, before it is returned; a failure raises
   ``CertificateError``.
-- ``copy_representatives`` buckets the representatives found so far by
-  the sorted (degree, triangles at the vertex) pairs, and, where a graph
-  shares that key, by the sorted K4 counts, the triangles inside each
-  vertex's neighbourhood, which also colour it.  It searches each graph's
-  tree from its root seeded by those colours against the first paths of
-  the representatives in its own bucket, with n tokens for all of one
-  graph's attempts, and stops searching once the graphs searched and
-  failed outnumber the certified ones by more than
-  ``COPY_SEARCH_FAILURES``.  An isomorphism preserves the colours, so it
-  maps each colour cell onto the cell of the same value, and the seeded
-  search is as complete as the plain one.  A found map is checked again as
-  ``find_isomorphism`` checks it.  Running out only leaves a copy as a
-  representative of its own, so no two graphs are joined without a
-  verified certificate.
+- ``copy_representatives`` first keys every graph by its sorted
+  (degree, triangles at the vertex) pairs.  A graph whose key no other
+  graph holds stays a representative unsearched.  The others are bucketed
+  by that key and the sorted K4 counts, the triangles inside each vertex's
+  neighbourhood, which also colour it.  It searches each graph's tree
+  from its root seeded by those colours against the first paths of the
+  representatives in its own bucket, with n tokens for all of one graph's
+  attempts, and stops searching once the graphs searched and failed
+  outnumber the certified ones by more than ``COPY_SEARCH_FAILURES``.  An
+  isomorphism preserves the colours, so it maps each colour cell onto the
+  cell of the same value, and the seeded search is as complete as the
+  plain one.  A found map is checked again as ``find_isomorphism`` checks
+  it.  Running out only leaves a copy as a representative of its own, so
+  no two graphs are joined without a verified certificate.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from itertools import compress, count, repeat
 from operator import itemgetter, length_hint
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -343,68 +344,63 @@ def copy_representatives(graphs: Sequence[Graph]) -> list[int]:
     """For each graph, the index of the graph it is a certified copy of, or
     its own index when it is a representative.
 
-    The graphs are taken in order, so a copy's representative comes before
-    it, and the first graph is a representative.  Representatives are
-    kept in buckets by an exact invariant: the sorted (degree, triangles at
-    the vertex) pairs (``_triangle_key``), then, once a later graph shares
-    that key, the sorted K4 counts (``_k4_counts``), which also colour the
-    graph.  So a graph whose first key no other graph has so far costs no
-    K4 count and no search.  Each later graph is tried against the
-    representatives of its own bucket in order, by the search of the module
-    docstring from its root seeded with its colours, with n tokens shared
-    across its attempts; a graph that gets no certificate becomes a
-    representative itself.  A representative in another bucket is never
-    tried: the keys are invariants, so no certificate exists.  A graph's
-    root is refined once, a representative's first path, from its seeded
-    root, only when a graph with tokens left is tried against it, and no
-    attempt starts once the tokens are spent.  Once the graphs searched and
-    failed outnumber the certified ones by more than
-    ``COPY_SEARCH_FAILURES``, the rest stay representatives unsearched.  A
-    map is taken only once ``_verify_certificate`` has accepted it.
-    Running out of tokens only leaves copies apart, never joins two graphs.
-    Colours and first paths are kept for representatives only.
+    Every graph is first keyed by its sorted (degree, triangles at the
+    vertex) pairs (``_triangle_key``), equal keys sharing one bytes object.
+    A graph whose key no other graph holds stays a representative, with no
+    K4 count and no search.  The others are taken in order, so a copy's
+    representative comes before it, and each is keyed again by its sorted
+    K4 counts (``_k4_counts``), which also colour the graph.  It is tried
+    against the representatives with both its keys in order, by the search
+    of the module docstring from its root seeded with its colours, with n
+    tokens shared across its attempts; a graph that gets no certificate
+    becomes a representative itself.  A representative with other keys is
+    never tried: the keys are invariants, so no certificate exists.  A
+    graph's root is refined once, a representative's first path, from its
+    seeded root, only when a graph with tokens left is tried against it,
+    and no attempt starts once the tokens are spent.  Once the graphs
+    searched and failed outnumber the certified ones by more than
+    ``COPY_SEARCH_FAILURES``, the rest stay representatives, with no K4
+    count and no search.  A map is taken only once ``_verify_certificate``
+    has accepted it.  Running out of tokens only leaves copies apart, never
+    joins two graphs.  Colours and first paths are kept for
+    representatives only.
 
     Both trees are seeded with cells of one colour each, ordered by value,
     so for equal profiles the cells pair up value by value with equal sizes,
     and every isomorphism maps each of G's cells onto H's cell in the same
     place: the shape check of ``_search`` stays sound.
     """
+    first: dict[bytes, bytes] = {}
+    keys = [first.setdefault(key, key) for key in (_triangle_key(H.rows) for H in graphs)]
+    shared = {key for key, n in Counter(keys).items() if n > 1}
     copies = list(range(len(graphs)))
-    # first key -> {sorted K4 counts, or None while no later graph has
-    # shared the key: the representatives with them, in order}
-    buckets: dict[bytes, dict[tuple | None, list[int]]] = {}
-    colours: dict[int, list[int]] = {}
+    # (first key, sorted K4 counts) -> the representatives with them, in
+    # order, each with its K4 counts
+    buckets: dict[tuple[bytes, tuple[int, ...]], list[tuple[int, list[int]]]] = {}
     paths: dict[int, list[_PathNode]] = {}
     certified = failed = 0
-    for i in range(len(graphs)):
+    for i, H in enumerate(graphs):
+        if keys[i] not in shared:
+            continue
         if failed - certified > COPY_SEARCH_FAILURES:
             break
-        H = graphs[i]
-        bucket = buckets.setdefault(_triangle_key(H.rows), {})
-        if not bucket:
-            bucket.setdefault(None, []).append(i)
-            continue
-        for r in bucket.pop(None, ()):
-            colours[r] = _k4_counts(graphs[r].rows)
-            bucket.setdefault(tuple(sorted(colours[r])), []).append(r)
-        colours[i] = _k4_counts(H.rows)
-        representatives = bucket.setdefault(tuple(sorted(colours[i])), [])
+        colours = _k4_counts(H.rows)
+        representatives = buckets.setdefault((keys[i], tuple(sorted(colours))), [])
         if representatives:
-            root, nodes = _root(H.rows, colours[i]), repeat(None, H.n)
-            for r in representatives:
+            root, nodes = _root(H.rows, colours), repeat(None, H.n)
+            for r, r_colours in representatives:
                 if not length_hint(nodes):
                     break
                 if r not in paths:
-                    paths[r] = _first_path(graphs[r].rows, colours[r])
+                    paths[r] = _first_path(graphs[r].rows, r_colours)
                 if _certificate(graphs[r], paths[r], H, root, nodes) is not None:
                     copies[i] = r
                     break
             if copies[i] != i:
                 certified += 1
-                del colours[i]
                 continue
             failed += 1
-        representatives.append(i)
+        representatives.append((i, colours))
     return copies
 
 

@@ -725,6 +725,35 @@ def test_group_rejects_one_id_from_two_inputs(tmp_path, capsys):
     assert captured.err == "error: duplicate graph ids across inputs\n"
 
 
+def test_group_rejects_an_id_the_catalog_cannot_store_before_the_first_stage(tmp_path, capsys, monkeypatch):
+    # a line break in a file name reaches the id, which a catalog line
+    # cannot hold: the run stops before any key is computed
+    f = write_g6(tmp_path, "pe\rt.g6", cycle(5), petersen())
+    monkeypatch.setattr("walkgi.cli.partition_group", lambda *args, **kwargs: pytest.fail("partitioned"))
+    catalog = tmp_path / "c.tsv"
+    assert main(["group", f, "--catalog", str(catalog), "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field 'pe\\rt.g6:1' contains a tab or a line break\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pe\rt.g6"]
+
+
+@pytest.mark.parametrize("name", ["x y.g6", "a,b.g6"])
+@pytest.mark.parametrize("command", ["info", "group"])
+def test_records_reject_an_id_with_whitespace_or_a_comma(tmp_path, capsys, monkeypatch, command, name):
+    # records separate fields by spaces and members= entries by commas
+    f = write_g6(tmp_path, name, cycle(5), relabeled(cycle(5), [1, 2, 3, 4, 0]))
+    monkeypatch.setattr("walkgi.cli.partition_group", lambda *args, **kwargs: pytest.fail("partitioned"))
+    monkeypatch.setattr("walkgi.cli.determinant", lambda G: pytest.fail("computed"))
+    assert main([command, f, "--format", "records", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: id '{name}:1' holds whitespace or a comma, which --format records cannot show\n"
+    monkeypatch.undo()
+    assert main([command, f, "--workers", "1"]) == 0
+    assert f"{name}:1" in capsys.readouterr().out
+
+
 def test_group_no_graphs(tmp_path, capsys):
     p = tmp_path / "empty.g6"
     p.write_text("# nothing here\n")

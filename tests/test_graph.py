@@ -493,15 +493,20 @@ def test_copy_representatives_stop_searching_once_failures_outrun_certificates_b
         return None if id(H) in fails else certificate(G, path, H, root, nodes)
 
     monkeypatch.setattr(graph_module, "_certificate", failing)
-    # five failures with nothing certified: the last three are not searched
+    counted = _counting(monkeypatch, "_k4_counts")
+    # five failures with nothing certified: the last three are not searched,
+    # and their K4s are not counted
     assert copy_representatives(graphs) == list(range(9))
     assert list(dict.fromkeys(map(id, searched))) == list(map(id, graphs[1:6]))
+    assert [args[0] for args in counted] == [G.rows for G in graphs[:6]]
     # one certificate pays for one more failure: six fail, and the last is
     # not searched
     fails.discard(id(graphs[1]))
     searched.clear()
+    counted.clear()
     assert copy_representatives(graphs) == [0, 0, *range(2, 9)]
     assert list(dict.fromkeys(map(id, searched))) == list(map(id, graphs[1:8]))
+    assert [args[0] for args in counted] == [G.rows for G in graphs[:8]]
 
 
 def test_triangle_key_matches_counting_every_vertex_triple():
