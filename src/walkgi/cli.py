@@ -168,6 +168,9 @@ def cmd_group(args: argparse.Namespace) -> int:
     if args.catalog:
         for record_id in ids:  # fail before any key is computed, not at the write
             check_catalog_field(record_id)
+        folder = os.path.dirname(args.catalog) or "."
+        if not os.path.isdir(folder):
+            raise _UsageError(f"catalog directory {folder!r} does not exist")
         if os.path.exists(args.catalog):
             known = {rec.id: rec for rec in catalog_read(args.catalog, dict(entries))}
             print(f"catalog: {len(known)} cached records", file=sys.stderr)

@@ -269,7 +269,7 @@ def catalog_write(records: Iterable[CatalogRecord], path: str | os.PathLike) -> 
                     raise CatalogError(f"record {rec.id!r}: digest does not match encoding")
                 pending[digest] = enc
     if pending:
-        blobs.mkdir(parents=True, exist_ok=True)
+        blobs.mkdir(exist_ok=True)
         for digest, enc in pending.items():
             target = blobs / digest
             try:

@@ -134,37 +134,16 @@ class DetProfile(NamedTuple):
         return b"".join(out)
 
 
-class LcWalkSignature:
+class LcWalkSignature(NamedTuple):
     """Sorted multiset of the walk signatures of all n local complements,
     held as their WS2 encodings.
 
-    ``part_encodings`` may be given in any order; they are sorted, so two
+    ``lc_walk_signature`` gives ``part_encodings`` in sorted order, so two
     structurally equal signatures compare equal and encode to the same
     bytes.  Encoding is injective, so nothing else of a part is kept.
     """
 
-    __slots__ = ("part_encodings",)
     part_encodings: tuple[bytes, ...]
-
-    def __init__(self, part_encodings: tuple[bytes, ...]) -> None:
-        object.__setattr__(self, "part_encodings", tuple(sorted(part_encodings)))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: an LcWalkSignature is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LcWalkSignature:
-            return NotImplemented
-        return self.part_encodings == other.part_encodings
-
-    def __hash__(self) -> int:
-        return hash(self.part_encodings)
-
-    def __repr__(self) -> str:
-        return f"LcWalkSignature(part_encodings={self.part_encodings!r})"
-
-    def __reduce__(self):
-        return LcWalkSignature, (self.part_encodings,)
 
     @property
     def n(self) -> int:
@@ -213,4 +192,4 @@ def lc_walk_signature(G: Graph) -> LcWalkSignature:
     parts: list[bytes] = []
     for orbit in vertex_orbits(G):
         parts += [walk_signature(local_complement(G, orbit[0])).encode()] * len(orbit)
-    return LcWalkSignature(tuple(parts))
+    return LcWalkSignature(tuple(sorted(parts)))

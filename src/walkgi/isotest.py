@@ -40,7 +40,7 @@ import os
 import time
 import warnings
 from collections import Counter, defaultdict
-from typing import Generator, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .graph import Graph, copy_representatives, degree_sequence
 from .invariants import lc_determinant_profile, lc_walk_signature, walk_signature
@@ -96,7 +96,7 @@ def distinguish_pair(G: Graph, H: Graph) -> str | None:
     return None
 
 
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Equivalence classes of a group partition run.
 
     ``coarse_classes`` is the partition after the first of ``GROUP_STAGES``,
@@ -113,39 +113,13 @@ class PartitionReport:
     per stage, in ``GROUP_STAGES`` order.  The counts split the graphs that
     stage ran on: ``computed`` the representatives computed, ``cached`` the
     graphs that already held the stage's key, and ``certified`` the rest.
-    Reports are equal, and hash alike, when their ids and classes are:
-    ``encodings`` and ``stages`` are left out.
     """
 
-    __slots__ = ("ids", "coarse_classes", "final_classes", "encodings", "stages")
     ids: tuple[str, ...]
     coarse_classes: tuple[tuple[str, ...], ...]
     final_classes: tuple[tuple[str, ...], ...]
     encodings: tuple[dict[str, bytes], ...]
     stages: tuple[tuple[str, int, int, int, float], ...]
-
-    def __init__(self, ids, coarse_classes, final_classes, encodings, stages) -> None:
-        for name, value in zip(self.__slots__, (ids, coarse_classes, final_classes, encodings, stages)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: a PartitionReport is immutable")
-
-    def _key(self) -> tuple:
-        return self.ids, self.coarse_classes, self.final_classes
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if other.__class__ is PartitionReport else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"PartitionReport({fields})"
-
-    def __reduce__(self):
-        return PartitionReport, tuple(getattr(self, name) for name in self.__slots__)
 
     def coarse_size_counts(self) -> dict[int, int]:
         return dict(Counter(len(c) for c in self.coarse_classes))

@@ -1,5 +1,6 @@
 import os
 import signal
+import threading
 
 import pytest
 
@@ -9,11 +10,19 @@ import acceptance_report
 @pytest.fixture
 def forking(monkeypatch):
     """Make every ``Pool`` map of two or more items fork before its first
-    item, with ``FORK_AFTER_S`` at 0; skip without ``os.fork``; fail, rather
-    than hang, a map that never ends."""
+    item, with ``FORK_AFTER_S`` at 0; skip without ``os.fork``; fail a fork
+    from a process with more than one thread, which ``Pool`` must never
+    make; fail, rather than hang, a map that never ends."""
     if not hasattr(os, "fork"):
         pytest.skip("the pool maps serially without os.fork")
     monkeypatch.setattr("walkgi.isotest.FORK_AFTER_S", 0)
+    fork = os.fork
+
+    def single_threaded_fork():
+        assert threading.active_count() == 1, f"fork with {threading.active_count()} threads"
+        return fork()
+
+    monkeypatch.setattr(os, "fork", single_threaded_fork)
 
     def expire(signum, frame):
         raise TimeoutError("the map did not end within 60 s")

@@ -738,6 +738,19 @@ def test_group_rejects_an_id_the_catalog_cannot_store_before_the_first_stage(tmp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pe\rt.g6"]
 
 
+def test_group_rejects_a_catalog_in_a_missing_directory_before_the_first_stage(tmp_path, capsys, monkeypatch):
+    # the catalog's directory is never created: a missing one is a usage
+    # error, found before any key is computed, and nothing is written
+    f = write_g6(tmp_path, "fam.g6", cycle(5), petersen())
+    monkeypatch.setattr("walkgi.cli.partition_group", lambda *args, **kwargs: pytest.fail("partitioned"))
+    catalog = tmp_path / "nodir" / "sub" / "c.tsv"
+    assert main(["group", f, "--catalog", str(catalog), "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: catalog directory {str(catalog.parent)!r} does not exist\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.g6"]
+
+
 @pytest.mark.parametrize("name", ["x y.g6", "a,b.g6"])
 @pytest.mark.parametrize("command", ["info", "group"])
 def test_records_reject_an_id_with_whitespace_or_a_comma(tmp_path, capsys, monkeypatch, command, name):

@@ -257,6 +257,10 @@ def test_catalog_roundtrip(tmp_path):
     catalog_write(records, cat)
     assert cat.read_text().splitlines()[0] == CATALOG_HEADER
     assert_roundtrip(cat, records)
+    # a blank line between two records is skipped
+    lines = cat.read_text().splitlines(keepends=True)
+    cat.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
+    assert_roundtrip(cat, records)
 
 
 def test_catalog_read_without_blobs(tmp_path):

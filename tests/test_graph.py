@@ -213,6 +213,10 @@ def test_srg_parameters_clebsch_and_hoffman_singleton():
 def test_srg_parameters_non_srg():
     assert srg_parameters(path(4)) is None  # not regular
     assert srg_parameters(cycle(6)) is None  # beta not constant
+    # the triangular prism: an edge within a triangle has one common
+    # neighbour, an edge between the triangles none
+    prism = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    assert srg_parameters(prism) is None  # alpha not constant
     assert srg_parameters(star(3)) is None
     # complete and edgeless are regular but degenerate, not SRGs here
     assert srg_parameters(complete(4)) is None

@@ -5,7 +5,6 @@ import pytest
 
 from walkgi import (
     DetProfile,
-    LcWalkSignature,
     WalkSignature,
     build_graph,
     default_m,
@@ -294,9 +293,6 @@ def test_lc_walk_part_encodings():
         assert sig.n == G.n
         fresh = sorted(walk_signature(local_complement(G, u)).encode() for u in range(G.n))
         assert sig.part_encodings == tuple(fresh)
-        # encodings given in any order are sorted
-        reordered = LcWalkSignature(sig.part_encodings[::-1])
-        assert reordered == sig and reordered.encode() == sig.encode()
 
 
 def test_lc_walk_signature_without_orbit_search_is_unchanged(monkeypatch):

@@ -30,7 +30,7 @@ from walkgi import (
 )
 import walkgi.graph as graph_module
 from walkgi.graph import COPY_SEARCH_FAILURES, _verify_certificate, copy_representatives
-from walkgi.isotest import GROUP_STAGES, PartitionReport, Pool, _serve, _stage_encoding
+from walkgi.isotest import GROUP_STAGES, Pool, _serve, _stage_encoding
 from fixture_graphs import (
     cayley_table,
     chang_graphs,
@@ -222,11 +222,14 @@ def test_records_copy_and_pickle_by_value_and_refuse_assignment():
     values = [petersen(), lc_walk_signature(cycle(5)), report]
     for value in values:
         for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
-            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            assert twin == value and repr(twin) == repr(value)
+            # a report's encodings are dicts, so it has no hash
+            assert value is report or hash(twin) == hash(value)
+        field = value._fields[0] if isinstance(value, tuple) else type(value).__slots__[0]
         with pytest.raises(AttributeError):
-            setattr(value, type(value).__slots__[0], None)
-    # reports compare by ids and classes alone
-    assert PartitionReport(report.ids, report.coarse_classes, report.final_classes, (), ()) == report
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
     assert petersen() != petersen().rows
 
 
@@ -567,6 +570,11 @@ def test_pool_forks_no_tail_too_short_to_pay_for_the_fork(monkeypatch):
     assert forks == []
 
 
+def _classes(report):
+    """A report's ids and its coarse and final classes."""
+    return report.ids, report.coarse_classes, report.final_classes
+
+
 @pytest.mark.usefixtures("forking")
 def test_partition_of_singular_graphs_is_the_same_forked():
     # rook(4), Shrikhande and 6-regular graphs swapped from rook(4), as in
@@ -578,7 +586,7 @@ def test_partition_of_singular_graphs_is_the_same_forked():
     assert sum(determinant(G) == 0 for G in graphs) >= 2
     serial = partition_group(graphs, workers=1)
     forked = partition_group(graphs, workers=2)
-    assert forked == serial
+    assert _classes(forked) == _classes(serial)
     assert forked.encodings == serial.encodings
     assert [row[:3] for row in forked.stages] == [row[:3] for row in serial.stages]
 
@@ -640,7 +648,7 @@ def test_partition_without_certificates_walks_every_member_to_the_same_report(mo
     monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
     plain = partition_group(graphs, workers=1)
     assert len(walked) == 6
-    assert plain == certified
+    assert _classes(plain) == _classes(certified)
     # the settled run holds no lc-walk keys; every key held in both is equal
     for walked_keys, certified_keys in zip(plain.encodings, certified.encodings):
         assert walked_keys.keys() >= certified_keys.keys()
@@ -717,7 +725,7 @@ def test_partition_takes_a_group_key_from_any_member_that_holds_it(monkeypatch, 
         cache = {str(i): {stage: true[i][stage] for stage in shape} for i, shape in enumerate(shapes)}
         walked.clear()
         cached = partition_group(graphs, workers=1, invariant_cache=cache)
-        assert cached == plain
+        assert _classes(cached) == _classes(plain)
         for i, enc in enumerate(cached.encodings):
             assert enc.items() >= cache[str(i)].items()
             assert all(enc[stage] == true[i][stage] for stage in enc)
@@ -737,7 +745,7 @@ def test_partition_rerun_on_its_own_encodings_computes_nothing():
     cold = partition_group(graphs, workers=1)
     warm = partition_group(graphs, workers=1, invariant_cache=dict(zip(cold.ids, cold.encodings)))
     assert [row[1] for row in warm.stages] == [0, 0]
-    assert warm == cold
+    assert _classes(warm) == _classes(cold)
     assert warm.encodings == cold.encodings
 
 
@@ -791,7 +799,7 @@ def test_partition_profiles_only_the_representatives_of_the_lc_refine_family(mon
     monkeypatch.setattr("walkgi.graph._certificate", lambda *args: None)
     plain = partition_group(graphs, workers=1)
     assert len(profiled) == 8
-    assert plain == report
+    assert _classes(plain) == _classes(report)
     assert [enc["lc-det-profile"] for enc in plain.encodings] == [enc["lc-det-profile"] for enc in report.encodings]
 
 
@@ -808,7 +816,7 @@ def test_partition_certifies_most_reduced_order_6_squares_before_the_first_stage
     monkeypatch.setattr("walkgi.graph.COPY_SEARCH_FAILURES", 0)
     stopped = partition_group(graphs, workers=1)
     assert stopped.stages[0][:4] == ("lc-det-profile", 60, 0, 0)
-    assert stopped == report
+    assert _classes(stopped) == _classes(report)
 
 
 def test_partition_settles_only_on_verified_certificates(monkeypatch):
