@@ -36,7 +36,6 @@ from .formats import (
     CATALOG_HEADER,
     CatalogError,
     CatalogRecord,
-    DatasetError,
     Graph6Error,
     ParseFailure,
     catalog_read,
@@ -78,7 +77,6 @@ __all__ = [
     "CATALOG_HEADER",
     "CatalogError",
     "CatalogRecord",
-    "DatasetError",
     "Graph6Error",
     "ParseFailure",
     "catalog_read",

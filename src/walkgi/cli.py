@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Commands: info, pair, group, lc, det, walks, oracle.  Results go to stdout;
-progress, warnings, and timings for the records format go to stderr.  The
-records format is line-oriented ``record=... key=value ...`` and is
-byte-identical across worker counts for the same inputs and flags.
+Commands: info, pair, group, lc, det, walks, oracle.  ``pair`` only screens
+(NotDistinguished claims nothing); ``oracle`` is the exact test.  Datasets
+are read one way: each malformed line is reported as ``parse error:
+FILE:LINE: ...``, the other graphs are processed, and the exit status is 1
+(``pair`` and ``oracle`` take one well-formed graph per file).  Results go
+to stdout; progress, warnings, and timings for the records format go to
+stderr.  The records format is line-oriented ``record=... key=value ...``
+and is byte-identical across worker counts for the same inputs and flags.
 
 Exit codes: 0 success, 1 usage, parse or catalog error or a worker process
 that died, 2 internal invariant violation (a certificate that fails
@@ -22,8 +26,6 @@ from . import __version__
 from .formats import (
     CatalogError,
     CatalogRecord,
-    DatasetError,
-    Graph6Error,
     catalog_read,
     catalog_write,
     check_catalog_field,
@@ -62,11 +64,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _catalog_path(text: str) -> str:
+    # an empty --catalog, say an unset shell variable, would run uncached
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got an empty path")
+    return text
+
+
 def _read_graphs(args: argparse.Namespace) -> tuple[list[tuple[str, Graph]], bool]:
     entries: list[tuple[str, Graph]] = []
     failed = False
     for path in args.files:
-        part, failures = read_dataset(path, strict=args.strict)
+        part, failures = read_dataset(path)
         for failure in failures:
             print(f"parse error: {failure}", file=sys.stderr)
             failed = True
@@ -80,8 +89,8 @@ def _read_graphs(args: argparse.Namespace) -> tuple[list[tuple[str, Graph]], boo
     return entries, failed
 
 
-def _single_graph(path: str, strict: bool) -> Graph:
-    entries, failures = read_dataset(path, strict=strict)
+def _single_graph(path: str) -> Graph:
+    entries, failures = read_dataset(path)
     if failures:
         raise _UsageError(f"{path}: {failures[0].message} (line {failures[0].lineno})")
     if len(entries) != 1:
@@ -120,38 +129,16 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    G = _single_graph(args.file_a, args.strict)
-    H = _single_graph(args.file_b, args.strict)
+    G = _single_graph(args.file_a)
+    H = _single_graph(args.file_b)
     stage = distinguish_pair(G, H)
-
-    if stage is not None:
-        if args.format == "text":
-            print(f"Distinguished: {stage}")
-        else:
-            print(f"record=pair distinguished=true stage={stage}")
-        return 0
-
-    certificate = find_isomorphism(G, H) if args.oracle else None
     if args.format == "text":
-        if not args.oracle:
-            print("NotDistinguished")
-        elif certificate is not None:
-            print("NotDistinguished; oracle: isomorphic, certificate printed")
-            print("certificate: " + _certificate_text(certificate))
-        else:
-            print("NotDistinguished; oracle: non-isomorphic")
+        print("NotDistinguished" if stage is None else f"Distinguished: {stage}")
+    elif stage is None:
+        print("record=pair distinguished=false")
     else:
-        line = "record=pair distinguished=false"
-        if args.oracle:
-            line += f" oracle={'isomorphic' if certificate is not None else 'non-isomorphic'}"
-            if certificate is not None:
-                line += " certificate=" + ",".join(str(w) for w in certificate)
-        print(line)
+        print(f"record=pair distinguished=true stage={stage}")
     return 0
-
-
-def _certificate_text(certificate: tuple[int, ...]) -> str:
-    return " ".join(f"{u}->{w}" for u, w in enumerate(certificate))
 
 
 def cmd_group(args: argparse.Namespace) -> int:
@@ -276,15 +263,15 @@ def cmd_walks(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    G = _single_graph(args.file_a, args.strict)
-    H = _single_graph(args.file_b, args.strict)
+    G = _single_graph(args.file_a)
+    H = _single_graph(args.file_b)
     certificate = find_isomorphism(G, H)
     if args.format == "text":
         if certificate is None:
             print("non-isomorphic")
         else:
             print("isomorphic")
-            print("certificate: " + _certificate_text(certificate))
+            print("certificate: " + " ".join(f"{u}->{w}" for u, w in enumerate(certificate)))
     else:
         line = f"record=oracle isomorphic={'true' if certificate is not None else 'false'}"
         if certificate is not None:
@@ -304,8 +291,6 @@ def _usable_cpus() -> int:
 def _add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
     p.add_argument("--format", choices=("text", "records"), default="text",
                    help="output style (default: text)")
-    p.add_argument("--strict", action="store_true",
-                   help="abort on the first dataset parse error")
     if workers:
         p.add_argument("--workers", type=_positive_int, default=_usable_cpus(), metavar="N",
                        help="worker processes (default: CPUs this process may run on)")
@@ -325,14 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="staged distinguishing of two graphs")
     p.add_argument("file_a", metavar="FILE_A")
     p.add_argument("file_b", metavar="FILE_B")
-    p.add_argument("--oracle", action="store_true",
-                   help="on NotDistinguished, decide isomorphism with the oracle")
     _add_common(p)
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("group", help="partition a dataset into invariant classes")
     p.add_argument("files", nargs="+", metavar="FILE")
-    p.add_argument("--catalog", metavar="PATH",
+    p.add_argument("--catalog", type=_catalog_path, metavar="PATH",
                    help="reuse and update a catalog of per-graph invariants")
     _add_common(p, workers=True)
     p.set_defaults(func=cmd_group)
@@ -369,7 +352,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, Graph6Error, DatasetError, CatalogError, OSError) as exc:
+    except (_UsageError, CatalogError, OSError) as exc:
         # OSError includes the ChildProcessError of a worker process that died
         # (killed for memory, say), which names its exit status or signal
         print(f"error: {exc}", file=sys.stderr)

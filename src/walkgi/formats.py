@@ -4,7 +4,8 @@ graph6 packs the upper adjacency triangle column-wise, six bits per printable
 character (ASCII 63..126).  The codec is bit-exact: parsing rejects stray
 characters, wrong body lengths, and nonzero padding bits, and writing always
 round-trips.  Size headers cover 1 and 4 byte forms (n <= 4096); the 8-byte
-huge-graph header is rejected.
+huge-graph header is rejected.  The dataset reader never raises on a
+malformed line: it returns the line's failure beside the other graphs.
 
 The catalog is a flat TSV file (header line "walkgi-catalog v3") holding one
 record per graph: its id, its graph6 text, and sha256 digests of the
@@ -55,10 +56,6 @@ _NOT_GRAPH6 = re.compile(r"[^?-~]")
 
 class Graph6Error(ValueError):
     """Malformed graph6 text."""
-
-
-class DatasetError(ValueError):
-    """Dataset read aborted (strict mode)."""
 
 
 class CatalogError(ValueError):
@@ -146,15 +143,13 @@ class ParseFailure(NamedTuple):
         return f"{self.path}:{self.lineno}: {self.message}"
 
 
-def read_dataset(
-    path: str | os.PathLike, strict: bool = False
-) -> tuple[list[tuple[str, Graph]], list[ParseFailure]]:
+def read_dataset(path: str | os.PathLike) -> tuple[list[tuple[str, Graph]], list[ParseFailure]]:
     """Read a graph6 dataset file: one graph per line, file order preserved.
 
     Blank lines and '#' comments are skipped, as is an optional
-    '>>graph6<<' header token.  Ids are "filename:lineno".  Parse failures
-    are collected and returned; with strict=True the first failure raises
-    DatasetError instead.
+    '>>graph6<<' header token.  Ids are "filename:lineno".  A malformed
+    line never stops the read: its failure is returned beside the graphs
+    of the other lines.
     """
     path = Path(path)
     name = path.name
@@ -170,8 +165,6 @@ def read_dataset(
             try:
                 entries.append((f"{name}:{lineno}", parse_graph6(s)))
             except Graph6Error as exc:
-                if strict:
-                    raise DatasetError(f"{path}:{lineno}: {exc}") from exc
                 failures.append(ParseFailure(str(path), lineno, str(exc)))
     return entries, failures
 

@@ -33,7 +33,9 @@ def load_srg_group(n: int, d: int, alpha: int, beta: int, expected: int):
     path = srg_path(n, d, alpha, beta)
     if not path.is_file():
         return None
-    entries, _ = read_dataset(path, strict=True)
+    entries, failures = read_dataset(path)
+    if failures:
+        raise AssertionError(f"malformed dataset line: {failures[0]}")
     if len(entries) != expected:
         raise AssertionError(f"{path}: expected {expected} graphs, found {len(entries)}")
     return entries

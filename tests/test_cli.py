@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import random
@@ -18,12 +19,11 @@ from walkgi import (
     write_graph6,
 )
 from walkgi import linalg
-from walkgi.cli import main
+from walkgi.cli import build_parser, main
 from walkgi.isotest import GROUP_STAGES, STAGE_KEYS
 from fixture_graphs import (
     complete,
     cycle,
-    disjoint_union,
     empty_graph,
     latin_square_graph,
     path,
@@ -105,12 +105,10 @@ def test_info_records_identical_with_one_and_two_workers(tmp_path, capsys, monke
 def test_pair_distinguished(tmp_path, capsys):
     a = write_g6(tmp_path, "a.g6", complete(3))
     b = write_g6(tmp_path, "b.g6", path(3))
-    # the oracle runs only when no stage distinguishes, so it changes nothing here
-    for oracle in ([], ["--oracle"]):
-        assert main(["pair", a, b, *oracle]) == 0
-        assert capsys.readouterr().out == "Distinguished: edge-count\n"
-        assert main(["pair", a, b, "--format", "records", *oracle]) == 0
-        assert capsys.readouterr().out == "record=pair distinguished=true stage=edge-count\n"
+    assert main(["pair", a, b]) == 0
+    assert capsys.readouterr().out == "Distinguished: edge-count\n"
+    assert main(["pair", a, b, "--format", "records"]) == 0
+    assert capsys.readouterr().out == "record=pair distinguished=true stage=edge-count\n"
 
 
 def test_pair_records(tmp_path, capsys):
@@ -120,47 +118,6 @@ def test_pair_records(tmp_path, capsys):
     assert capsys.readouterr().out == "record=pair distinguished=false\n"
     assert main(["pair", a, b]) == 0
     assert capsys.readouterr().out == "NotDistinguished\n"
-
-
-def test_pair_with_oracle(tmp_path, capsys):
-    G = petersen()
-    H = relabeled(G, random_permutation(random.Random(81), 10))
-    a = write_g6(tmp_path, "a.g6", G)
-    b = write_g6(tmp_path, "b.g6", H)
-    assert main(["pair", a, b, "--oracle"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "NotDistinguished; oracle: isomorphic, certificate printed"
-    assert out.splitlines()[1].startswith("certificate: 0->")
-
-
-def test_pair_oracle_skipped_above_cap(tmp_path, capsys):
-    """The oracle has no vertex cap: n = 16 gets a certificate."""
-    G = rook(4)
-    H = relabeled(G, random_permutation(random.Random(82), 16))
-    a = write_g6(tmp_path, "a.g6", G)
-    b = write_g6(tmp_path, "b.g6", H)
-    assert main(["pair", a, b, "--oracle", "--format", "records"]) == 0
-    captured = capsys.readouterr()
-    prefix = "record=pair distinguished=false oracle=isomorphic certificate="
-    assert captured.out.startswith(prefix)
-    f = [int(w) for w in captured.out.strip()[len(prefix):].split(",")]
-    assert sorted(f) == list(range(16))
-    assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
-    assert captured.err == ""
-
-
-@pytest.mark.parametrize("fmt, out", [
-    ("text", "NotDistinguished; oracle: non-isomorphic\n"),
-    ("records", "record=pair distinguished=false oracle=non-isomorphic\n"),
-])
-def test_pair_oracle_on_a_non_isomorphic_pair_no_stage_splits(tmp_path, capsys, monkeypatch, fmt, out):
-    # no known pair survives every stage, so pin every key to one value
-    for stage in list(STAGE_KEYS):
-        monkeypatch.setitem(STAGE_KEYS, stage, lambda G: 0)
-    a = write_g6(tmp_path, "a.g6", cycle(6))
-    b = write_g6(tmp_path, "b.g6", disjoint_union(complete(3), complete(3)))
-    assert main(["pair", a, b, "--oracle", "--format", fmt]) == 0
-    assert capsys.readouterr().out == out
 
 
 def test_pair_reports_a_malformed_input_with_its_line(tmp_path, capsys):
@@ -751,6 +708,64 @@ def test_group_rejects_a_catalog_in_a_missing_directory_before_the_first_stage(t
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.g6"]
 
 
+def test_group_rejects_an_empty_catalog_path_before_reading_a_graph(tmp_path, capsys, monkeypatch):
+    # `--catalog "$CAT"` with CAT unset must not run without the catalog
+    f = write_g6(tmp_path, "fam.g6", cycle(5), petersen())
+    monkeypatch.setattr("walkgi.cli.read_dataset", lambda path: pytest.fail("read"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["group", f, "--catalog", "", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --catalog: must name a file, got an empty path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.g6"]
+
+
+def test_group_catalog_keeps_the_graphs_beside_a_malformed_line(tmp_path, capsys):
+    p = tmp_path / "srg16.g6"
+    good = [write_graph6(rook(4)), write_graph6(shrikhande())]
+    p.write_text(f"{good[0]}\n!!\n{good[1]}\n")
+    cat = tmp_path / "inv.catalog"
+    assert main(["group", str(p), "--catalog", str(cat), "--workers", "1"]) == 1
+    first = capsys.readouterr()
+    errors = [line for line in first.err.splitlines() if line.startswith("parse error: ")]
+    assert len(errors) == 1 and errors[0].startswith(f"parse error: {p}:2: ")
+    assert _without_timing(first.out) == ["graphs: 2", "coarse: 2 classes (2 x1)",
+                                          "final: 2 classes (2 x1); all singletons"]
+    assert [line.split("\t")[0] for line in cat.read_text().splitlines()[1:]] == ["srg16.g6:1", "srg16.g6:3"]
+
+    p.write_text(f"{good[0]}\n\n{good[1]}\n")  # the same ids, no malformed line
+    assert main(["group", str(p), "--catalog", str(cat), "--workers", "1"]) == 0
+    second = capsys.readouterr()
+    assert "catalog: 2 cached records\n" in second.err
+    assert "computing" not in second.err
+    assert _without_timing(second.out) == _without_timing(first.out)
+
+
+def test_each_subcommand_takes_exactly_its_options(tmp_path, capsys):
+    # a new option is a visible edit here; -h/--help comes with every parser
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: sorted(o for action in p._actions for o in action.option_strings if o not in ("-h", "--help"))
+               for name, p in subparsers.choices.items()}
+    assert options == {
+        "info": ["--format", "--workers"],
+        "pair": ["--format"],
+        "group": ["--catalog", "--format", "--workers"],
+        "lc": ["--format"],
+        "det": ["--format"],
+        "walks": ["--format"],
+        "oracle": ["--format"],
+    }
+    # every dataset is read one way: there is no --strict
+    f = write_g6(tmp_path, "k3.g6", complete(3))
+    positional = {"info": [f], "pair": [f, f], "group": [f], "lc": [f, "0"], "det": [f],
+                  "walks": [f, "0", "1"], "oracle": [f, f]}
+    for command in options:
+        assert main([command, *positional[command], "--strict"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --strict\n"
+
+
 @pytest.mark.parametrize("name", ["x y.g6", "a,b.g6"])
 @pytest.mark.parametrize("command", ["info", "group"])
 def test_records_reject_an_id_with_whitespace_or_a_comma(tmp_path, capsys, monkeypatch, command, name):
@@ -850,7 +865,7 @@ def test_oracle_command(tmp_path, capsys):
     assert capsys.readouterr().out == "record=oracle isomorphic=false\n"
 
 
-@pytest.mark.parametrize("command", [["oracle"], ["pair", "--oracle"]])
+@pytest.mark.parametrize("command", [["oracle"]])
 def test_a_certificate_that_fails_re_verification_exits_2(tmp_path, capsys, monkeypatch, command):
     def fail(G, H):
         raise CertificateError("certificate fails re-verification")
@@ -864,11 +879,24 @@ def test_a_certificate_that_fails_re_verification_exits_2(tmp_path, capsys, monk
 
 
 def test_oracle_command_cap(tmp_path, capsys):
-    """The oracle has no vertex cap: the two SRG(16,6,2,2) are decided."""
-    a = write_g6(tmp_path, "a.g6", rook(4))
+    """The oracle has no vertex cap: the two SRG(16,6,2,2) are decided, and
+    a relabelled rook(4) gets a certificate."""
+    G = rook(4)
+    H = relabeled(G, random_permutation(random.Random(82), 16))
+    a = write_g6(tmp_path, "a.g6", G)
     b = write_g6(tmp_path, "b.g6", shrikhande())
     assert main(["oracle", a, b]) == 0
     assert capsys.readouterr().out == "non-isomorphic\n"
+
+    c = write_g6(tmp_path, "c.g6", H)
+    assert main(["oracle", a, c, "--format", "records"]) == 0
+    captured = capsys.readouterr()
+    prefix = "record=oracle isomorphic=true certificate="
+    assert captured.out.startswith(prefix) and captured.out.count("\n") == 1
+    f = [int(w) for w in captured.out.strip()[len(prefix):].split(",")]
+    assert sorted(f) == list(range(16))
+    assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
+    assert captured.err == ""
 
 
 def test_parse_errors_reported_and_exit_1(tmp_path, capsys):
@@ -878,15 +906,6 @@ def test_parse_errors_reported_and_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "det=2" in captured.out  # the good line is still processed
     assert "parse error" in captured.err
-
-
-def test_strict_mode_aborts(tmp_path, capsys):
-    p = tmp_path / "bad.g6"
-    p.write_text("!!\nBw\n")
-    assert main(["det", str(p), "--strict"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "bad.g6:1" in captured.err
 
 
 def test_missing_file(capsys):
@@ -909,14 +928,20 @@ def test_invalid_worker_count(tmp_path, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["pair", "oracle"])
-def test_invalid_oracle_cap(tmp_path, capsys, command):
-    """There is no ``--oracle-cap``: it is a usage error."""
+@pytest.mark.parametrize("command, option", [
+    pytest.param("pair", ["--oracle-cap", "0"], id="pair"),
+    pytest.param("oracle", ["--oracle-cap", "0"], id="oracle"),
+    pytest.param("pair", ["--oracle"], id="pair-oracle"),
+])
+def test_invalid_oracle_cap(tmp_path, capsys, command, option):
+    """There is no ``--oracle-cap`` and no ``pair --oracle``: each is a usage
+    error (``--strict`` is checked with every subcommand's options)."""
     f = write_g6(tmp_path, "c6.g6", cycle(6))
-    assert main([command, f, f, "--oracle-cap", "0"]) == 1
+    assert main([command, f, f, *option]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--oracle-cap" in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert option[0] in captured.err
 
 
 def test_version_exits_zero(capsys):
@@ -927,8 +952,6 @@ def test_version_exits_zero(capsys):
 
 
 def test_workers_default_follows_cpu_affinity(monkeypatch):
-    from walkgi.cli import build_parser
-
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     assert build_parser().parse_args(["group", "x.g6"]).workers == 1

@@ -9,7 +9,6 @@ from walkgi import (
     CATALOG_HEADER,
     CatalogError,
     CatalogRecord,
-    DatasetError,
     Graph,
     Graph6Error,
     build_graph,
@@ -228,13 +227,6 @@ def test_read_dataset_collects_failures(tmp_path):
     assert len(failures) == 1
     assert failures[0].lineno == 2
     assert "bad.g6:2" in str(failures[0])
-
-
-def test_read_dataset_strict_raises(tmp_path):
-    p = tmp_path / "bad.g6"
-    p.write_text("Bw\n!!\n")
-    with pytest.raises(DatasetError, match="bad.g6:2"):
-        read_dataset(p, strict=True)
 
 
 def test_make_catalog_record():
