@@ -4,10 +4,11 @@ Commands: info, pair, group, lc, det, walks, oracle.  ``pair`` only screens
 (NotDistinguished claims nothing); ``oracle`` is the exact test.  Datasets
 are read one way: each malformed line is reported as ``parse error:
 FILE:LINE: ...``, the other graphs are processed, and the exit status is 1
-(``pair`` and ``oracle`` take one well-formed graph per file).  Results go
-to stdout; progress, warnings, and timings for the records format go to
-stderr.  The records format is line-oriented ``record=... key=value ...``
-and is byte-identical across worker counts for the same inputs and flags.
+(``pair`` and ``oracle`` then stop, and otherwise take exactly one graph
+per file).  Results go to stdout; progress, warnings, and timings for the
+records format go to stderr.  The records format is line-oriented
+``record=... key=value ...`` and is byte-identical across worker counts for
+the same inputs and flags.
 
 Exit codes: 0 success, 1 usage, parse or catalog error or a worker process
 that died, 2 internal invariant violation (a certificate that fails
@@ -43,7 +44,7 @@ from .graph import (
 )
 from .invariants import default_m
 from .isotest import Pool, distinguish_pair, partition_group
-from .linalg import _row_starts, determinant, walk_powers
+from .linalg import determinant, walk_powers, walk_rows
 
 
 class _UsageError(Exception):
@@ -89,10 +90,14 @@ def _read_graphs(args: argparse.Namespace) -> tuple[list[tuple[str, Graph]], boo
     return entries, failed
 
 
-def _single_graph(path: str) -> Graph:
+def _single_graph(path: str) -> Graph | None:
+    """The one graph in ``path``, or None once its malformed lines are
+    reported as every command reports them."""
     entries, failures = read_dataset(path)
+    for failure in failures:
+        print(f"parse error: {failure}", file=sys.stderr)
     if failures:
-        raise _UsageError(f"{path}: {failures[0].message} (line {failures[0].lineno})")
+        return None
     if len(entries) != 1:
         raise _UsageError(f"{path}: expected exactly one graph, found {len(entries)}")
     return entries[0][1]
@@ -129,8 +134,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    G = _single_graph(args.file_a)
-    H = _single_graph(args.file_b)
+    G, H = _single_graph(args.file_a), _single_graph(args.file_b)
+    if G is None or H is None:
+        return 1
     stage = distinguish_pair(G, H)
     if args.format == "text":
         print("NotDistinguished" if stage is None else f"Distinguished: {stage}")
@@ -249,9 +255,7 @@ def cmd_walks(args: argparse.Namespace) -> int:
             raise _UsageError(f"{record_id}: pair ({u},{v}) out of range for n={G.n}")
         powers = walk_powers(G)
         m = len(powers)
-        i, j = min(u, v), max(u, v)
-        index = _row_starts(G.n)[i] + j - i
-        counts = [P[index] for P in powers]
+        counts = walk_rows(powers)[u][v]
         if args.format == "text":
             print(f"{record_id}: m={m}, s({u},{v})=({', '.join(str(c) for c in counts)})")
         else:
@@ -263,8 +267,9 @@ def cmd_walks(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    G = _single_graph(args.file_a)
-    H = _single_graph(args.file_b)
+    G, H = _single_graph(args.file_a), _single_graph(args.file_b)
+    if G is None or H is None:
+        return 1
     certificate = find_isomorphism(G, H)
     if args.format == "text":
         if certificate is None:

@@ -40,7 +40,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import MAX_VERTICES, Graph, _graph_of_valid_rows
+from .graph import MAX_VERTICES, Graph
 from .isotest import GROUP_STAGES
 
 GRAPH6_HEADER_TOKEN = ">>graph6<<"
@@ -112,9 +112,7 @@ def parse_graph6(text: str) -> Graph:
     # (n-1, n-1) down to (0, 0): row n-1 first, each row's digits reversed
     text = format(int(lower[::-1], 2) | int(upper[::-1], 2), f"0{n * n}b")
     rows = [int(text[k:k + n], 2) for k in range(0, n * n, n)]
-    # the lower triangle and its transpose: symmetric and loop-free, and
-    # n digits a row, so the checks of Graph() would find nothing
-    return _graph_of_valid_rows(tuple(reversed(rows)))
+    return Graph(tuple(reversed(rows)))
 
 
 def write_graph6(G: Graph) -> str:

@@ -146,12 +146,6 @@ class Graph:
     def n(self) -> int:
         return len(self.rows)
 
-    def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbours of u in ascending order, from the binary digits of row
         u, least significant first, with no Python step per vertex."""
@@ -159,23 +153,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as pairs (u, v) with u < v, in lexicographic order."""
-        for u, row in enumerate(self.rows):
-            m = row >> (u + 1)
-            while m:
-                v = u + 1 + ((m & -m).bit_length() - 1)
-                yield (u, v)
-                m &= m - 1
-
-
-def _graph_of_valid_rows(rows: tuple[int, ...]) -> Graph:
-    """A Graph on ``rows`` without the checks of ``Graph()``, for a caller
-    whose rows are in range, loop-free and symmetric by construction."""
-    G = object.__new__(Graph)
-    object.__setattr__(G, "rows", rows)
-    return G
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

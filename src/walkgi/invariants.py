@@ -28,20 +28,19 @@ each part once per vertex: T(8)'s lc-walk encoding is 2.1 KiB against
 
 The horizon m of a graph is the number of distinct adjacency eigenvalues;
 walks longer than that carry no further information.  ``walk_powers``
-finds it from the same powers the walk signature is built from.
+finds it from the same powers the walk signature is built from, and
+``walk_rows`` reads each vertex's walk-count tuples out of them, so this
+module never touches the powers' layout.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import chain
-from math import isqrt
-from operator import itemgetter
 from typing import NamedTuple
 
 from .graph import Graph, local_complement, vertex_orbits
-from .linalg import _row_starts, lc_determinants, walk_powers
+from .linalg import lc_determinants, walk_powers, walk_rows
 
 
 def _encode_uint(x: int) -> bytes:
@@ -71,16 +70,10 @@ class WalkSignature(NamedTuple):
 
     @classmethod
     def from_powers(cls, powers: list[list[int]]) -> WalkSignature:
-        """Signature of the powers A^1..A^m as returned by ``walk_powers``.
-
-        The powers hold flat upper triangles, so one ``zip`` builds the tuple
-        of every unordered pair {i, j}, in the same flat order, and row i
-        gathers its n tuples, from pairs {j, i} with j < i and then {i, j}
-        with j >= i, through one precomputed getter.
-        """
-        pairs = list(zip(*powers))
-        getters = _row_getters((isqrt(8 * len(pairs) + 1) - 1) // 2)
-        return cls(m=len(powers), rows=tuple(sorted(tuple(sorted(row(pairs))) for row in getters)))
+        """Signature of the powers A^1..A^m as returned by ``walk_powers``:
+        each vertex's tuples from ``walk_rows``, sorted, and the rows
+        sorted."""
+        return cls(m=len(powers), rows=tuple(sorted(tuple(sorted(row)) for row in walk_rows(powers))))
 
     def encode(self) -> bytes:
         """The WS2 bytes: n, m and the number T of distinct walk-count
@@ -100,17 +93,6 @@ class WalkSignature(NamedTuple):
             for k, count in runs.items():
                 out += (k, _encode_uint(count))
         return b"".join(out)
-
-
-@lru_cache(maxsize=8)
-def _row_getters(n: int) -> tuple[itemgetter, ...]:
-    """Per vertex i, a getter of the n pair entries of row i from a flat
-    row-major upper triangle, in column order."""
-    if n == 1:
-        return (itemgetter(slice(None)),)  # the one entry, as a list
-    start = _row_starts(n)
-    return tuple(itemgetter(*(start[j] + i - j for j in range(i)), *range(start[i], start[i] + n - i))
-                 for i in range(n))
 
 
 class DetProfile(NamedTuple):

@@ -71,19 +71,24 @@ and the whole triangle is read back by one ``array("Q", ...)`` call, with
 ``byteswap`` on a big-endian machine.  A lane of w > 1 words is rebuilt
 from its w strided word lists.  The triangle is one flat row-major list,
 and the Frobenius traces are twice its products' sum less the diagonal's.
-The horizon test eliminates the Hankel trace matrix one row per power,
-exactly and without pivoting, which a Gram matrix of independent powers
-allows because its leading minors are positive.  The dense reference both
-kernels are tested against lives in ``tests/oracles.py``.
+``walk_rows`` is the one reader of that layout outside this kernel: it
+gives each vertex's n walk-count tuples, which the walk signature sorts
+and ``walkgi walks`` prints.  The horizon test eliminates the Hankel
+trace matrix one row per power, exactly and without pivoting, which a Gram
+matrix of independent powers allows because its leading minors are
+positive.  The dense reference both kernels are tested against lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 from itertools import repeat
 from math import isqrt
-from operator import lshift, mul, or_
+from operator import itemgetter, lshift, mul, or_
+from typing import Sequence
 
 from .graph import Graph, local_complement
 
@@ -275,14 +280,14 @@ def walk_powers(G: Graph) -> list[list[int]]:
     the number of distinct eigenvalues of A; walks longer than m carry no
     further information.  Every power of A is symmetric, so only the upper
     triangle is unpacked, as one flat row-major list: row i holds columns
-    i..n-1 and starts at ``_row_starts(n)[i]``, so
-    ``powers[k - 1][_row_starts(n)[i] + j - i]`` is the number of walks of
-    length k between vertices i and j, for i <= j.  The horizon is found
-    along the way.  The Frobenius Gram matrix of the powers is the Hankel
-    matrix [tr A^(i+j)], singular exactly when they are dependent; power k
-    adds tr A^(2k) = <A^k, A^k> and tr A^(2k-1) = <A^k, A^(k-1)>, each taken
-    as twice the sum over the upper triangle less the diagonal.  Singularity
-    is found by ``_HankelPivots``, one exact elimination step per power.
+    i..n-1.  ``walk_rows`` reads the powers back per vertex, so that
+    ``walk_rows(powers)[i][j][k - 1]`` is the number of walks of length k
+    between vertices i and j.  The horizon is found along the way.  The
+    Frobenius Gram matrix of the powers is the Hankel matrix [tr A^(i+j)],
+    singular exactly when they are dependent; power k adds
+    tr A^(2k) = <A^k, A^k> and tr A^(2k-1) = <A^k, A^(k-1)>, each taken as
+    twice the sum over the upper triangle less the diagonal.  Singularity is
+    found by ``_HankelPivots``, one exact elimination step per power.
     """
     n = G.n
     delta = max(row.bit_count() for row in G.rows)
@@ -307,6 +312,32 @@ def walk_powers(G: Graph) -> list[list[int]]:
             packed = _widened(packed, words)
             words *= 2
         packed = [sum(map(packed.__getitem__, nbrs)) for nbrs in neighbours]
+
+
+def walk_rows(powers: list[list[int]]) -> list[Sequence[tuple[int, ...]]]:
+    """For each vertex i, its n tuples (A^1[i][j], ..., A^m[i][j]) in column
+    order j, from the powers ``walk_powers`` returns.
+
+    One ``zip`` of the flat upper triangles builds the tuple of every
+    unordered pair {i, j}, in their flat order, and row i gathers its n
+    tuples, from pairs {j, i} with j < i and then {i, j} with j >= i,
+    through one cached getter.  n is read off the triangle's length,
+    n (n + 1) / 2.
+    """
+    n = (isqrt(8 * len(powers[0]) + 1) - 1) // 2
+    pairs = list(zip(*powers))
+    return [row(pairs) for row in _row_getters(n)]
+
+
+@lru_cache(maxsize=8)
+def _row_getters(n: int) -> tuple[itemgetter, ...]:
+    """Per vertex i, a getter of the n pair entries of row i from a flat
+    row-major upper triangle, in column order."""
+    if n == 1:
+        return (itemgetter(slice(None)),)  # the one entry, as a list
+    start = _row_starts(n)
+    return tuple(itemgetter(*(start[j] + i - j for j in range(i)), *range(start[i], start[i] + n - i))
+                 for i in range(n))
 
 
 def _row_starts(n: int) -> list[int]:

@@ -27,6 +27,7 @@ non-isomorphic SRG(64,21,8,6).
 import itertools
 
 from walkgi import Graph, build_graph
+from oracles import edge_pairs, has_edge
 
 
 def empty_graph(n: int) -> Graph:
@@ -59,7 +60,7 @@ def complete_multipartite(*parts: int) -> Graph:
 
 
 def disjoint_union(G: Graph, H: Graph) -> Graph:
-    edges = list(G.edges()) + [(u + G.n, v + G.n) for u, v in H.edges()]
+    edges = edge_pairs(G) + [(u + G.n, v + G.n) for u, v in edge_pairs(H)]
     return build_graph(G.n + H.n, edges)
 
 
@@ -154,7 +155,7 @@ def seidel_switch(G: Graph, switch_set) -> Graph:
     for u in range(G.n):
         for v in range(u + 1, G.n):
             crossing = (u in inside) != (v in inside)
-            if G.has_edge(u, v) != crossing:
+            if has_edge(G, u, v) != crossing:
                 edges.append((u, v))
     return build_graph(G.n, edges)
 

@@ -249,6 +249,17 @@ def fraction_inverse(rows):
     return [row[n:] for row in m]
 
 
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    """Whether u and v are adjacent: bit v of row u."""
+    return bool(G.rows[u] >> v & 1)
+
+
+def edge_pairs(G: Graph) -> list[tuple[int, int]]:
+    """G's edges as pairs (u, v) with u < v, in lexicographic order, found
+    by testing every pair."""
+    return [(u, v) for u in range(G.n) for v in range(u + 1, G.n) if has_edge(G, u, v)]
+
+
 def count_walks(G: Graph, u: int, v: int, k: int) -> int:
     """Number of walks of length k from u to v, by direct enumeration."""
     if k == 0:
@@ -267,9 +278,9 @@ def exhaustive_isomorphic(G: Graph, H: Graph):
     if G.n != H.n:
         return None
     n = G.n
-    g_edges = set(G.edges())
+    g_edges = set(edge_pairs(G))
     for perm in itertools.permutations(range(n)):
-        if all(H.has_edge(perm[u], perm[v]) == ((u, v) in g_edges)
+        if all(has_edge(H, perm[u], perm[v]) == ((u, v) in g_edges)
                for u in range(n) for v in range(u + 1, n)):
             return perm
     return None
@@ -280,15 +291,15 @@ def naive_srg(G: Graph):
     n = G.n
     if n < 2:
         return None
-    degrees = {G.degree(u) for u in range(n)}
+    degrees = {sum(has_edge(G, u, v) for v in range(n)) for u in range(n)}
     if len(degrees) != 1:
         return None
     d = degrees.pop()
     alphas, betas = set(), set()
     for u in range(n):
         for v in range(u + 1, n):
-            common = sum(1 for w in G.neighbors(u) if G.has_edge(v, w))
-            (alphas if G.has_edge(u, v) else betas).add(common)
+            common = sum(1 for w in G.neighbors(u) if has_edge(G, v, w))
+            (alphas if has_edge(G, u, v) else betas).add(common)
     if not alphas or not betas:
         return None  # complete or edgeless: parameters degenerate
     if len(alphas) != 1 or len(betas) != 1:
@@ -328,7 +339,7 @@ def random_permutation(rng: random.Random, n: int):
 
 
 def relabeled(G: Graph, perm) -> Graph:
-    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+    return build_graph(G.n, [(perm[u], perm[v]) for u, v in edge_pairs(G)])
 
 
 def automorphism_orbits(G: Graph) -> list[tuple[int, ...]]:
@@ -340,7 +351,7 @@ def automorphism_orbits(G: Graph) -> list[tuple[int, ...]]:
 
     base = nx.Graph()
     base.add_nodes_from(range(G.n), mark=False)
-    base.add_edges_from(G.edges())
+    base.add_edges_from(edge_pairs(G))
 
     def marked(u: int):
         H = base.copy()
@@ -366,7 +377,7 @@ def networkx_isomorphic(G: Graph, H: Graph) -> bool:
     def convert(G: Graph):
         X = nx.Graph()
         X.add_nodes_from(range(G.n))
-        X.add_edges_from(G.edges())
+        X.add_edges_from(edge_pairs(G))
         return X
 
     return nx.vf2pp_is_isomorphic(convert(G), convert(H))
@@ -379,14 +390,14 @@ def automorphism_count(G: Graph) -> int:
 
     H = nx.Graph()
     H.add_nodes_from(range(G.n))
-    H.add_edges_from(G.edges())
+    H.add_edges_from(edge_pairs(G))
     return sum(1 for _ in nx.vf2pp_all_isomorphisms(H, H))
 
 
 def edge_swapped(G: Graph, swaps: int, rng: random.Random) -> Graph:
     """G after ``swaps`` random degree-preserving swaps: edges {a, b} and
     {c, d} become {a, d} and {c, b} when both are new non-loops."""
-    edges = set(G.edges())
+    edges = set(edge_pairs(G))
     done = 0
     while done < swaps:
         (a, b), (c, d) = rng.sample(sorted(edges), 2)

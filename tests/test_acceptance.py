@@ -54,6 +54,7 @@ from oracles import (
     bareiss_first_pivot_determinant,
     cofactor_determinant,
     count_walks,
+    edge_pairs,
     exhaustive_isomorphic,
     mat_mul,
     mat_pow,
@@ -321,7 +322,7 @@ def test_criterion_6_format_fidelity(tmp_path):
             assert write_graph6(G) == g6
             ref = nx.from_graph6_bytes(g6.encode())
             assert ref.number_of_nodes() == G.n
-            assert sorted(tuple(sorted(e)) for e in ref.edges()) == sorted(G.edges())
+            assert sorted(tuple(sorted(e)) for e in ref.edges()) == sorted(edge_pairs(G))
 
         # catalog round-trip is lossless
         graphs = {"pete": petersen(), "rook4": rook(4), "path5": path(5), "c4": cycle(4)}

@@ -50,8 +50,10 @@ from fixture_graphs import (
 from oracles import (
     dense_upper_powers,
     dense_walk_signature,
+    edge_pairs,
     edge_swapped,
     exhaustive_isomorphic,
+    has_edge,
     networkx_isomorphic,
     random_graph,
     random_permutation,
@@ -552,20 +554,33 @@ def test_pool_forks_for_the_items_left_once_a_map_runs_past_fork_after_s(monkeyp
     assert _no_child_left()
 
 
-def _pid_after_5_ms(x):
-    time.sleep(0.005)
-    return x, os.getpid()
+class _FakeClock:
+    """A ``time`` module whose ``perf_counter`` moves only when told to."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool maps serially without os.fork")
 def test_pool_forks_no_tail_too_short_to_pay_for_the_fork(monkeypatch):
     # four 5 ms items run past FORK_AFTER_S; the two left would save one
     # mean item time, 5 ms, on two workers, less than FORK_AFTER_S, so
-    # they are computed here too
+    # they are computed here too.  Each item advances a fake clock by
+    # exactly 5 ms, so the decision does not hang on this machine's load.
+    clock = _FakeClock()
+    monkeypatch.setattr("walkgi.isotest.time", clock)
     monkeypatch.setattr("walkgi.isotest.FORK_AFTER_S", 0.018)
     forks = _count_forks(monkeypatch)
+
+    def pid_after_5_ms(x):
+        clock.now += 0.005
+        return x, os.getpid()
+
     with Pool(2) as pool:
-        results = list(pool.map(_pid_after_5_ms, list(range(6))))
+        results = list(pool.map(pid_after_5_ms, list(range(6))))
     assert results == [(x, os.getpid()) for x in range(6)]
     assert forks == []
 
@@ -863,7 +878,7 @@ def _check_oracle(G, H, isomorphic):
     assert (f is not None) == isomorphic
     if f is not None:
         assert sorted(f) == list(range(G.n))
-        assert all(H.has_edge(f[u], f[v]) for u, v in G.edges())
+        assert all(has_edge(H, f[u], f[v]) for u, v in edge_pairs(G))
 
 
 def test_find_isomorphism_agrees_with_exhaustive():
@@ -887,8 +902,8 @@ def test_find_isomorphism_certificate_is_checked_mapping():
     H = relabeled(G, random_permutation(rng, 10))
     cert = find_isomorphism(G, H)
     assert cert is not None
-    for u, v in G.edges():
-        assert H.has_edge(cert[u], cert[v])
+    for u, v in edge_pairs(G):
+        assert has_edge(H, cert[u], cert[v])
     assert sorted(cert) == list(range(10))
 
 

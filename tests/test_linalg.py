@@ -5,7 +5,7 @@ import pytest
 
 from walkgi import (build_graph, determinant, lc_determinants, local_complement, srg_parameters,
                     walk_powers)
-from walkgi.linalg import _HankelPivots, _bareiss, _lane, _packed, _scaled_inverse
+from walkgi.linalg import _HankelPivots, _bareiss, _lane, _packed, _scaled_inverse, walk_rows
 from fixture_graphs import (
     chang_graphs,
     complete,
@@ -30,8 +30,10 @@ from oracles import (
     count_walks,
     dense_upper_powers,
     distinct_eigenvalue_count,
+    edge_pairs,
     fraction_gauss_determinant,
     fraction_inverse,
+    has_edge,
     mat_mul,
     mat_pow,
     random_graph,
@@ -186,7 +188,7 @@ def test_lc_determinants_match_per_complement_determinants():
                for _ in range(60)]
     # a singular graph with no zero row, and a nonsingular one with a
     # degree-1 vertex u, whose K_u is 1 x 1
-    pendant = build_graph(11, [*petersen().edges(), (0, 10)])
+    pendant = build_graph(11, [*edge_pairs(petersen()), (0, 10)])
     graphs += [complete_multipartite(3, 3, 3), complete_multipartite(2, 3, 4), pendant]
     assert determinant(complete_multipartite(3, 3, 3)) == 0 and determinant(pendant) != 0
     # both paths run: the shared inverse when det A != 0, the definition
@@ -283,7 +285,7 @@ def local_traces(G, u):
     """tr A_N^k for k = 1..d, A_N the adjacency matrix of the d neighbours
     of u: by Newton's identities, the spectrum of the local graph."""
     nbrs = G.neighbors(u)
-    A = IntMatrix(tuple(tuple(int(G.has_edge(v, w)) for w in nbrs) for v in nbrs))
+    A = IntMatrix(tuple(tuple(int(has_edge(G, v, w)) for w in nbrs) for v in nbrs))
     traces, P = [], A
     for _ in nbrs:
         traces.append(sum(P.rows[i][i] for i in range(len(nbrs))))
@@ -384,7 +386,7 @@ def test_determinant_is_relabeling_invariant():
         d = determinant(G)
         perm = list(range(G.n))
         rng.shuffle(perm)
-        H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+        H = build_graph(G.n, [(perm[u], perm[v]) for u, v in edge_pairs(G)])
         assert determinant(H) == d
 
 
@@ -515,6 +517,28 @@ def test_walk_powers_count_walks():
             u, v, k = rng.randrange(G.n), rng.randrange(G.n), rng.randint(1, m)
             i, j = min(u, v), max(u, v)
             assert powers[k - 1][i * G.n - i * (i - 1) // 2 + j - i] == count_walks(G, u, v, k)
+
+
+def _dense_walk_rows(G, m):
+    """Per vertex u, the n tuples (A^1[u][v], ..., A^m[u][v]) read from
+    dense powers of A."""
+    A = adjacency_matrix(G)
+    powers = [A.rows]
+    for _ in range(m - 1):
+        powers.append(mat_mul(IntMatrix(powers[-1]), A).rows)
+    return [[tuple(P[u][v] for P in powers) for v in range(G.n)] for u in range(G.n)]
+
+
+def test_walk_rows_match_dense_powers():
+    # every labelled pair, u < v and u > v alike; n = 1 takes the getter of
+    # the one entry, and the dense random graph's A^21 needs two-word lanes
+    dense = random_graph(random.Random(0), 21, 0.75)
+    for G in [*EDGE_CASES, rook(4), chang_graphs()[0], local_complement(shrikhande(), 0), dense]:
+        powers = walk_powers(G)
+        rows = walk_rows(powers)
+        assert [list(row) for row in rows] == _dense_walk_rows(G, len(powers))
+    assert len(powers) == dense.n and max(powers[-1]) >= 2**64
+    assert walk_rows(walk_powers(empty_graph(1))) == [[(0,)]]
 
 
 def test_hankel_pivots_are_leading_minors():
